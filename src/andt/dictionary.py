@@ -97,24 +97,10 @@ __all__ = [
 
 DEFAULT_WINDOW = Window(qmin=-3, qmax=3, smax=3)
 
-_TAUP = TPoly.gen(0) + TPoly.gen(1)
-
 
 # ---------------------------------------------------------------------------
 # exact reduction at t2 = -t1 (cancels matching (t1+t2) factors first)
 # ---------------------------------------------------------------------------
-
-
-def _tau_sub_poly(tp: TPoly) -> TPoly:
-    out: dict = {}
-    for (a, b, c), coeff in tp.items():
-        key = (a + b, 0, c)
-        v = out.get(key, QQ(0)) + (coeff if b % 2 == 0 else -coeff)
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
-    return TPoly(out)
 
 
 def reduce_tau(rf: RatFn) -> RatFn:
@@ -125,12 +111,12 @@ def reduce_tau(rf: RatFn) -> RatFn:
     if rf.is_zero:
         return RF_ZERO
     num, den = rf.num, rf.den
-    d2 = _tau_sub_poly(den)
+    d2 = den.tau_sub()
     while d2.is_zero:
-        num = num.exact_div(_TAUP)
-        den = den.exact_div(_TAUP)
-        d2 = _tau_sub_poly(den)
-    return RatFn(_tau_sub_poly(num), d2)
+        num = num.exact_div(TAU)
+        den = den.exact_div(TAU)
+        d2 = den.tau_sub()
+    return RatFn(num.tau_sub(), d2)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,16 @@ three torus weights ``t1, t2, t3``, canonically normalized rational functions,
 and Laurent-in-q / power-in-s series truncated to an explicit window.  Floats
 never appear.
 
+Coefficient invariant: a polynomial coefficient is stored as a Python ``int``
+whenever it is integral and as ``QQ`` only otherwise.  Canonical rational
+functions have integer-primitive denominators, so almost every coefficient is
+an ``int``, and the arithmetic avoids the gcd that every ``Fraction``
+operation pays to normalise its result.  Equal ``int`` and ``QQ`` values
+compare and hash equal, so canonical forms, dict keys and cache keys do not
+depend on which type holds a coefficient.  Values handed out as scalars
+(``RatFn.const_value``) are always ``QQ``, so callers may divide them with
+``/``.
+
 The series type tracks, besides the storage window, a *proven lower bound*
 ``qfloor`` on the exact q-support.  That bound is what makes truncated
 multiplication sound: the product of two series is complete up to
@@ -15,10 +25,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _igcd
-from typing import Iterable, Mapping, Sequence
+from math import gcd as _igcd, lcm as _ilcm
+from typing import Mapping, Sequence
 
-try:  # gmpy2 is an optional speedup; fractions.Fraction is the reference type
+# QQ is the type of non-integral coefficients (integral ones are stored as int;
+# see the module docstring).  gmpy2 is an optional speedup; fractions.Fraction
+# is the reference type.
+try:
     from gmpy2 import mpq as QQ
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     from fractions import Fraction as QQ
@@ -50,6 +63,9 @@ __all__ = [
     "QRational",
 ]
 
+_QQT = type(QQ(0))
+_SCALARS = (int, _QQT)
+
 
 class ExactDivisionError(ArithmeticError):
     """Raised when an exact polynomial division leaves a remainder."""
@@ -63,16 +79,20 @@ class ReconstructError(ValueError):
     """Raised when no rational function matches a series on its window."""
 
 
-def _qq_content(coeffs: Iterable) -> "QQ":
-    """gcd of a family of rationals, as a positive rational."""
-    num = 0
-    den = 1
-    for c in coeffs:
-        num = _igcd(num, int(c.numerator))
-        den = (den * int(c.denominator)) // _igcd(den, int(c.denominator))
-    if num == 0:
-        return QQ(0)
-    return QQ(num, den)
+def _coeff(v):
+    """A coefficient in stored form: ``int`` when integral, ``QQ`` otherwise."""
+    if v.__class__ is int:
+        return v
+    q = v if isinstance(v, _QQT) else QQ(v)
+    return int(q.numerator) if q.denominator == 1 else q
+
+
+def _qdiv(a, b):
+    """Exact quotient a / b of two stored-form coefficients, in stored form."""
+    if a.__class__ is int and b.__class__ is int:
+        q, r = divmod(a, b)
+        return QQ(a, b) if r else q
+    return _coeff(QQ(a) / b)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +111,9 @@ def _gl_key(exps):
 class TPoly:
     """Sparse polynomial in t1, t2, t3 with exact rational coefficients.
 
-    Immutable.  Keys are exponent triples; zero coefficients are never stored.
-    Term order, where one is needed, is graded lexicographic with t1 > t2 > t3.
+    Immutable.  Keys are exponent triples; zero coefficients are never stored,
+    and integral coefficients are stored as ``int``.  Term order, where one is
+    needed, is graded lexicographic with t1 > t2 > t3.
     """
 
     __slots__ = ("_d", "_hash")
@@ -107,10 +128,10 @@ class TPoly:
             for k, v in data.items():
                 if len(k) != _NVARS or any(e < 0 or not isinstance(e, int) for e in k):
                     raise ValueError(f"bad exponent triple {k!r}")
-                q = QQ(v) if not isinstance(v, type(QQ(0))) else v
+                q = _coeff(v)
                 if q != 0:
                     q0 = d.get(k)
-                    d[k] = q if q0 is None else q0 + q
+                    d[k] = q if q0 is None else _coeff(q0 + q)
                     if d[k] == 0:
                         del d[k]
         self._d = d
@@ -119,14 +140,14 @@ class TPoly:
     # -- constructors -------------------------------------------------------
     @classmethod
     def const(cls, c) -> "TPoly":
-        c = QQ(c)
+        c = _coeff(c)
         return cls({_ZKEY: c} if c != 0 else {}, _trusted=True)
 
     @classmethod
     def gen(cls, i: int) -> "TPoly":
         e = [0, 0, 0]
         e[i] = 1
-        return cls({tuple(e): QQ(1)}, _trusted=True)
+        return cls({tuple(e): 1}, _trusted=True)
 
     # -- basic protocol ------------------------------------------------------
     def __bool__(self):
@@ -139,7 +160,7 @@ class TPoly:
     def __eq__(self, other):
         if isinstance(other, TPoly):
             return self._d == other._d
-        if isinstance(other, (int, type(QQ(0)))):
+        if isinstance(other, _SCALARS):
             return self == TPoly.const(other)
         return NotImplemented
 
@@ -153,6 +174,10 @@ class TPoly:
 
     def __len__(self):
         return len(self._d)
+
+    def const_term(self):
+        """Coefficient of t^0 (0 if absent), in stored form."""
+        return self._d.get(_ZKEY, 0)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -169,7 +194,7 @@ class TPoly:
                 if w == 0:
                     del d[k]
                 else:
-                    d[k] = w
+                    d[k] = w if w.__class__ is int else _coeff(w)
         return TPoly(d, _trusted=True)
 
     __radd__ = __add__
@@ -187,11 +212,11 @@ class TPoly:
         return _as_tpoly(other) + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, type(QQ(0)))):
-            c = QQ(other)
+        if isinstance(other, _SCALARS):
+            c = _coeff(other)
             if c == 0:
                 return TPoly()
-            return TPoly({k: v * c for k, v in self._d.items()}, _trusted=True)
+            return TPoly({k: _coeff(v * c) for k, v in self._d.items()}, _trusted=True)
         if not isinstance(other, TPoly):
             return NotImplemented
         a, b = self._d, other._d
@@ -210,6 +235,9 @@ class TPoly:
                         del out[k]
                     else:
                         out[k] = w
+        for k, w in out.items():
+            if w.__class__ is not int and w.denominator == 1:
+                out[k] = int(w.numerator)
         return TPoly(out, _trusted=True)
 
     __rmul__ = __mul__
@@ -240,7 +268,11 @@ class TPoly:
         return k, self._d[k]
 
     def content(self):
-        return _qq_content(self._d.values())
+        """gcd of the coefficients, as a positive rational."""
+        if not self._d:
+            return QQ(0)
+        u, g = self._primitive_factor()
+        return QQ(abs(g), u)
 
     def monomial_content(self) -> tuple:
         if not self._d:
@@ -265,18 +297,32 @@ class TPoly:
             return TPoly()
         if len(other._d) == 1:
             (ek, ev), = other._d.items()
-            return self.shift_monomial((-ek[0], -ek[1], -ek[2])) * (QQ(1) / ev)
+            q = self.shift_monomial((-ek[0], -ek[1], -ek[2]))
+            return q if ev == 1 else q._scaled(1, ev)
         lk, lc = other.leading()
-        rem = self
+        l1, l2, l3 = lk
+        tail = [(k, v) for k, v in other._d.items() if k != lk]
+        # rem -= c * t^dk * (other - leading term), in place
+        rem = dict(self._d)
         quo: dict = {}
-        while not rem.is_zero:
-            rk, rc = rem.leading()
-            dk = (rk[0] - lk[0], rk[1] - lk[1], rk[2] - lk[2])
-            if any(x < 0 for x in dk):
+        while rem:
+            r1, r2, r3 = rk = max(rem, key=_gl_key)
+            d1, d2, d3 = dk = (r1 - l1, r2 - l2, r3 - l3)
+            if d1 < 0 or d2 < 0 or d3 < 0:
                 raise ExactDivisionError("inexact polynomial division")
-            c = rc / lc
+            c = _qdiv(rem.pop(rk), lc)
             quo[dk] = c
-            rem = rem - other * TPoly({dk: c}, _trusted=True)
+            for (e1, e2, e3), v in tail:
+                k = (e1 + d1, e2 + d2, e3 + d3)
+                w = rem.get(k)
+                if w is None:
+                    rem[k] = -c * v
+                else:
+                    w = w - c * v
+                    if w == 0:
+                        del rem[k]
+                    else:
+                        rem[k] = w
         return TPoly(quo, _trusted=True)
 
     def divides(self, other: "TPoly") -> bool:
@@ -288,7 +334,7 @@ class TPoly:
 
     def substitute(self, vals: Mapping[int, object]) -> "TPoly":
         """Substitute exact rational values for a subset of the variables."""
-        vals = {i: QQ(v) for i, v in vals.items()}
+        vals = {i: _coeff(v) for i, v in vals.items()}
         out: dict = {}
         for e, c in self._d.items():
             k = list(e)
@@ -301,18 +347,44 @@ class TPoly:
             if w == 0:
                 out.pop(k, None)
             else:
-                out[k] = w
+                out[k] = _coeff(w)
         return TPoly(out, _trusted=True)
+
+    def tau_sub(self) -> "TPoly":
+        """The restriction p(t1, -t1, t3) to the hyperplane t1 + t2 = 0."""
+        out: dict = {}
+        for (a, b, c), v in self._d.items():
+            key = (a + b, 0, c)
+            w = out.get(key, 0) + (v if b % 2 == 0 else -v)
+            if w == 0:
+                out.pop(key, None)
+            else:
+                out[key] = _coeff(w)
+        return TPoly(out, _trusted=True)
+
+    def _scaled(self, u, g) -> "TPoly":
+        """self * u / g for nonzero stored-form scalars u, g."""
+        return TPoly({k: _qdiv(v * u, g) for k, v in self._d.items()}, _trusted=True)
+
+    def _primitive_factor(self) -> tuple:
+        """Integers (u, g) such that self * u / g is the primitive associate."""
+        g, u = 0, 1
+        for v in self._d.values():
+            if v.__class__ is int:
+                g = _igcd(g, v)
+            else:
+                g = _igcd(g, int(v.numerator))
+                u = _ilcm(u, int(v.denominator))
+        if self.leading()[1] < 0:
+            g = -g
+        return u, g
 
     def primitive(self) -> "TPoly":
         """Integer-primitive scalar multiple with positive leading coefficient."""
         if self.is_zero:
             return self
-        c = self.content()
-        p = self * (QQ(1) / c)
-        if p.leading()[1] < 0:
-            p = -p
-        return p
+        u, g = self._primitive_factor()
+        return self if u == 1 and g == 1 else self._scaled(u, g)
 
     def min_exponent(self, var: int) -> int:
         if self.is_zero:
@@ -345,7 +417,7 @@ class TPoly:
 def _as_tpoly(x):
     if isinstance(x, TPoly):
         return x
-    if isinstance(x, (int, type(QQ(0)))):
+    if isinstance(x, _SCALARS):
         return TPoly.const(x)
     return NotImplemented
 
@@ -361,7 +433,12 @@ ZERO = TPoly()
 # -- polynomial gcd ----------------------------------------------------------
 # Fast paths handle the overwhelmingly common shapes (constants, monomials,
 # equal factors, one dividing the other); the general case is delegated to
-# sympy's sparse polynomial rings.
+# sympy's sparse polynomial ring over ZZ.
+
+# Fixed evaluation point for the divisibility filter.  Its coordinates are
+# large and unrelated, so that the linear forms met here do not vanish there
+# and an accidental a(p) | b(p) is rare.
+_EVAL_POINT = (1009, 7919, 104729)
 
 _SYMPY_RING = None
 
@@ -369,24 +446,37 @@ _SYMPY_RING = None
 def _sympy_ring():
     global _SYMPY_RING
     if _SYMPY_RING is None:
-        from sympy.polys.domains import QQ as SQQ
+        from sympy.polys.domains import ZZ
         from sympy.polys.rings import ring
 
-        R, *gens = ring("t1,t2,t3", SQQ)
-        _SYMPY_RING = (R, SQQ)
+        _SYMPY_RING = ring("t1,t2,t3", ZZ)[0]
     return _SYMPY_RING
 
 
 def _to_sympy(p: TPoly):
-    R, SQQ = _sympy_ring()
-    return R.from_dict({e: SQQ(int(c.numerator), int(c.denominator)) for e, c in p.items()})
+    """p must have integer coefficients (a primitive polynomial has)."""
+    return _sympy_ring().from_dict(dict(p.items()))
 
 
 def _from_sympy(sp) -> TPoly:
-    return TPoly(
-        {tuple(e): QQ(int(c.numerator), int(c.denominator)) for e, c in sp.terms()},
-        _trusted=True,
-    )
+    return TPoly({tuple(e): int(c) for e, c in sp.terms()}, _trusted=True)
+
+
+def _eval_at_point(p: TPoly) -> int:
+    x, y, z = _EVAL_POINT
+    return sum(c * x**e1 * y**e2 * z**e3 for (e1, e2, e3), c in p.items())
+
+
+def _divides_primitive(a: TPoly, b: TPoly) -> bool:
+    """a | b for integer-primitive a, b.
+
+    By Gauss's lemma a | b forces a(p) | b(p) at an integer point p, so a
+    failing integer test rejects without the trial division.
+    """
+    ap = _eval_at_point(a)
+    if ap and _eval_at_point(b) % ap:
+        return False
+    return a.divides(b)
 
 
 @lru_cache(maxsize=100000)
@@ -400,17 +490,16 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
     mg = tuple(min(x, y) for x, y in zip(ma, mb))
     a0 = a.shift_monomial((-ma[0], -ma[1], -ma[2])).primitive()
     b0 = b.shift_monomial((-mb[0], -mb[1], -mb[2])).primitive()
-    base = TPoly({mg: QQ(1)}, _trusted=True)
     if len(a0) == 1 or len(b0) == 1:
-        return base  # coprime after removing monomial content
+        return TPoly({mg: 1}, _trusted=True)  # coprime after removing monomial content
     if a0 == b0:
-        return base * a0
-    if a0.total_degree() <= b0.total_degree() and a0.divides(b0):
-        return base * a0
-    if b0.total_degree() < a0.total_degree() and b0.divides(a0):
-        return base * b0
+        return a0.shift_monomial(mg)
+    if a0.total_degree() <= b0.total_degree() and _divides_primitive(a0, b0):
+        return a0.shift_monomial(mg)
+    if b0.total_degree() < a0.total_degree() and _divides_primitive(b0, a0):
+        return b0.shift_monomial(mg)
     g = _from_sympy(_to_sympy(a0).gcd(_to_sympy(b0)))
-    return base * g.primitive()
+    return g.primitive().shift_monomial(mg)
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +536,10 @@ class RatFn:
         if g != ONE:
             num = num.exact_div(g)
             den = den.exact_div(g)
-        c = den.content()
-        if den.leading()[1] < 0:
-            c = -c
-        if c != 1:
-            num = num * (QQ(1) / c)
-            den = den * (QQ(1) / c)
+        u, c = den._primitive_factor()
+        if u != 1 or c != 1:
+            num = num._scaled(u, c)
+            den = den._scaled(u, c)
         self.num, self.den = num, den
         self._hash = None
 
@@ -468,13 +555,14 @@ class RatFn:
     @property
     def is_const(self) -> bool:
         return self.den == ONE and len(self.num) <= 1 and (
-            self.num.is_zero or _ZKEY in dict(self.num.items())
+            self.num.is_zero or self.num.const_term() != 0
         )
 
     def const_value(self):
+        """The value of a constant, always as ``QQ``."""
         if not self.is_const:
             raise ValueError("not a constant")
-        return dict(self.num.items()).get(_ZKEY, QQ(0))
+        return QQ(self.num.const_term())
 
     # -- protocol --------------------------------------------------------------
     def __eq__(self, other):
@@ -560,7 +648,8 @@ class RatFn:
     def valuation_t1pt2(self) -> int:
         """Order of vanishing along t1 + t2 = 0 (negative for a pole).
 
-        Computed by exact division, never by substitution.  Raises on zero.
+        Computed by exact division by t1 + t2 while the restriction to
+        t1 + t2 = 0 vanishes.  Raises on zero.
         """
         if self.is_zero:
             raise ValueError("valuation of the zero rational function")
@@ -609,7 +698,7 @@ def _as_ratfn(x):
         return x
     if isinstance(x, TPoly):
         return RatFn(x)
-    if isinstance(x, (int, type(QQ(0)))):
+    if isinstance(x, _SCALARS):
         return RatFn.const(x)
     return NotImplemented
 
@@ -617,12 +706,10 @@ def _as_ratfn(x):
 @lru_cache(maxsize=100000)
 def _tau_valuation(p: TPoly) -> int:
     v = 0
-    while True:
-        try:
-            p = p.exact_div(TAU)
-        except ExactDivisionError:
-            return v
+    while p.tau_sub().is_zero:  # (t1 + t2) | p
+        p = p.exact_div(TAU)
         v += 1
+    return v
 
 
 RF_ZERO = RatFn.const(0)

@@ -4,8 +4,10 @@ Oracle values are frozen at the top of the file and were computed
 independently of the implementation (by hand or from standard tables).
 """
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
+import andt.exact as exact_mod
 from andt.exact import (
     QQ,
     ExactDivisionError,
@@ -62,6 +64,23 @@ def ratfns(draw):
     return RatFn(num, den)
 
 
+qcoeffs = st.builds(QQ, st.integers(-4, 4), st.integers(1, 3))
+
+
+@st.composite
+def qpolys(draw, max_terms=4):
+    """Nonzero polynomials with rational, often non-integral, coefficients."""
+    d = draw(st.dictionaries(exps, qcoeffs.filter(bool), min_size=1, max_size=max_terms))
+    return TPoly(d)
+
+
+def stored_form(p):
+    """Every coefficient is an int, or a QQ that is not integral."""
+    return all(
+        type(c) is int or (isinstance(c, QQ) and c.denominator != 1) for _, c in p.items()
+    )
+
+
 # -- TPoly --------------------------------------------------------------------
 
 
@@ -89,6 +108,13 @@ def test_exact_division_failure():
         (T1 + T2 + 1).exact_div(T1 + 1)
     with pytest.raises(ExactDivisionError):
         T1.exact_div(T2)
+    with pytest.raises(ExactDivisionError):
+        (T1 * T2 + T3**2).exact_div(T1 + T3)
+    with pytest.raises(ExactDivisionError):
+        (T1**2 + T2**2).exact_div(T1 + T2)
+    with pytest.raises(ExactDivisionError):
+        ((T1 + T2) * (T2 - T3) + 1).exact_div(T2 - T3)
+    assert not (T1 + T3).divides(T1 * T2 + T3**2)
 
 
 def test_no_zero_coefficients_stored():
@@ -106,11 +132,139 @@ def test_graded_lex_leading():
 
 
 @settings(max_examples=40, deadline=None)
+@given(qpolys(), qpolys())
+def test_exact_division_roundtrip_fractional(a, b):
+    q = (a * b).exact_div(b)
+    assert q == a
+    assert all(c != 0 for _, c in q.items())
+    assert stored_form(a * b) and stored_form(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.dictionaries(exps, coeffs.filter(bool), max_size=4),
+       st.dictionaries(exps, coeffs.filter(bool), min_size=1, max_size=4))
+def test_coefficient_type_invariance(dn, dd):
+    p_int = TPoly(dn)
+    p_qq = TPoly({k: QQ(v) for k, v in dn.items()})
+    assert p_int == p_qq and hash(p_int) == hash(p_qq)
+    assert dict(p_int.items()) == dict(p_qq.items())
+    assert stored_form(p_int) and stored_form(p_qq)
+    r_int = RatFn(p_int, TPoly(dd))
+    r_qq = RatFn(p_qq, TPoly({k: QQ(v) for k, v in dd.items()}))
+    assert r_int == r_qq and hash(r_int) == hash(r_qq)
+    assert dict(r_int.num.items()) == dict(r_qq.num.items())
+    assert dict(r_int.den.items()) == dict(r_qq.den.items())
+    assert stored_form(r_qq.num) and stored_form(r_qq.den)
+
+
+def test_integral_coefficients_stored_as_int():
+    (_, c), = TPoly.const(QQ(6, 2)).items()
+    assert type(c) is int and c == 3
+    p = (T1 * QQ(2)) * QQ(1, 2)
+    assert p == T1 and all(type(c) is int for _, c in p.items())
+    h = (T1 * QQ(1, 2) + T2 * QQ(3, 2)) * 2
+    assert all(type(c) is int for _, c in h.items())
+    assert all(type(c) is int for _, c in RatFn(T1 * QQ(4, 3), T2 * QQ(2, 3)).num.items())
+
+
+def test_content_and_primitive():
+    p = T1 * QQ(-2, 3) + T2 * QQ(4, 9)
+    assert p.content() == QQ(2, 9)
+    assert p.primitive() == T1 * 3 - T2 * 2
+    assert TPoly().content() == 0
+
+
+def test_const_value_is_rational():
+    v = RatFn.const(3).const_value()
+    assert isinstance(v, QQ) and 1 / v == QQ(1, 3)
+    assert RF_ZERO.const_value() == 0 and isinstance(RF_ZERO.const_value(), QQ)
+    assert RatFn.const(QQ(1, 2)).const_value() == QQ(1, 2)
+    assert not RatFn(T1).is_const and RatFn(TPoly.const(QQ(5, 2))).is_const
+
+
+@settings(max_examples=40, deadline=None)
 @given(tpolys(allow_zero=False), tpolys(allow_zero=False), tpolys(allow_zero=False))
 def test_poly_gcd_divides(a, b, c):
     g = poly_gcd(a * c, b * c)
     assert c.divides(g)
     assert g.divides(a * c) and g.divides(b * c)
+
+
+_ST1, _ST2, _ST3 = sympy.symbols("t1 t2 t3")
+linear_forms = st.tuples(*[st.integers(-3, 3)] * 3).filter(any)
+
+
+def _linear(f):
+    return T1 * f[0] + T2 * f[1] + T3 * f[2]
+
+
+def _sympy_gcd_oracle(a: TPoly, b: TPoly) -> TPoly:
+    """sympy's gcd over ZZ, made primitive with a positive graded-lex leading term."""
+    gens = (_ST1, _ST2, _ST3)
+    pa = sympy.Poly.from_dict({e: int(c) for e, c in a.items()}, *gens, domain="ZZ")
+    pb = sympy.Poly.from_dict({e: int(c) for e, c in b.items()}, *gens, domain="ZZ")
+    _, g = sympy.gcd(pa, pb).primitive()
+    terms = g.as_dict()
+    lead = max(terms, key=lambda e: (sum(e), e))
+    sign = -1 if terms[lead] < 0 else 1
+    return TPoly({e: sign * int(c) for e, c in terms.items()})
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(linear_forms, max_size=3),
+    st.lists(linear_forms, max_size=2),
+    st.lists(linear_forms, max_size=2),
+    st.integers(1, 3),
+    st.integers(1, 3),
+)
+def test_poly_gcd_matches_sympy_on_linear_products(common, only_a, only_b, ca, cb):
+    a, b = TPoly.const(ca), TPoly.const(cb)
+    for f in common:
+        a, b = a * _linear(f), b * _linear(f)
+    for f in only_a:
+        a = a * _linear(f)
+    for f in only_b:
+        b = b * _linear(f)
+    assert poly_gcd(a, b) == _sympy_gcd_oracle(a, b)
+
+
+def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
+    # a(p) | b(p) at the filter's point, yet a does not divide b: the filter
+    # must hand over to trial division, which fails, then to sympy.
+    x, _, z = exact_mod._EVAL_POINT
+    a = T1 + T2
+    ap = exact_mod._eval_at_point(a)
+    b = T1 * T3 - (x * z) % ap
+    assert exact_mod._eval_at_point(b) % ap == 0 and len(b) == 2
+    calls = {"divides": 0, "sympy": 0}
+    divides, from_sympy = TPoly.divides, exact_mod._from_sympy
+
+    def counting_divides(self, other):
+        calls["divides"] += 1
+        return divides(self, other)
+
+    def counting_from_sympy(sp):
+        calls["sympy"] += 1
+        return from_sympy(sp)
+
+    monkeypatch.setattr(TPoly, "divides", counting_divides)
+    monkeypatch.setattr(exact_mod, "_from_sympy", counting_from_sympy)
+    poly_gcd.cache_clear()
+    assert poly_gcd(a, b) == ONE
+    assert calls == {"divides": 1, "sympy": 1}
+    # the filter alone rejects a pair whose values do not divide
+    poly_gcd.cache_clear()
+    assert poly_gcd(a, b + 1) == ONE
+    assert calls == {"divides": 1, "sympy": 2}
+    poly_gcd.cache_clear()
+
+
+@settings(max_examples=40, deadline=None)
+@given(tpolys(), st.integers(-5, 5), st.integers(-5, 5))
+def test_tau_sub_is_restriction_to_t2_eq_minus_t1(p, x, z):
+    assert p.tau_sub().substitute({0: x, 2: z}) == p.substitute({0: x, 1: -x, 2: z})
+    assert (p * TAU).tau_sub().is_zero
 
 
 # -- RatFn --------------------------------------------------------------------
