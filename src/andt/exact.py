@@ -25,7 +25,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd as _igcd, lcm as _ilcm
+from math import comb, gcd as _igcd, lcm as _ilcm
+from operator import mul
 from typing import Mapping, Sequence
 
 # QQ is the type of non-integral coefficients (integral ones are stored as int;
@@ -384,7 +385,18 @@ class TPoly:
         if self.is_zero:
             return self
         u, g = self._primitive_factor()
-        return self if u == 1 and g == 1 else self._scaled(u, g)
+        if u == 1 and g == 1:
+            return self
+        # every quotient is an integer: g divides each numerator and each
+        # denominator divides u
+        return TPoly(
+            {
+                k: v // g * u if v.__class__ is int
+                else int(v.numerator) // g * (u // int(v.denominator))
+                for k, v in self._d.items()
+            },
+            _trusted=True,
+        )
 
     def min_exponent(self, var: int) -> int:
         if self.is_zero:
@@ -431,14 +443,41 @@ ZERO = TPoly()
 
 
 # -- polynomial gcd ----------------------------------------------------------
-# Fast paths handle the overwhelmingly common shapes (constants, monomials,
-# equal factors, one dividing the other); the general case is delegated to
-# sympy's sparse polynomial ring over ZZ.
+# poly_gcd strips the monomial content t^mg and the integer content, leaving
+# integer-primitive a0, b0, then tries in order:
+#   1. a single term on either side: the gcd is t^mg;
+#   2. equal parts, or one dividing the other (an evaluation filter in front
+#      of the trial division, see _divides_primitive);
+#   3. a coprimality certificate mod a prime (_coprime_certified);
+#   4. sympy's gcd over ZZ, for what is left.
+# Localization weights are ratios of products of linear forms in t1, t2, t3,
+# so the pairs that survive steps 1-2 are almost all coprime; step 3 proves
+# that without sympy.
+#
+# The certificate reduces a0, b0 mod P = 2^61 - 1 and restricts them to the
+# line t = s*alpha + beta, then runs Euclid in F_P[s].  It answers "coprime"
+# only if a0's image keeps the full degree of a0 and the univariate gcd is a
+# nonzero constant; otherwise it answers "unknown".  Soundness: a primitive
+# common factor g of a0 and b0 divides both in Z[t] (Gauss's lemma), and both
+# maps are ring maps, so g's image divides both images.  Full degree means the
+# top homogeneous part of a0 is nonzero at alpha mod P, hence so is g's, and
+# g's image has degree deg g; a constant univariate gcd then forces
+# deg g = 0.  Nothing is decided by probability.
+#
+# alpha = _EVAL_POINT lies off the planes where the tangent weights met here
+# vanish, so the degree condition almost always holds (alpha = (1, 3, 7), on
+# the weight plane 3 t1 = t2, certified only half of the coprime pairs of the
+# rigidify benchmark).  beta = _LINE_BASE has two nonzero coordinates: with
+# beta = (0, 0, 1), every form in t1, t2 alone restricts to a multiple of s,
+# so no two products of such forms are ever certified coprime.
 
-# Fixed evaluation point for the divisibility filter.  Its coordinates are
-# large and unrelated, so that the linear forms met here do not vanish there
-# and an accidental a(p) | b(p) is rare.
+# Fixed evaluation point for the divisibility filter and direction of the
+# certificate's line.  Its coordinates are large and unrelated, so that the
+# linear forms met here do not vanish there and an accidental a(p) | b(p) is
+# rare.
 _EVAL_POINT = (1009, 7919, 104729)
+_LINE_BASE = (17, 0, 3)
+_P = (1 << 61) - 1
 
 _SYMPY_RING = None
 
@@ -479,6 +518,65 @@ def _divides_primitive(a: TPoly, b: TPoly) -> bool:
     return a.divides(b)
 
 
+def _line_power(v: int, e: int) -> list:
+    """(alpha_v s + beta_v)^e mod P, as coefficients in s from s^0 up."""
+    a, b = _EVAL_POINT[v], _LINE_BASE[v]
+    return [comb(e, k) * pow(a, k, _P) * pow(b, e - k, _P) % _P for k in range(e + 1)]
+
+
+@lru_cache(maxsize=4096)
+def _line_monomial(e: tuple) -> tuple:
+    """t^e restricted to the line mod P, as coefficients in s from s^0 up.
+
+    Bounded by the number of monomials, not of polynomials: degree <= 25 has
+    fewer than 4096.
+    """
+    row = _line_power(0, e[0])
+    for v in (1, 2):
+        w = _line_power(v, e[v])
+        out = [0] * (len(row) + e[v])
+        for i, x in enumerate(row):
+            for j, y in enumerate(w, i):
+                out[j] += x * y
+        row = [x % _P for x in out]
+    return tuple(row)
+
+
+def _line_image(p: TPoly) -> list:
+    """Coefficients in s, from s^0 up, of p(s*alpha + beta) mod P."""
+    rows = map(_line_monomial, p._d)
+    cols = itertools.zip_longest(*rows, fillvalue=0)
+    return [sum(map(mul, p._d.values(), col)) % _P for col in cols]
+
+
+def _trimmed_degree(u: list) -> int:
+    """Degree in s of u (-1 for zero), after dropping its zero top entries."""
+    while u and not u[-1]:
+        u.pop()
+    return len(u) - 1
+
+
+def _rem_in_place(u: list, w: list) -> None:
+    """u <- u mod w in F_P[s]; w has a nonzero top entry."""
+    dw = len(w) - 1
+    inv = pow(w[-1], -1, _P)
+    while len(u) > dw:
+        c = u.pop() * inv % _P
+        k = len(u) - dw
+        u[k:] = [(x - c * y) % _P for x, y in zip(u[k:], w)]
+
+
+def _coprime_certified(a0: TPoly, b0: TPoly) -> bool:
+    """True only if a0 and b0 are proven coprime (see the comment above)."""
+    u, w = _line_image(a0), _line_image(b0)
+    if _trimmed_degree(u) != a0.total_degree():
+        return False
+    while _trimmed_degree(w) > 0:  # Euclid in F_P[s]
+        _rem_in_place(u, w)
+        u, w = w, u
+    return _trimmed_degree(w) == 0
+
+
 @lru_cache(maxsize=100000)
 def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
     """Primitive positive gcd of two polynomials."""
@@ -498,6 +596,8 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
         return a0.shift_monomial(mg)
     if b0.total_degree() < a0.total_degree() and _divides_primitive(b0, a0):
         return b0.shift_monomial(mg)
+    if _coprime_certified(a0, b0):
+        return TPoly({mg: 1}, _trusted=True)
     g = _from_sympy(_to_sympy(a0).gcd(_to_sympy(b0)))
     return g.primitive().shift_monomial(mg)
 
@@ -705,6 +805,8 @@ def _as_ratfn(x):
 
 @lru_cache(maxsize=100000)
 def _tau_valuation(p: TPoly) -> int:
+    if p.is_zero:
+        raise ValueError("valuation of the zero polynomial")
     v = 0
     while p.tau_sub().is_zero:  # (t1 + t2) | p
         p = p.exact_div(TAU)
@@ -931,22 +1033,12 @@ class QSSeries:
     def restrict(self, window: Window) -> "QSSeries":
         return QSSeries(self.nvars, window, self.qfloor, self.data)
 
-    def map_coeffs(self, fn) -> "QSSeries":
-        out = QSSeries(self.nvars, self.window, self.qfloor)
-        out.data = {k: v for k, v in ((k, fn(c)) for k, c in self.data.items()) if not v.is_zero}
-        return out
-
     def s_coefficients(self) -> dict:
         """Group by s-key: {s-key: {q-exponent: coefficient}}."""
         out: dict = {}
         for (qe, se), c in self.data.items():
             out.setdefault(se, {})[qe] = c
         return out
-
-    def min_tau_valuation(self) -> int | None:
-        """Minimum (t1+t2)-valuation over all coefficients; None if empty."""
-        vals = [c.valuation_t1pt2() for c in self.data.values()]
-        return min(vals) if vals else None
 
     def evaluate(self, t1, t2, q, svals: Sequence, t3=0):
         """Numeric evaluation of the truncated sum (evidence only, not exact)."""

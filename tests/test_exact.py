@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 import andt.exact as exact_mod
+from andt.surface import SurfaceGeometry
 from andt.exact import (
     QQ,
     ExactDivisionError,
@@ -229,14 +230,8 @@ def test_poly_gcd_matches_sympy_on_linear_products(common, only_a, only_b, ca, c
     assert poly_gcd(a, b) == _sympy_gcd_oracle(a, b)
 
 
-def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
-    # a(p) | b(p) at the filter's point, yet a does not divide b: the filter
-    # must hand over to trial division, which fails, then to sympy.
-    x, _, z = exact_mod._EVAL_POINT
-    a = T1 + T2
-    ap = exact_mod._eval_at_point(a)
-    b = T1 * T3 - (x * z) % ap
-    assert exact_mod._eval_at_point(b) % ap == 0 and len(b) == 2
+def _count_gcd_paths(monkeypatch):
+    """Count trial divisions and sympy fallbacks inside poly_gcd."""
     calls = {"divides": 0, "sympy": 0}
     divides, from_sympy = TPoly.divides, exact_mod._from_sympy
 
@@ -250,14 +245,94 @@ def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
 
     monkeypatch.setattr(TPoly, "divides", counting_divides)
     monkeypatch.setattr(exact_mod, "_from_sympy", counting_from_sympy)
+    return calls
+
+
+def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
+    # a(p) | b(p) at the filter's point, yet a does not divide b: the filter
+    # must hand over to trial division, which fails; the pair is coprime, so
+    # the certificate settles it without sympy.
+    x, _, z = exact_mod._EVAL_POINT
+    a = T1 + T2
+    ap = exact_mod._eval_at_point(a)
+    b = T1 * T3 - (x * z) % ap
+    assert exact_mod._eval_at_point(b) % ap == 0 and len(b) == 2
+    calls = _count_gcd_paths(monkeypatch)
     poly_gcd.cache_clear()
     assert poly_gcd(a, b) == ONE
-    assert calls == {"divides": 1, "sympy": 1}
+    assert calls == {"divides": 1, "sympy": 0}
     # the filter alone rejects a pair whose values do not divide
     poly_gcd.cache_clear()
     assert poly_gcd(a, b + 1) == ONE
-    assert calls == {"divides": 1, "sympy": 2}
+    assert calls == {"divides": 1, "sympy": 0}
     poly_gcd.cache_clear()
+
+
+def test_poly_gcd_degree_guard_sends_factor_through_alpha_to_sympy(monkeypatch):
+    # L vanishes at alpha, so the images of L*(t1+t3) and L*(t2+t3) drop a
+    # degree and their univariate gcd is constant: without the degree guard
+    # the certificate would answer 1 instead of L.
+    x, y, _ = exact_mod._EVAL_POINT
+    L = y * T1 - x * T2
+    a, b = L * (T1 + T3), L * (T2 + T3)
+    assert exact_mod._eval_at_point(L) == 0
+    assert not exact_mod._coprime_certified(a, b)
+    calls = _count_gcd_paths(monkeypatch)
+    poly_gcd.cache_clear()
+    assert poly_gcd(a, b) == L
+    assert calls["sympy"] == 1
+    poly_gcd.cache_clear()
+
+
+# Linear forms through alpha = _EVAL_POINT: integer combinations of two
+# forms that vanish there.
+_THROUGH_ALPHA = (
+    (exact_mod._EVAL_POINT[1], -exact_mod._EVAL_POINT[0], 0),
+    (exact_mod._EVAL_POINT[2], 0, -exact_mod._EVAL_POINT[0]),
+)
+forms_through_alpha = st.tuples(st.integers(-2, 2), st.integers(-2, 2)).filter(any).map(
+    lambda c: tuple(c[0] * u + c[1] * v for u, v in zip(*_THROUGH_ALPHA))
+)
+any_forms = st.one_of(linear_forms, forms_through_alpha)
+
+
+def _product(polys):
+    p = ONE
+    for f in polys:
+        p = p * f
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(any_forms, max_size=2),
+    st.lists(any_forms, min_size=1, max_size=3),
+    st.lists(any_forms, min_size=1, max_size=3),
+)
+def test_coprime_certificate_is_sound(common, only_a, only_b):
+    shared = _product(map(_linear, common))
+    a = (shared * _product(map(_linear, only_a))).primitive()
+    b = (shared * _product(map(_linear, only_b))).primitive()
+    if exact_mod._coprime_certified(a, b):
+        assert _sympy_gcd_oracle(a, b) == ONE
+
+
+def _weight_forms(n):
+    """The tangent weights of SurfaceGeometry(n), with tau, t3 and wR(k) + r t3,
+    one primitive representative per line."""
+    geom = SurfaceGeometry(n)
+    forms = [TAU, T3]
+    for k in range(1, n + 2):
+        forms += [geom.wL(k), geom.wR(k)] + [geom.wR(k) + r * T3 for r in (-2, -1, 1, 2)]
+    return sorted({f.primitive() for f in forms}, key=str)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.permutations(_weight_forms(n))), st.data())
+def test_coprime_certificate_covers_products_of_distinct_weights(forms, data):
+    i = data.draw(st.integers(1, 3))
+    j = data.draw(st.integers(i + 1, i + 3))
+    assert exact_mod._coprime_certified(_product(forms[:i]), _product(forms[i:j]))
 
 
 @settings(max_examples=40, deadline=None)
@@ -314,6 +389,8 @@ def test_tau_valuation_by_division():
     assert g.valuation_t1pt2() == -2
     with pytest.raises(ValueError):
         RF_ZERO.valuation_t1pt2()
+    with pytest.raises(ValueError):
+        exact_mod._tau_valuation(TPoly())
     # (t1+t2)^2 hidden inside an expanded square
     h = RatFn(T1**2 + 2 * T1 * T2 + T2**2)
     assert h.valuation_t1pt2() == 2
