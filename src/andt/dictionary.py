@@ -927,7 +927,6 @@ class Dictionary:
         self._tinv_cache: dict = {}
         self._engine_cache: dict = {}
         self._annihilation_cache: dict = {}
-        self._state_gram_cache: dict = {}
         self._fp_state_cache: dict = {}
         self._divisor_cache: dict = {}
         self._conj_cache: dict = {}
@@ -987,29 +986,6 @@ class Dictionary:
             T, _, _ = self.transport(m)
             hit = ratfn_inverse(T)
             self._tinv_cache[m] = hit
-        return hit
-
-    def state_gram(self, m: int) -> list:
-        """Geometric pairing of lattice states (transported word pairing)."""
-        hit = self._state_gram_cache.get(m)
-        if hit is None:
-            T, states, words = self.transport(m)
-            Tinv = self.transport_inverse(m)
-            fb = fixed_point_basis(self.geom)
-            G = [nak_pairing(w, w, fb) for w in words]
-            ns = len(states)
-            nw = len(words)
-            hit = [
-                [
-                    sum(
-                        (Tinv[i][a] * G[i] * Tinv[i][b] for i in range(nw)),
-                        RF_ZERO,
-                    )
-                    for b in range(ns)
-                ]
-                for a in range(ns)
-            ]
-            self._state_gram_cache[m] = hit
         return hit
 
     def _fp_mats(self, m: int) -> dict:
@@ -1648,15 +1624,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return len(self.index)
 
-    def constant_term(self) -> dict:
-        out = {}
-        zero_s = (0,) * self.n
-        for (r, c), ser in self.entries.items():
-            v = ser.coeff(0, zero_s)
-            if not v.is_zero:
-                out[(r, c)] = v
-        return out
-
 
 @dataclass
 class DivisorOp:
@@ -1992,16 +1959,6 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
 # ---------------------------------------------------------------------------
 # cap, tube, three-point series
 # ---------------------------------------------------------------------------
-
-
-def _q_shift(series: QSSeries, m: int) -> QSSeries:
-    out: dict = {}
-    w = series.window
-    for (qd, sk), v in series.data.items():
-        q2 = qd + m
-        if w.qmin <= q2 <= w.qmax:
-            out[(q2, sk)] = v
-    return QSSeries(series.nvars, w, series.qfloor + m, out)
 
 
 def cap(mu, geom: SurfaceGeometry, window: Window | None = None,

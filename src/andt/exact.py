@@ -606,6 +606,29 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
 # rational functions
 # ---------------------------------------------------------------------------
 
+# -- canonical arithmetic ----------------------------------------------------
+# The arithmetic takes a gcd only where a common factor is still possible
+# (Henrici's method, Knuth TAOCP vol. 2, 4.5.1); the constructor's full
+# normalisation is kept for input not known to be canonical.  For canonical
+# a/b and c/d:
+#   *  after the cross-cancellation g1 = gcd(a, d), g2 = gcd(c, b), the
+#      product (a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical;
+#   +  with g = gcd(b, d) = 1, (a d + c b) / (b d) is canonical.  Otherwise
+#      let b' = b/g, d' = d/g and t = a d' + c b'.  A prime dividing t and b'
+#      would divide a d', but it is prime to a and to d'; so t is prime to b'
+#      and likewise to d', gcd(t, b' d' g) = gcd(t, g) = g2, and
+#      (t/g2) / (b' (d/g2)) is canonical;
+#   ** (a^e, b^e) is canonical.
+# Proof of the rest: gcd(x/g, y/g) = 1 for g = gcd(x, y) in a UFD, and a
+# product is prime to p when each factor is.  A quotient of integer-primitive
+# polynomials is integer-primitive by Gauss's lemma, and so is a product.
+# Graded lex is a monomial order, so leading coefficients multiply, and
+# quotients and products of positive-leading denominators stay
+# positive-leading.  poly_gcd returns a primitive gcd with positive leading
+# coefficient, so every quotient above keeps that sign.  A sum is zero only
+# when a/b = -c/d, which forces b = d; the zero checks keep a zero from ever
+# carrying a denominator.
+
 
 class RatFn:
     """Quotient of two TPoly in canonical form.
@@ -688,9 +711,21 @@ class RatFn:
             return other
         if other.is_zero:
             return self
-        if self.den == other.den:
-            return RatFn(self.num + other.num, self.den)
-        return RatFn(self.num * other.den + other.num * self.den, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if b == d:
+            return RatFn(a + c, b)
+        g = poly_gcd(b, d)
+        if g == ONE:
+            t = a * d + c * b
+            return RF_ZERO if t.is_zero else RatFn(t, b * d, _canonical=True)
+        b1 = b.exact_div(g)
+        t = a * d.exact_div(g) + c * b1
+        if t.is_zero:
+            return RF_ZERO
+        g2 = poly_gcd(t, g)
+        if g2 == ONE:
+            return RatFn(t, b1 * d, _canonical=True)
+        return RatFn(t.exact_div(g2), b1 * d.exact_div(g2), _canonical=True)
 
     __radd__ = __add__
 
@@ -719,7 +754,7 @@ class RatFn:
         d2 = other.den if g1 == ONE else other.den.exact_div(g1)
         n2 = other.num if g2 == ONE else other.num.exact_div(g2)
         d1 = self.den if g2 == ONE else self.den.exact_div(g2)
-        return RatFn(n1 * n2, d1 * d2)
+        return RatFn(n1 * n2, d1 * d2, _canonical=True)
 
     __rmul__ = __mul__
 
@@ -742,7 +777,7 @@ class RatFn:
             return RF_ONE
         if e < 0:
             return self.inverse() ** (-e)
-        return RatFn(self.num**e, self.den**e)
+        return RatFn(self.num**e, self.den**e, _canonical=True)
 
     # -- valuations and substitution ---------------------------------------------
     def valuation_t1pt2(self) -> int:

@@ -96,10 +96,6 @@ class Partition:
         """[(box, arm, leg)] over all boxes."""
         return [((i, j), self.arm(i, j), self.leg(i, j)) for (i, j) in self.boxes()]
 
-    def row_count(self, j: int) -> int:
-        """Number of rows of length >= j (the conjugate part)."""
-        return sum(1 for p in self.parts if p >= j)
-
     def __repr__(self):
         return f"Partition{self.parts}"
 

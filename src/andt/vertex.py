@@ -514,16 +514,6 @@ def vacuum_series(geom: SurfaceGeometry, i: int, j: int, window: Window) -> QSSe
     return series_a
 
 
-def _s_euler(series: QSSeries) -> QSSeries:
-    """Apply the s-degree Euler operator sum_k s_k d/ds_k."""
-    data = {}
-    for (qe, se), c in series.data.items():
-        deg = sum(se)
-        if deg:
-            data[(qe, se)] = c * QQ(deg)
-    return QSSeries(series.nvars, series.window, series.qfloor, data)
-
-
 def theta_vacuum_series(geom: SurfaceGeometry, window: Window) -> QSSeries:
     """(t1+t2) * sum over segments of sum_{k>=1} k log(1-(-q)^k s_i...s_{j-1})."""
     n = geom.npoints - 1
@@ -546,7 +536,7 @@ def rigidify_check(geom: SurfaceGeometry, window: Window) -> dict:
     raised.
     """
     n = geom.npoints - 1
-    lhs = _s_euler(theta_vacuum_series(geom, window))
+    lhs = theta_vacuum_series(geom, window).s_total_derivative()
     rhs = QSSeries.zero(n, window)
     for i in range(1, geom.npoints + 1):
         for j in range(i + 1, geom.npoints + 1):

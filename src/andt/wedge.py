@@ -181,10 +181,6 @@ def _strip(parts: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _global_pos(n: int, color: int, level: int) -> int:
-    return level * (n + 1) + (color - 1)
-
-
 def _count_above_global(n: int, state: WedgeState, color: int, level: int) -> int:
     """Occupied positions with global index strictly above that of (color, level)."""
     cnt = 0

@@ -382,6 +382,103 @@ def test_ratfn_eq_hash(a, b):
     assert a == a + RF_ZERO
 
 
+# Products over a small shared pool of linear forms, so that the denominators
+# of two operands often share factors and their sums often cancel some.
+_FORM_POOL = (T1, T2, T3, TAU, T1 - T2, T2 + T3, T1 + 2 * T3)
+pool_products = st.lists(st.sampled_from(_FORM_POOL), max_size=3).map(_product)
+
+
+@st.composite
+def raw_ratfns(draw):
+    """(num, den) TPoly expressions, not reduced: num is one or two scaled
+    products from the pool, den one scaled product."""
+    num = draw(qcoeffs) * draw(pool_products)
+    if draw(st.booleans()):
+        num = num + draw(qcoeffs) * draw(pool_products)
+    den = draw(qcoeffs.filter(bool)) * draw(pool_products)
+    return num, den
+
+
+def _is_canonical(r):
+    return (
+        poly_gcd(r.num, r.den) == ONE
+        and r.den.primitive() == r.den
+        and stored_form(r.num)
+        and stored_form(r.den)
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_ratfns(), raw_ratfns(), st.integers(-2, 3))
+def test_ratfn_arithmetic_matches_full_constructor(x, y, e):
+    (n1, d1), (n2, d2) = x, y
+    # (n3, d3) = y - x: adding x back cancels factors of the common
+    # denominator, which exercises gcd(t, g) in the sum
+    n3, d3 = n2 * d1 - n1 * d2, d1 * d2
+    a, b, c = RatFn(n1, d1), RatFn(n2, d2), RatFn(n3, d3)
+    cases = [
+        (a + b, n1 * d2 + n2 * d1, d1 * d2),
+        (a - b, n1 * d2 - n2 * d1, d1 * d2),
+        (a + c, n1 * d3 + n3 * d1, d1 * d3),
+        (a * b, n1 * n2, d1 * d2),
+    ]
+    if not n2.is_zero:
+        cases.append((a / b, n1 * d2, d1 * n2))
+    if e >= 0:
+        cases.append((a**e, n1**e, d1**e))
+    elif not n1.is_zero:
+        cases.append((a**e, d1**-e, n1**-e))
+    for r, num, den in cases:
+        assert r == RatFn(num, den)
+        assert _is_canonical(r)
+
+
+def _count_poly_gcd_calls(monkeypatch):
+    """Record the arguments of every poly_gcd call made through the module."""
+    calls = []
+    gcd = exact_mod.poly_gcd
+
+    def counting_gcd(a, b):
+        calls.append((a, b))
+        return gcd(a, b)
+
+    monkeypatch.setattr(exact_mod, "poly_gcd", counting_gcd)
+    return calls
+
+
+def test_ratfn_sum_cancels_through_gcd_of_numerator_and_common_factor(monkeypatch):
+    a, b = RatFn(ONE, T1 * TAU), RatFn(ONE, T2 * TAU)
+    calls = _count_poly_gcd_calls(monkeypatch)
+    r = a + b
+    # gcd(b, d) = tau, then gcd(t, tau) with t = t2 + t1
+    assert calls == [(T1 * TAU, T2 * TAU), (TAU, TAU)]
+    assert r == RatFn(ONE, T1 * T2)
+
+
+def test_ratfn_coprime_denominators_take_one_gcd(monkeypatch):
+    a, b = RatFn(T3, T1 + T3), RatFn(ONE, T2)
+    calls = _count_poly_gcd_calls(monkeypatch)
+    r = a + b
+    assert len(calls) == 1
+    assert r.num == T2 * T3 + T1 + T3 and r.den == (T1 + T3) * T2
+
+
+def test_ratfn_shared_denominator_sum_cancels_to_zero():
+    r = RatFn(T1 * QQ(1, 2), TAU * T3) + RatFn(-T1, 2 * TAU * T3)
+    assert r == RF_ZERO
+    assert RatFn(T1, TAU * T3) + RatFn(T2, TAU * T3) == RatFn(ONE, T3)
+
+
+def test_ratfn_product_of_canonical_operands_takes_two_gcds(monkeypatch):
+    a = RatFn(TAU * T3, T1 * (T2 + T3))
+    b = RatFn(T1 * (T1 - T2), TAU * T2)
+    calls = _count_poly_gcd_calls(monkeypatch)
+    r = a * b
+    # only the two cross-cancellations gcd(a.num, b.den), gcd(b.num, a.den)
+    assert calls == [(a.num, b.den), (b.num, a.den)]
+    assert r.num == T3 * (T1 - T2) and r.den == T2 * (T2 + T3)
+
+
 def test_tau_valuation_by_division():
     f = RatFn(TAU**3 * T1, TAU * (T1 + T2 + T3))
     assert f.valuation_t1pt2() == 2
