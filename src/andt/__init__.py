@@ -4,6 +4,7 @@ of rational surface charts times a projective line.
 Subpackage map:
 
 - ``exact``        arithmetic kernel (polynomials, rational functions, series)
+                   and exact linear algebra over QQ or rational functions
 - ``partitions``   partitions, multipartitions, leg diagrams, slice chains
 - ``surface``      chain-of-spheres surface geometry: fixed points, weights, pairing
 - ``fock``         bosonic creation-operator algebra and its geometric pairing

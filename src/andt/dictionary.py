@@ -37,8 +37,12 @@ from .exact import (
     TPoly,
     Window,
     WindowError,
+    inverse,
     log_atom_expand,
+    matmul,
     rational_reconstruct_q,
+    rref,
+    solve,
 )
 from .fock import (
     WeightedPartition,
@@ -119,51 +123,10 @@ def reduce_tau(rf: RatFn) -> RatFn:
     return RatFn(num.tau_sub(), d2)
 
 
-# ---------------------------------------------------------------------------
-# linear algebra over rational functions
-# ---------------------------------------------------------------------------
-
-
-def ratfn_solve(mat: list, rhs_cols: list) -> list:
-    """Solve mat . X = rhs, all entries RatFn; raises ValueError if singular."""
-    n = len(mat)
-    A = [row[:] + rhs[:] for row, rhs in zip(mat, rhs_cols)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not A[r][col].is_zero), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = RF_ONE / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and not A[r][col].is_zero:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
-def ratfn_inverse(mat: list) -> list:
-    n = len(mat)
-    eye = [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
-    return ratfn_solve(mat, eye)
-
-
-def _mat_mul(A: list, B: list) -> list:
-    n, k = len(A), len(B[0])
-    out = [[RF_ZERO] * k for _ in range(n)]
-    for r in range(n):
-        Ar = A[r]
-        for m_ in range(len(B)):
-            f = Ar[m_]
-            if f.is_zero:
-                continue
-            Bm = B[m_]
-            row = out[r]
-            for c in range(k):
-                b = Bm[c]
-                if not b.is_zero:
-                    row[c] = row[c] + f * b
-    return out
+# The exact linear-algebra kernel under its public names in this module;
+# bench/tracer.py times the span dictionary.ratfn_solve through this name.
+ratfn_solve = solve
+ratfn_inverse = inverse
 
 
 # ---------------------------------------------------------------------------
@@ -251,19 +214,7 @@ def _power_to_monomial_inverse(m: int) -> dict:
         for lam in plist:
             key = tuple(list(lam) + [0] * (m - len(lam)))
             mat[idx[mu]][idx[lam]] = poly.get(key, QQ(0))
-    inv = [[QQ(1) if i == j else QQ(0) for j in range(nn)] for i in range(nn)]
-    for col in range(nn):
-        piv = next(r for r in range(col, nn) if mat[r][col] != 0)
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv[col], inv[piv] = inv[piv], inv[col]
-        pv = mat[col][col]
-        mat[col] = [x / pv for x in mat[col]]
-        inv[col] = [x / pv for x in inv[col]]
-        for r in range(nn):
-            if r != col and mat[r][col] != 0:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    inv = inverse(mat)
     return {
         lam: {mu: inv[idx[lam]][idx[mu]] for mu in plist if inv[idx[lam]][idx[mu]] != 0}
         for lam in plist
@@ -552,33 +503,18 @@ class _AtomTargets:
                         row[cidx[gammas[gk2]]] = v.substitute_all(tv, -tv, 0)
                     rows.append(row + [-cred.substitute_all(tv, -tv, 0)])
                     meta.append(desc)
-            pivots: dict = {}
-            r = 0
-            for col in range(na):
-                piv = next((t for t in range(r, len(rows)) if rows[t][col] != 0), None)
-                if piv is None:
-                    continue
-                rows[r], rows[piv] = rows[piv], rows[r]
-                meta[r], meta[piv] = meta[piv], meta[r]
-                inv = 1 / rows[r][col]
-                rows[r] = [x * inv for x in rows[r]]
-                for t in range(len(rows)):
-                    if t != r and rows[t][col] != 0:
-                        f = rows[t][col]
-                        rows[t] = [x - f * y for x, y in zip(rows[t], rows[r])]
-                pivots[col] = r
-                r += 1
+            reduced, pivots, order = rref(rows, na)
+            # rows past the rank are zero on the unknowns; a nonzero
+            # right-hand side there is a contradiction
             incons = [
-                meta[t]
-                for t in range(len(rows))
-                if all(x == 0 for x in rows[t][:na]) and rows[t][na] != 0
+                meta[order[t]] for t in range(len(pivots), len(reduced)) if reduced[t][na]
             ]
             if incons:
                 raise RuntimeError(
                     f"label-target system inconsistent at weight {m}: {incons[:5]}"
                 )
-            for col, rr in pivots.items():
-                sol[acols[col]] = rows[rr][na]
+            for rr, col in enumerate(pivots):
+                sol[acols[col]] = reduced[rr][na]
             free.extend(acols[c] for c in range(na) if c not in pivots)
         free.extend(sorted(set(range(ng)) - touched - set(free)))
 
@@ -665,7 +601,6 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
     states = weight_basis(n, m)
     sidx = {s: i for i, s in enumerate(states)}
     words = weighted_partition_basis(m, n + 1)
-    widx = {w: i for i, w in enumerate(words)}
     ns, nw = len(states), len(words)
     npts = n + 1
 
@@ -704,23 +639,15 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
             T[sidx[s]][wi] = av.scale(RatFn.const(sign))
 
     Lhat = _label_to_point_matrix(geom, words)
-    Lhinv = ratfn_inverse(Lhat)
+    Lhinv = inverse(Lhat)
+    Lhinv_t = [list(col) for col in zip(*Lhinv)]
     fb = targets.fb
     G = [nak_pairing(w, w, fb) for w in words]
     eqs = []
     for (i, j, k, kmat) in omega_plus_terms(n, m):
         Nlab = targets.solved[m].get(((i, j), k), {})
-        Npt = [[RF_ZERO] * nw for _ in range(nw)]
-        for (w1, w2), v in Nlab.items():
-            row1 = Lhinv[widx[w1]]
-            row2 = Lhinv[widx[w2]]
-            for a in range(nw):
-                if row1[a].is_zero:
-                    continue
-                f = v * row1[a]
-                for b in range(nw):
-                    if not row2[b].is_zero:
-                        Npt[a][b] = Npt[a][b] + f * row2[b]
+        N = [[Nlab.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
+        Npt = matmul(matmul(Lhinv_t, N), Lhinv)
         M = [[Npt[a][b] / G[a] for b in range(nw)] for a in range(nw)]
         for st in range(ns):
             for wcol in range(nw):
@@ -746,34 +673,21 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
             row[uidx[k2]] = v
         rows.append(row)
         tags.append(tag)
-    piv: dict = {}
-    r = 0
-    for col in range(nu):
-        sel = next((t for t in range(r, len(rows)) if not rows[t][col].is_zero), None)
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        tags[r], tags[sel] = tags[sel], tags[r]
-        inv = RF_ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for t in range(len(rows)):
-            if t != r and not rows[t][col].is_zero:
-                f = rows[t][col]
-                rows[t] = [x - f * y for x, y in zip(rows[t], rows[r])]
-        piv[col] = r
-        r += 1
+    reduced, pivots, order = rref(rows, nu)
     residuals = [
-        (tags[t], rows[t][nu]) for t in range(r, len(rows)) if not rows[t][nu].is_zero
+        (tags[order[t]], reduced[t][nu])
+        for t in range(len(pivots), len(reduced))
+        if reduced[t][nu]
     ]
-    sol = {unk[c]: rows[piv[c]][nu] for c in piv}
+    sol = {unk[c]: reduced[r][nu] for r, c in enumerate(pivots)}
     nulls = []
     for fcol in range(nu):
-        if fcol in piv:
+        if fcol in pivots:
             continue
         vec = {unk[fcol]: RF_ONE}
-        for c, rr in piv.items():
-            v = rows[rr][fcol]
-            if not v.is_zero:
+        for r, c in enumerate(pivots):
+            v = reduced[r][fcol]
+            if v:
                 vec[unk[c]] = -v
         nulls.append(vec)
     return sol, nulls, residuals
@@ -864,7 +778,7 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
             trial[m] = Um
             T, _, _ = _transport_matrix(n, m, trial)
             try:
-                ratfn_inverse(T)
+                inverse(T)
             except ValueError:
                 continue
             chosen = Um
@@ -962,7 +876,7 @@ class Dictionary:
         U = self.mode_matrix(k)
         npts = self.n + 1
         Ut = [[U[j][i] for j in range(npts)] for i in range(npts)]
-        Uti = ratfn_inverse(Ut)
+        Uti = inverse(Ut)
         V = [
             [-self.point_euler(i + 1) * Uti[i][j] for j in range(npts)]
             for i in range(npts)
@@ -984,7 +898,7 @@ class Dictionary:
         hit = self._tinv_cache.get(m)
         if hit is None:
             T, _, _ = self.transport(m)
-            hit = ratfn_inverse(T)
+            hit = inverse(T)
             self._tinv_cache[m] = hit
         return hit
 
@@ -1001,9 +915,9 @@ class Dictionary:
         for ci, mp in enumerate(mps):
             for w, v in fpv[mp].items():
                 C[widx[w]][ci] = v
-        D = _mat_mul(T, C)
-        Cinv = ratfn_inverse(C)
-        Dinv = _mat_mul(Cinv, self.transport_inverse(m))
+        D = matmul(T, C)
+        Cinv = inverse(C)
+        Dinv = matmul(Cinv, self.transport_inverse(m))
         hit = {"D": D, "Dinv": Dinv, "mps": mps, "C": C, "Cinv": Cinv}
         self._fp_state_cache[m] = hit
         return hit
@@ -1737,6 +1651,14 @@ def _atom_series(dic: Dictionary, tag, which, window: Window):
     return None if d.is_zero else d
 
 
+def _dense(K: dict, size: int) -> list:
+    """A sparse {(r, c): value} matrix as dense rows of RatFn."""
+    rows = [[RF_ZERO] * size for _ in range(size)]
+    for (r, c), v in K.items():
+        rows[r][c] = v if isinstance(v, RatFn) else RatFn.const(v)
+    return rows
+
+
 def _atom_state_matrix(dic: Dictionary, m: int, tag, K):
     """Constant lattice-state matrix of one atom (sparse dict or dense rows)."""
     if tag[0] == "interval":
@@ -1745,12 +1667,7 @@ def _atom_state_matrix(dic: Dictionary, m: int, tag, K):
     hit = dic._state_atom_cache.get(key)
     if hit is None:
         T, _, words = dic.transport(m)
-        Tinv = dic.transport_inverse(m)
-        nw = len(words)
-        rows = [[RF_ZERO] * nw for _ in range(nw)]
-        for (r, c), v in K.items():
-            rows[r][c] = v if isinstance(v, RatFn) else RatFn.const(v)
-        hit = _mat_mul(_mat_mul(T, rows), Tinv)
+        hit = matmul(matmul(T, _dense(K, len(words))), dic.transport_inverse(m))
         dic._state_atom_cache[key] = hit
     return hit
 
@@ -1763,24 +1680,12 @@ def _atom_class_matrix(dic: Dictionary, m: int, tag, K) -> list:
     if hit is not None:
         return hit
     if tag[0] == "interval":
-        D, Dinv, mps = dic.fixed_point_state_matrix(m)
-        nd = len(D)
-        mid = [[RF_ZERO] * nd for _ in range(nd)]
-        for (r, c), v in K.items():
-            f = RatFn.const(QQ(v))
-            for a in range(nd):
-                di = Dinv[a][r]
-                if not di.is_zero:
-                    mid[a][c] = mid[a][c] + di * f
-        hit = _mat_mul(mid, D)
+        D, Dinv, _ = dic.fixed_point_state_matrix(m)
+        hit = matmul(matmul(Dinv, _dense(K, len(D))), D)
     else:
         # word-level conjugation: the transports cancel
-        C, Cinv, mps = dic.class_word_matrix(m)
-        nw = len(C)
-        rows = [[RF_ZERO] * nw for _ in range(nw)]
-        for (r, c), v in K.items():
-            rows[r][c] = v if isinstance(v, RatFn) else RatFn.const(v)
-        hit = _mat_mul(_mat_mul(Cinv, rows), C)
+        C, Cinv, _ = dic.class_word_matrix(m)
+        hit = matmul(matmul(Cinv, _dense(K, len(C))), C)
     dic._conj_cache[key] = hit
     return hit
 
@@ -1798,7 +1703,7 @@ def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
     else:
         vals = [_classical_restriction(which, mp, dic.geom) for mp in mps]
     mid = [[D[r][c] * vals[c] for c in range(nd)] for r in range(nd)]
-    hit = _mat_mul(mid, Dinv)
+    hit = matmul(mid, Dinv)
     dic._clstate_cache[key] = hit
     return hit
 
@@ -1903,22 +1808,17 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
             b_atoms.append((sb, Kst))
 
     def as_dense(K):
-        if isinstance(K, dict):
-            out = [[RF_ZERO] * nd for _ in range(nd)]
-            for (r, c), v in K.items():
-                out[r][c] = RatFn.const(QQ(v))
-            return out
-        return K
+        return _dense(K, nd) if isinstance(K, dict) else K
 
     total = [[QSSeries.zero(dic.n, wide) for _ in range(nd)] for _ in range(nd)]
     checked = 0
-    cc = _mat_mul(Dcl, Wcl)
-    cc2 = _mat_mul(Wcl, Dcl)
+    cc = matmul(Dcl, Wcl)
+    cc2 = matmul(Wcl, Dcl)
     const = [[cc[r][c] - cc2[r][c] for c in range(nd)] for r in range(nd)]
     for ser, K in b_atoms:
         Kd = as_dense(K)
-        cross = _mat_mul(Dcl, Kd)
-        cross2 = _mat_mul(Kd, Dcl)
+        cross = matmul(Dcl, Kd)
+        cross2 = matmul(Kd, Dcl)
         for r in range(nd):
             for c in range(nd):
                 v = cross[r][c] - cross2[r][c]
@@ -1926,8 +1826,8 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                     total[r][c] = total[r][c] + ser.scale(v)
     for ser, K in a_atoms:
         Kd = as_dense(K)
-        cross = _mat_mul(Kd, Wcl)
-        cross2 = _mat_mul(Wcl, Kd)
+        cross = matmul(Kd, Wcl)
+        cross2 = matmul(Wcl, Kd)
         for r in range(nd):
             for c in range(nd):
                 v = cross[r][c] - cross2[r][c]
@@ -1940,8 +1840,8 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
             if prod.is_zero:
                 continue
             Kbd = as_dense(Kb)
-            comm = _mat_mul(Kad, Kbd)
-            comm2 = _mat_mul(Kbd, Kad)
+            comm = matmul(Kad, Kbd)
+            comm2 = matmul(Kbd, Kad)
             for r in range(nd):
                 for c in range(nd):
                     v = comm[r][c] - comm2[r][c]
@@ -2016,7 +1916,7 @@ def _word_to_class_coords(dic: Dictionary, w: WeightedPartition, m: int):
         for ww, v in fpv[mp].items():
             C[widx[ww]][ci] = v
     rhs = [[vec.get(ww, RF_ZERO)] for ww in words]
-    sol = ratfn_solve(C, rhs)
+    sol = solve(C, rhs)
     return [sol[i][0] for i in range(len(mps))], mps
 
 
@@ -2317,37 +2217,6 @@ def _spec_value(rf: RatFn, t1, t2, q=None, s=None):
     return rf.substitute_all(t1, t2, 0)
 
 
-def _qq_mat_mul(A, B):
-    n, k = len(A), len(B[0])
-    out = [[QQ(0)] * k for _ in range(n)]
-    for r in range(n):
-        for m_ in range(len(B)):
-            f = A[r][m_]
-            if f == 0:
-                continue
-            for c in range(k):
-                out[r][c] += f * B[m_][c]
-    return out
-
-
-def _qq_mat_inv(A):
-    n = len(A)
-    M = [row[:] + [QQ(1) if i == j else QQ(0) for j in range(n)]
-         for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular specialized matrix")
-        M[col], M[piv] = M[piv], M[col]
-        inv = 1 / M[col][col]
-        M[col] = [x * inv for x in M[col]]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [row[n:] for row in M]
-
-
 def _atom_value(tag, k_interval, q0, svals, kind, n):
     """Exact value of the derivative of one log atom at the specialization."""
     if tag[0] == "interval":
@@ -2376,7 +2245,7 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
     D, Dinv, mps = dic.fixed_point_state_matrix(m)
     nd = len(D)
     D0 = [[_spec_value(v, t1, t2) for v in row] for row in D]
-    Dinv0 = _qq_mat_inv(D0)
+    Dinv0 = inverse(D0)
     if which == "D" and m <= 1:
         cvals = [QQ(0)] * nd
     else:
@@ -2385,7 +2254,7 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
             for mp in mps
         ]
     mid = [[D0[r][c] * cvals[c] for c in range(nd)] for r in range(nd)]
-    cl = _qq_mat_mul(mid, Dinv0)
+    cl = matmul(mid, Dinv0)
     corr = [[QQ(0)] * nd for _ in range(nd)]
     tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
@@ -2405,7 +2274,7 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
         T, _, _ = dic.transport(m)
         Tinv = dic.transport_inverse(m)
         T0 = [[_spec_value(v, t1, t2) for v in row] for row in T]
-        Tinv0 = _qq_mat_inv(T0)
+        Tinv0 = inverse(T0)
         for k, mat in sorted(omega0_mode_matrices(geom, m, fb).items()):
             val = tau0 * _atom_value(("mode", k), k, q0, svals, "q", n)
             if val == 0:
@@ -2414,7 +2283,7 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
             mat0 = [[QQ(0)] * nw for _ in range(nw)]
             for (r, c), v in mat.items():
                 mat0[r][c] = _spec_value(v, t1, t2) * val
-            corr_k = _qq_mat_mul(_qq_mat_mul(T0, mat0), Tinv0)
+            corr_k = matmul(matmul(T0, mat0), Tinv0)
             for r in range(nd):
                 for c in range(nd):
                     corr[r][c] += corr_k[r][c]
@@ -2456,17 +2325,10 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
                 corrs[which if which == "D" else f"omega{which[1]}"] = corr
             nd = len(mats["D"])
             # pairwise commutation at the specialization
-            names = list(mats)
-            commute_ok = True
-            for a in range(len(names)):
-                for b in range(a + 1, len(names)):
-                    A, B = mats[names[a]], mats[names[b]]
-                    AB = _qq_mat_mul(A, B)
-                    BA = _qq_mat_mul(B, A)
-                    if any(
-                        AB[r][c] != BA[r][c] for r in range(nd) for c in range(nd)
-                    ):
-                        commute_ok = False
+            commute_ok = all(
+                matmul(A, B) == matmul(B, A)
+                for A, B in itertools.combinations(mats.values(), 2)
+            )
             Mq = sympy.Matrix(
                 [
                     [

@@ -30,12 +30,8 @@ from operator import mul
 from typing import Mapping, Sequence
 
 # QQ is the type of non-integral coefficients (integral ones are stored as int;
-# see the module docstring).  gmpy2 is an optional speedup; fractions.Fraction
-# is the reference type.
-try:
-    from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    from fractions import Fraction as QQ
+# see the module docstring).
+from fractions import Fraction as QQ
 
 __all__ = [
     "QQ",
@@ -62,10 +58,15 @@ __all__ = [
     "series_filter_support",
     "rational_reconstruct_q",
     "QRational",
+    "SingularMatrixError",
+    "rref",
+    "solve",
+    "inverse",
+    "nullspace",
+    "matmul",
 ]
 
-_QQT = type(QQ(0))
-_SCALARS = (int, _QQT)
+_SCALARS = (int, QQ)
 
 
 class ExactDivisionError(ArithmeticError):
@@ -84,7 +85,7 @@ def _coeff(v):
     """A coefficient in stored form: ``int`` when integral, ``QQ`` otherwise."""
     if v.__class__ is int:
         return v
-    q = v if isinstance(v, _QQT) else QQ(v)
+    q = v if isinstance(v, QQ) else QQ(v)
     return int(q.numerator) if q.denominator == 1 else q
 
 
@@ -761,7 +762,12 @@ class RatFn:
     def inverse(self) -> "RatFn":
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero")
-        return RatFn(self.den, self.num)
+        # (den, num) is already coprime; only the new denominator's sign and
+        # content need normalising
+        u, c = self.num._primitive_factor()
+        if u == 1 and c == 1:
+            return RatFn(self.den, self.num, _canonical=True)
+        return RatFn(self.den._scaled(u, c), self.num._scaled(u, c), _canonical=True)
 
     def __truediv__(self, other):
         other = _as_ratfn(other)
@@ -1286,6 +1292,105 @@ def macmahon_power(c, window: Window, nvars: int = 0) -> QSSeries:
 
 
 # ---------------------------------------------------------------------------
+# linear algebra over a field (QQ or RatFn)
+# ---------------------------------------------------------------------------
+
+# Matrices are lists of rows over one field type F, QQ or RatFn.  The kernel
+# uses only what both provide: F(0), F(1), bool(x), 1 / x, *, + and -.
+
+
+class SingularMatrixError(ZeroDivisionError, ValueError):
+    """Raised when a square linear system has no unique solution."""
+
+
+def rref(rows: list, ncols: int) -> tuple:
+    """Reduced row echelon form of ``rows`` on their first ``ncols`` columns.
+
+    Columns past ``ncols`` (right-hand sides) are carried along but never
+    pivoted on.  The pivot of each column is the first nonzero entry at or
+    below the current row.  Returns ``(reduced, pivots, order)``: the reduced
+    rows (the input is not modified), the pivot column of reduced row r for
+    r < len(pivots), and order[r], the index in ``rows`` of the row that ends
+    at position r.  Rows from len(pivots) on are zero on the first ``ncols``
+    columns.
+    """
+    mat = [list(r) for r in rows]
+    order = list(range(len(mat)))
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((t for t in range(r, len(mat)) if mat[t][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        order[r], order[piv] = order[piv], order[r]
+        inv = 1 / mat[r][col]
+        prow = mat[r] = [x * inv for x in mat[r]]
+        for t, row in enumerate(mat):
+            f = row[col]
+            if t != r and f:
+                mat[t] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return mat, pivots, order
+
+
+def solve(mat: list, rhs: list) -> list:
+    """X with mat . X = rhs for a square ``mat``; ``rhs[i]`` is row i of rhs.
+
+    Raises SingularMatrixError when ``mat`` is singular.
+    """
+    n = len(mat)
+    red, pivots, _ = rref([[*row, *b] for row, b in zip(mat, rhs)], n)
+    if len(pivots) < n:
+        raise SingularMatrixError("singular matrix")
+    return [row[n:] for row in red]
+
+
+def inverse(mat: list) -> list:
+    """Inverse of a square matrix; raises SingularMatrixError if singular."""
+    n = len(mat)
+    if n == 0:
+        return []
+    F = type(mat[0][0])
+    one, zero = F(1), F(0)
+    return solve(mat, [[one if i == j else zero for j in range(n)] for i in range(n)])
+
+
+def nullspace(rows: list) -> list | None:
+    """One nonzero vector that every row annihilates, or None at full column rank."""
+    if not rows:
+        return None
+    ncols = len(rows[0])
+    red, pivots, _ = rref(rows, ncols)
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    if free is None:
+        return None
+    F = type(rows[0][0])
+    vec = [F(0)] * ncols
+    vec[free] = F(1)
+    for r, col in enumerate(pivots):
+        vec[col] = -red[r][free]
+    return vec
+
+
+def matmul(A: list, B: list) -> list:
+    """The product A . B; zero entries of either factor are skipped."""
+    if not A:
+        return []
+    zero = type(A[0][0])(0)
+    out = []
+    for Ar in A:
+        row = [zero] * len(B[0])
+        for f, Bm in zip(Ar, B):
+            if f:
+                for c, b in enumerate(Bm):
+                    if b:
+                        row[c] = row[c] + f * b
+        out.append(row)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rational reconstruction in q
 # ---------------------------------------------------------------------------
 
@@ -1332,44 +1437,6 @@ class QRational:
         return q**self.shift * nv / dv
 
 
-def _nullspace_vector(rows: list) -> list | None:
-    """One nonzero rational-function solution of a homogeneous system, or None."""
-    if not rows:
-        return None
-    ncols = len(rows[0])
-    mat = [list(r) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for rr in range(r, len(mat)):
-            if not mat[rr][col].is_zero:
-                piv = rr
-                break
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col].inverse()
-        mat[r] = [x * inv for x in mat[r]]
-        for rr in range(len(mat)):
-            if rr != r and not mat[rr][col].is_zero:
-                f = mat[rr][col]
-                mat[rr] = [a - f * b for a, b in zip(mat[rr], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    if not free:
-        return None
-    f0 = free[0]
-    sol = [RF_ZERO] * ncols
-    sol[f0] = RF_ONE
-    for rr, col in enumerate(pivots):
-        sol[col] = -mat[rr][f0]
-    return sol
-
-
 def rational_reconstruct_q(series: QSSeries, degbound: int) -> dict:
     """Reconstruct each s-coefficient of a series as an exact rational in q.
 
@@ -1398,7 +1465,7 @@ def rational_reconstruct_q(series: QSSeries, degbound: int) -> dict:
         rows = []
         for r in range(d + 1, 2 * d + 2):
             rows.append([a[r - s] if 0 <= r - s < len(a) else RF_ZERO for s in range(d + 1)])
-        sol = _nullspace_vector(rows)
+        sol = nullspace(rows)
         if sol is None:
             raise ReconstructError(
                 f"no rational function of degree <= {degbound} matches s-key {skey}"

@@ -38,6 +38,7 @@ from .exact import (
     T2,
     Window,
     log_atom_expand,
+    solve,
 )
 from .partitions import partitions_of
 from .surface import CohClass, SurfaceGeometry
@@ -84,31 +85,10 @@ class LabelBasis:
         if hit is not None:
             return hit
         npt = self.geom.npoints
-        rows = [
-            [self.classes[b][pt] for b in range(npt)] + [cls[pt]]
-            for pt in range(npt)
-        ]
-        sol = _solve_square(rows)
+        mat = [[self.classes[b][pt] for b in range(npt)] for pt in range(npt)]
+        sol = tuple(row[0] for row in solve(mat, [[cls[pt]] for pt in range(npt)]))
         self._coord_cache[key] = sol
         return sol
-
-
-def _solve_square(rows) -> tuple:
-    """Gaussian elimination over RatFn for an augmented (n x n+1) system."""
-    n = len(rows)
-    mat = [list(r) for r in rows]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if not mat[r][col].is_zero), None)
-        if piv is None:
-            raise ValueError("singular label basis")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        inv = mat[col][col]
-        mat[col] = [x / inv for x in mat[col]]
-        for r in range(n):
-            if r != col and not mat[r][col].is_zero:
-                f = mat[r][col]
-                mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
-    return tuple(mat[r][n] for r in range(n))
 
 
 def unit_omega_basis(geom: SurfaceGeometry) -> LabelBasis:

@@ -20,6 +20,7 @@ from andt.exact import (
     QSSeries,
     LogAtomSum,
     QRational,
+    SingularMatrixError,
     T1,
     T2,
     T3,
@@ -33,6 +34,11 @@ from andt.exact import (
     series_exp,
     series_filter_support,
     rational_reconstruct_q,
+    rref,
+    solve,
+    inverse,
+    nullspace,
+    matmul,
 )
 
 # Frozen oracle: numbers of plane partitions of 0..6 (standard table, not
@@ -424,6 +430,8 @@ def test_ratfn_arithmetic_matches_full_constructor(x, y, e):
     ]
     if not n2.is_zero:
         cases.append((a / b, n1 * d2, d1 * n2))
+    if not n1.is_zero:
+        cases.append((a.inverse(), d1, n1))
     if e >= 0:
         cases.append((a**e, n1**e, d1**e))
     elif not n1.is_zero:
@@ -477,6 +485,16 @@ def test_ratfn_product_of_canonical_operands_takes_two_gcds(monkeypatch):
     # only the two cross-cancellations gcd(a.num, b.den), gcd(b.num, a.den)
     assert calls == [(a.num, b.den), (b.num, a.den)]
     assert r.num == T3 * (T1 - T2) and r.den == T2 * (T2 + T3)
+
+
+def test_ratfn_inverse_takes_no_gcd(monkeypatch):
+    a = RatFn(QQ(-1, 2) * T1 * TAU, T2 * (T1 + T3))
+    calls = _count_poly_gcd_calls(monkeypatch)
+    r = a.inverse()
+    # num and den are already coprime; only the new denominator's sign and
+    # content change
+    assert calls == []
+    assert r.num == -2 * T2 * (T1 + T3) and r.den == T1 * TAU
 
 
 def test_tau_valuation_by_division():
@@ -734,3 +752,85 @@ def test_reconstruct_roundtrip(num, denrest, shift):
     assert rec[key].expand(shift, hi) == QRational(
         shift, tuple(RatFn.const(c) for c in num), tuple(RatFn.const(c) for c in den)
     ).expand(shift, hi)
+
+
+# -- linear algebra -------------------------------------------------------------
+
+
+def _int_matrices(max_rows=4, max_cols=4):
+    return st.integers(1, max_cols).flatmap(
+        lambda nc: st.lists(
+            st.lists(st.integers(-2, 2), min_size=nc, max_size=nc),
+            min_size=1,
+            max_size=max_rows,
+        )
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(_int_matrices(), st.integers(0, 2))
+def test_rref_and_nullspace_match_sympy(ints, repeats):
+    ints = ints + ints[:repeats]  # repeated rows force rank deficiency
+    rows = [[QQ(x) for x in r] for r in ints]
+    ncols = len(rows[0])
+    reduced, pivots, order = rref(rows, ncols)
+    want, want_pivots = sympy.Matrix(ints).rref()
+    assert pivots == list(want_pivots)
+    assert reduced == [
+        [QQ(int(v.p), int(v.q)) for v in want.row(i)] for i in range(want.rows)
+    ]
+    assert sorted(order) == list(range(len(rows)))
+    assert rows == [[QQ(x) for x in r] for r in ints]  # input left alone
+    vec = nullspace(rows)
+    if len(pivots) == ncols:
+        assert vec is None
+    else:
+        assert any(vec)
+        assert all(sum(a * x for a, x in zip(r, vec)) == 0 for r in rows)
+
+
+def test_rref_carries_right_hand_sides_and_reports_row_order():
+    rows = [[QQ(1), QQ(0), QQ(5)], [QQ(2), QQ(0), QQ(7)], [QQ(0), QQ(1), QQ(1)]]
+    reduced, pivots, order = rref(rows, 2)
+    assert pivots == [0, 1]
+    # input row 1 ends last, as the inconsistent residual 0 = 7 - 2 * 5
+    assert order == [0, 2, 1]
+    assert reduced == [[1, 0, 5], [0, 1, 1], [0, 0, -3]]
+
+
+_linear_forms = st.tuples(*[st.integers(-2, 2)] * 3).map(
+    lambda c: RatFn(c[0] * T1 + c[1] * T2 + c[2] * T3)
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(_linear_forms, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_solve_and_inverse_round_trip_over_ratfn(mat):
+    n = len(mat)
+    eye = [[RF_ONE if i == j else RF_ZERO for j in range(n)] for i in range(n)]
+    try:
+        inv = inverse(mat)
+    except SingularMatrixError:
+        vec = nullspace(mat)
+        assert vec is not None and any(vec)
+        assert matmul(mat, [[x] for x in vec]) == [[RF_ZERO]] * n
+        return
+    assert matmul(mat, inv) == eye
+    assert matmul(inv, mat) == eye
+    rhs = [[row[0] + RF_ONE, RatFn(T3)] for row in mat]
+    assert matmul(mat, solve(mat, rhs)) == rhs
+
+
+def test_singular_matrix_error_is_value_and_zero_division_error():
+    singular = [[RatFn(T1), RatFn(T2)], [RatFn(T1 * T3), RatFn(T2 * T3)]]
+    for exc in (SingularMatrixError, ValueError, ZeroDivisionError):
+        with pytest.raises(exc):
+            inverse(singular)
+    with pytest.raises(SingularMatrixError):
+        solve([[QQ(0)]], [[QQ(1)]])
