@@ -24,6 +24,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .exact import (
+    ONE,
     QQ,
     QRational,
     QSSeries,
@@ -37,9 +38,12 @@ from .exact import (
     TPoly,
     Window,
     WindowError,
+    ZERO,
+    independent_rows,
     inverse,
     log_atom_expand,
     matmul,
+    poly_gcd,
     rational_reconstruct_q,
     rref,
     solve,
@@ -503,19 +507,10 @@ class _AtomTargets:
                         row[cidx[gammas[gk2]]] = v.substitute_all(tv, -tv, 0)
                     rows.append(row + [-cred.substitute_all(tv, -tv, 0)])
                     meta.append(desc)
-            reduced, pivots, order = rref(rows, na)
-            # rows past the rank are zero on the unknowns; a nonzero
-            # right-hand side there is a contradiction
-            incons = [
-                meta[order[t]] for t in range(len(pivots), len(reduced)) if reduced[t][na]
-            ]
-            if incons:
-                raise RuntimeError(
-                    f"label-target system inconsistent at weight {m}: {incons[:5]}"
-                )
-            for rr, col in enumerate(pivots):
-                sol[acols[col]] = reduced[rr][na]
-            free.extend(acols[c] for c in range(na) if c not in pivots)
+            vals, gfree = _solve_label_system(rows, na, meta, m)
+            for col, val in enumerate(vals):
+                sol[acols[col]] = val
+            free.extend(acols[c] for c in gfree)
         free.extend(sorted(set(range(ng)) - touched - set(free)))
 
         gvals = {gk2: sol[idx] for gk2, idx in gammas.items()}
@@ -541,6 +536,40 @@ class _AtomTargets:
         self.solved[m] = out
         self.info[m] = {"unknowns": ng, "free": len(free)}
         return out
+
+
+def _solve_label_system(rows: list, ncols: int, meta: list, m: int) -> tuple:
+    """(values, free) for one atom's sampled label-target system over QQ.
+
+    Row t reads rows[t][:ncols] . x = rows[t][ncols].  values[c] is the value
+    of unknown c (0 at a free column) and ``free`` lists the free columns.
+    When ``ncols`` rows are independent mod P, only those rows are solved and
+    every row is then checked exactly; otherwise the full ``rref`` decides the
+    pivots.  Raises RuntimeError naming the rows of a contradiction.
+    """
+    sel = independent_rows(rows, ncols)
+    if sel is not None and len(sel) == ncols:
+        square = [rows[t] for t in sel]
+        vals = [x for (x,) in solve([r[:ncols] for r in square], [r[ncols:] for r in square])]
+        free: list = []
+        incons = [
+            meta[t] for t, r in enumerate(rows)
+            if sum(a * x for a, x in zip(r, vals) if a) != r[ncols]
+        ]
+    else:
+        reduced, pivots, order = rref(rows, ncols)
+        vals = [QQ(0)] * ncols
+        for rr, col in enumerate(pivots):
+            vals[col] = reduced[rr][ncols]
+        free = [c for c in range(ncols) if c not in pivots]
+        # rows past the rank are zero on the unknowns; a nonzero right-hand
+        # side there is a contradiction
+        incons = [
+            meta[order[t]] for t in range(len(pivots), len(reduced)) if reduced[t][ncols]
+        ]
+    if incons:
+        raise RuntimeError(f"label-target system inconsistent at weight {m}: {incons[:5]}")
+    return vals, free
 
 
 # ---------------------------------------------------------------------------
@@ -1199,9 +1228,54 @@ def calibrated_dictionary(n: int, m_max: int = 2) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 
+def _tau_multiple(v: RatFn):
+    """The rational c with v == (t1 + t2) * c; ValueError if there is none."""
+    c = QQ(v.num.leading()[1])
+    if v.den != ONE or v.num != TAU * c:
+        raise ValueError(f"{v} is not a rational multiple of t1 + t2")
+    return c
+
+
+def _common_denominator(fns) -> tuple:
+    """(nums, d) with fns[k] == nums[k] / d and every nums[k] integral.
+
+    d is the lcm of the denominators, times the integer that clears the
+    coefficient denominators of the numerators.
+    """
+    d = ONE
+    for f in fns:
+        if f and f.den != d:
+            d = d * f.den.exact_div(poly_gcd(d, f.den))
+    nums = [f.num * d.exact_div(f.den) if f else ZERO for f in fns]
+    u = 1
+    for p in nums:
+        for _e, v in p.items():
+            if v.__class__ is not int:
+                u = math.lcm(u, v.denominator)
+    if u != 1:
+        nums = [p * u for p in nums]
+        d = d * u
+    return nums, d
+
+
 class BracketEngine:
     """Matrix elements of the boundary operator between creation words:
-    B = G_word . T^{-1} . Theta_state . T with the geometric word pairing."""
+    B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
+
+    Every coefficient of Theta is (t1 + t2) * c with c rational (the log atoms
+    of ``theta_logatoms`` carry rational weights times t1 + t2).  Writing row
+    wi of T^{-1} over its common denominator as a_{wi,r} / d_{wi}, column wj
+    of T as b_{c,wj} / e_{wj}, and the rationals at one (q, s) monomial over
+    their common denominator L as c'_{rc} / L, the coefficient of B at that
+    monomial is
+
+        G[wi] (t1 + t2) sum_{r,c} c'_{rc} a_{wi,r} b_{c,wj} / (d_{wi} e_{wj} L),
+
+    so the sum is taken over integer polynomials with no gcd, and each output
+    coefficient is normalised once.  The q-floor of an entry is the least
+    q-floor of the Theta entries (r, c) with T^{-1}[wi][r] and T[c][wj]
+    nonzero.
+    """
 
     def __init__(self, dic: Dictionary, m: int, window: Window, kmax: int):
         self.dic = dic
@@ -1221,32 +1295,45 @@ class BracketEngine:
         if self._B is not None:
             return self._B
         nw = len(self.words)
-        ns = len(self.states)
-        M1 = [[None] * nw for _ in range(ns)]
-        for (r, c), ser in self.th.items():
-            for wj in range(nw):
-                t = self.T[c][wj]
-                if t.is_zero:
-                    continue
-                add = ser.scale(t)
-                cur = M1[r][wj]
-                M1[r][wj] = add if cur is None else cur + add
+        rats = {
+            key: [(mon, _tau_multiple(v)) for mon, v in ser.data.items()]
+            for key, ser in self.th.items()
+        }
+        lcms: dict = {}
+        for terms in rats.values():
+            for mon, c in terms:
+                lcms[mon] = math.lcm(lcms.get(mon, 1), c.denominator)
+        ints = {
+            key: [(mon, int(c * lcms[mon])) for mon, c in terms]
+            for key, terms in rats.items()
+        }
+        rows = [_common_denominator(row) for row in self.Tinv]
+        cols = [_common_denominator(col) for col in zip(*self.T)]
         B = [[None] * nw for _ in range(nw)]
-        for wi in range(nw):
-            for wj in range(nw):
-                tot = None
-                for r in range(ns):
-                    ser = M1[r][wj]
-                    if ser is None:
+        for wi, (a, d) in enumerate(rows):
+            num = self.G[wi].num * TAU
+            for wj, (b, e) in enumerate(cols):
+                acc: dict = {}
+                qfloor = None
+                for (r, c), terms in ints.items():
+                    if not a[r] or not b[c]:
                         continue
-                    coef = self.Tinv[wi][r]
-                    if coef.is_zero:
-                        continue
-                    add = ser.scale(coef)
-                    tot = add if tot is None else tot + add
-                if tot is not None:
-                    tot = tot.scale(self.G[wi])
-                B[wi][wj] = tot
+                    qf = self.th[(r, c)].qfloor
+                    qfloor = qf if qfloor is None else min(qfloor, qf)
+                    prod = list((a[r] * b[c]).items())
+                    for mon, k in terms:
+                        p = acc.setdefault(mon, {})
+                        for ex, v in prod:
+                            p[ex] = p.get(ex, 0) + k * v
+                if qfloor is None:
+                    continue
+                den = self.G[wi].den * d * e
+                data = {}
+                for mon, p in acc.items():
+                    poly = TPoly(p)
+                    if poly:
+                        data[mon] = RatFn(num * poly, den * lcms[mon])
+                B[wi][wj] = QSSeries(self.n, self.window, qfloor, data)
         self._B = B
         return B
 
@@ -1904,20 +1991,11 @@ def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None,
 def _word_to_class_coords(dic: Dictionary, w: WeightedPartition, m: int):
     """Coordinates of a unit/omega word in the fixed-point class basis."""
     geom = dic.geom
-    ob = unit_omega_basis(geom)
-    fb = fixed_point_basis(geom)
-    vec = convert_labels({w: RF_ONE}, ob, fb)
+    vec = convert_labels({w: RF_ONE}, unit_omega_basis(geom), fixed_point_basis(geom))
     _T, _states, words = dic.transport(m)
-    fpv = fixed_point_vectors(geom, m)
-    mps = tuple(enumerate_multipartitions(m, geom.npoints))
-    widx = {ww: i for i, ww in enumerate(words)}
-    C = [[RF_ZERO] * len(mps) for _ in range(len(words))]
-    for ci, mp in enumerate(mps):
-        for ww, v in fpv[mp].items():
-            C[widx[ww]][ci] = v
-    rhs = [[vec.get(ww, RF_ZERO)] for ww in words]
-    sol = solve(C, rhs)
-    return [sol[i][0] for i in range(len(mps))], mps
+    _C, Cinv, mps = dic.class_word_matrix(m)
+    coords = matmul(Cinv, [[vec.get(ww, RF_ZERO)] for ww in words])
+    return [x for (x,) in coords], mps
 
 
 def three_point(mu, rho, nu, window: Window | None = None, *,

@@ -60,6 +60,7 @@ __all__ = [
     "QRational",
     "SingularMatrixError",
     "rref",
+    "independent_rows",
     "solve",
     "inverse",
     "nullspace",
@@ -352,6 +353,11 @@ class TPoly:
                 out[k] = _coeff(w)
         return TPoly(out, _trusted=True)
 
+    def value_at(self, t1, t2, t3):
+        """The value at an exact point (int, or QQ where a coordinate or
+        coefficient is fractional)."""
+        return sum(c * t1**a * t2**b * t3**e for (a, b, e), c in self._d.items())
+
     def tau_sub(self) -> "TPoly":
         """The restriction p(t1, -t1, t3) to the hyperplane t1 + t2 = 0."""
         out: dict = {}
@@ -503,8 +509,7 @@ def _from_sympy(sp) -> TPoly:
 
 
 def _eval_at_point(p: TPoly) -> int:
-    x, y, z = _EVAL_POINT
-    return sum(c * x**e1 * y**e2 * z**e3 for (e1, e2, e3), c in p.items())
+    return p.value_at(*_EVAL_POINT)
 
 
 def _divides_primitive(a: TPoly, b: TPoly) -> bool:
@@ -809,8 +814,11 @@ class RatFn:
         return RatFn(self.num.substitute(vals), den)
 
     def substitute_all(self, t1, t2, t3=0):
-        r = self.substitute({0: t1, 1: t2, 2: t3})
-        return r.const_value()
+        """The value at (t1, t2, t3), as ``QQ``."""
+        den = self.den.value_at(t1, t2, t3)
+        if not den:
+            raise ZeroDivisionError("substitution vanishes on the denominator")
+        return QQ(self.num.value_at(t1, t2, t3)) / den
 
     def limit_var_zero(self, var: int) -> "RatFn":
         """Exact limit as one variable -> 0, after cancelling its common power."""
@@ -1329,9 +1337,48 @@ def rref(rows: list, ncols: int) -> tuple:
         for t, row in enumerate(mat):
             f = row[col]
             if t != r and f:
-                mat[t] = [x - f * y for x, y in zip(row, prow)]
+                # most pivot-row entries of the tall calibration systems are
+                # zero; skipping them leaves every result the same
+                mat[t] = [x - f * y if y else x for x, y in zip(row, prow)]
         pivots.append(col)
     return mat, pivots, order
+
+
+def independent_rows(rows: list, ncols: int) -> list | None:
+    """Indices of rows whose first ``ncols`` entries are independent mod P.
+
+    P = 2^61 - 1, the prime of the coprimality certificate.  Rows are taken
+    greedily in input order: each is reduced against the rows kept before it
+    and kept if anything is left, until ``ncols`` are kept.  The kept rows
+    have a minor that is nonzero mod P, so it is nonzero over QQ: when
+    ``ncols`` rows come back, those rows alone determine the solution of the
+    whole system, if it has one.  Returns None when an entry it reads has a
+    denominator divisible by P, and so no image mod P.
+    """
+    basis: dict = {}  # pivot column -> kept row reduced mod P, 1 at the pivot
+    kept = []
+    for t, row in enumerate(rows):
+        v = []
+        for x in row[:ncols]:
+            den = x.denominator
+            if den % _P == 0:
+                return None
+            v.append(x.numerator * pow(den, -1, _P) % _P if den != 1 else x.numerator % _P)
+        # the kept rows are zero at the pivots of the rows kept before them,
+        # so one pass in insertion order clears every pivot of v
+        for col, b in basis.items():
+            f = v[col]
+            if f:
+                v = [(x - f * y) % _P if y else x for x, y in zip(v, b)]
+        col = next((c for c, x in enumerate(v) if x), None)
+        if col is None:
+            continue
+        inv = pow(v[col], -1, _P)
+        basis[col] = [x * inv % _P for x in v]
+        kept.append(t)
+        if len(kept) == ncols:
+            break
+    return kept
 
 
 def solve(mat: list, rhs: list) -> list:

@@ -41,6 +41,7 @@ from .exact import (
     T3,
     TAU,
     Window,
+    _interval_skey,
     log_atom_expand,
 )
 from .partitions import INF, LegDiagram, Partition, SliceChain
@@ -467,10 +468,6 @@ def insertion_limit(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
 # ---------------------------------------------------------------------------
 
 
-def _interval_skey(geom: SurfaceGeometry, i: int, j: int, d: int) -> tuple:
-    return geom.s_exponent(tuple(d * x for x in geom.root_vector(i, j)))
-
-
 def vacuum_series(geom: SurfaceGeometry, i: int, j: int, window: Window) -> QSSeries:
     """Divisor-insertion vacuum expectation supported on multiples of one root.
 
@@ -485,8 +482,9 @@ def vacuum_series(geom: SurfaceGeometry, i: int, j: int, window: Window) -> QSSe
     enumerated: dict = {}
     closed: dict = {}
     tau = RatFn(TAU)
+    base = _interval_skey(n, i, j)
     for d in range(1, max(window.qmax, 0) + 1):
-        skey = _interval_skey(geom, i, j, d)
+        skey = tuple(d * e for e in base)
         if sum(skey) > window.smax:
             continue
         for a in range(window.qmax // d):

@@ -1,6 +1,7 @@
 """Dictionary tests at n = 1, m = 2: the calibration report, the Heisenberg
 embedding, the transport inverse, the power-sum change of basis and
-label-basis coordinates.
+label-basis coordinates; the bracket matrix against the two-stage series
+product at n = 1, 2; and the label-target solver on hand-made systems.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 2).
@@ -9,8 +10,15 @@ import pytest
 
 import andt.dictionary as dictionary
 import andt.exact as exact
-from andt.dictionary import _power_to_monomial_inverse, calibrate, heisenberg_embedding_check
-from andt.exact import QQ, RF_ONE, RF_ZERO, matmul
+from andt.dictionary import (
+    DEFAULT_WINDOW,
+    BracketEngine,
+    _power_to_monomial_inverse,
+    _solve_label_system,
+    calibrate,
+    heisenberg_embedding_check,
+)
+from andt.exact import QQ, RF_ONE, RF_ZERO, matmul, rref
 from andt.fock import fixed_point_basis, unit_omega_basis
 from andt.partitions import Partition
 from andt.surface import SurfaceGeometry
@@ -67,3 +75,89 @@ def test_label_basis_coords_round_trip():
 def test_solvers_are_the_exact_kernel():
     assert dictionary.ratfn_solve is exact.solve
     assert dictionary.ratfn_inverse is exact.inverse
+
+
+def _two_stage_bracket_matrix(engine):
+    """Reference: B = G . T^{-1} . Theta . T as series products, Theta . T first."""
+    nw, ns = len(engine.words), len(engine.states)
+    M1 = [[None] * nw for _ in range(ns)]
+    for (r, c), ser in engine.th.items():
+        for wj in range(nw):
+            t = engine.T[c][wj]
+            if t.is_zero:
+                continue
+            add = ser.scale(t)
+            cur = M1[r][wj]
+            M1[r][wj] = add if cur is None else cur + add
+    B = [[None] * nw for _ in range(nw)]
+    for wi in range(nw):
+        for wj in range(nw):
+            tot = None
+            for r in range(ns):
+                ser = M1[r][wj]
+                coef = engine.Tinv[wi][r]
+                if ser is None or coef.is_zero:
+                    continue
+                add = ser.scale(coef)
+                tot = add if tot is None else tot + add
+            B[wi][wj] = None if tot is None else tot.scale(engine.G[wi])
+    return B
+
+
+@pytest.fixture(scope="module")
+def dic2():
+    return calibrate(SurfaceGeometry(2), 2)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1)])
+def test_bracket_matrix_matches_two_stage_product(n, m, dic, dic2):
+    engine = BracketEngine({1: dic, 2: dic2}[n], m, DEFAULT_WINDOW, 3)
+    got, want = engine.bracket_matrix(), _two_stage_bracket_matrix(engine)
+    assert [[x is None for x in row] for row in got] == [[x is None for x in row] for row in want]
+    pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr) if y is not None]
+    assert pairs
+    for x, y in pairs:
+        assert (x.data, x.window, x.qfloor) == (y.data, y.window, y.qfloor)
+
+
+def _full_rref_solution(rows, ncols):
+    reduced, pivots, _ = rref(rows, ncols)
+    vals = [QQ(0)] * ncols
+    for r, col in enumerate(pivots):
+        vals[col] = reduced[r][ncols]
+    return vals, [c for c in range(ncols) if c not in pivots]
+
+
+def _tall_system(coeffs, x):
+    """Rows [a, a . x] for each coefficient row a."""
+    return [[QQ(a) for a in row] + [sum(QQ(a) * v for a, v in zip(row, x))] for row in coeffs]
+
+
+def test_label_system_full_rank_solves_selected_rows(monkeypatch):
+    # tall, consistent, with proportional rows as repeated sample points give
+    coeffs = [[1, 2, 0], [2, 4, 0], [0, 1, -1], [3, 0, 1], [0, 2, -2], [1, 1, 1]]
+    x = [QQ(1, 2), QQ(-3), QQ(5, 7)]
+    rows = _tall_system(coeffs, x)
+    monkeypatch.setattr(dictionary, "rref", None)  # the full path is not taken
+    vals, free = _solve_label_system(rows, 3, list(range(len(rows))), 2)
+    assert (vals, free) == _full_rref_solution(rows, 3) == (x, [])
+
+
+def test_label_system_inconsistent_raises():
+    coeffs = [[1, 0], [0, 1], [1, 1], [2, 1]]
+    rows = _tall_system(coeffs, [QQ(1), QQ(2)])
+    rows[3][2] += 1  # the last condition contradicts the others
+    with pytest.raises(RuntimeError, match=r"label-target system inconsistent at weight 2: \[3\]"):
+        _solve_label_system(rows, 2, list(range(len(rows))), 2)
+
+
+def test_label_system_rank_deficient_takes_full_path(monkeypatch):
+    # column 1 is twice column 0, so one of them stays free
+    coeffs = [[1, 2, 0], [0, 0, 1], [2, 4, 3], [1, 2, 1]]
+    rows = _tall_system(coeffs, [QQ(1), QQ(1), QQ(-1)])
+    calls = []
+    monkeypatch.setattr(dictionary, "rref", lambda *a: calls.append(a) or rref(*a))
+    vals, free = _solve_label_system(rows, 3, list(range(len(rows))), 2)
+    assert calls
+    assert (vals, free) == _full_rref_solution(rows, 3)
+    assert free == [1]

@@ -35,6 +35,7 @@ from andt.exact import (
     series_filter_support,
     rational_reconstruct_q,
     rref,
+    independent_rows,
     solve,
     inverse,
     nullspace,
@@ -528,6 +529,19 @@ def test_ratfn_substitute():
     assert g.limit_var_zero(2) == RatFn(T1)
 
 
+@settings(max_examples=80, deadline=None)
+@given(ratfns(), st.tuples(*[st.builds(QQ, st.integers(-3, 3), st.integers(1, 2))] * 3))
+def test_substitute_all_is_the_value_of_the_full_substitution(f, pt):
+    try:
+        want = f.substitute({0: pt[0], 1: pt[1], 2: pt[2]}).const_value()
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            f.substitute_all(*pt)
+        return
+    got = f.substitute_all(*pt)
+    assert got == want and type(got) is QQ
+
+
 # -- series -------------------------------------------------------------------
 
 
@@ -801,6 +815,80 @@ def test_rref_carries_right_hand_sides_and_reports_row_order():
 _linear_forms = st.tuples(*[st.integers(-2, 2)] * 3).map(
     lambda c: RatFn(c[0] * T1 + c[1] * T2 + c[2] * T3)
 )
+
+
+def _dense_rref(rows, ncols):
+    """Reference elimination: rref with the row update over every entry."""
+    mat = [list(r) for r in rows]
+    order = list(range(len(mat)))
+    pivots = []
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((t for t in range(r, len(mat)) if mat[t][col]), None)
+        if piv is None:
+            continue
+        mat[r], mat[piv] = mat[piv], mat[r]
+        order[r], order[piv] = order[piv], order[r]
+        inv = 1 / mat[r][col]
+        prow = mat[r] = [x * inv for x in mat[r]]
+        for t, row in enumerate(mat):
+            f = row[col]
+            if t != r and f:
+                mat[t] = [x - f * y for x, y in zip(row, prow)]
+        pivots.append(col)
+    return mat, pivots, order
+
+
+def _sparse_matrices(nonzero, zero):
+    """Matrices of up to 5 x 6 with at least half their entries zero."""
+
+    @st.composite
+    def draw(draw_):
+        nr, nc = draw_(st.integers(1, 5)), draw_(st.integers(1, 6))
+        cells = [(i, j) for i in range(nr) for j in range(nc)]
+        nz = set(draw_(st.lists(st.sampled_from(cells), max_size=len(cells) // 2, unique=True)))
+        return [[draw_(nonzero) if (i, j) in nz else zero for j in range(nc)] for i in range(nr)]
+
+    return draw()
+
+
+@pytest.mark.parametrize(
+    "nonzero, zero",
+    [
+        (st.integers(-3, 3).filter(bool).map(QQ), QQ(0)),
+        (_linear_forms.filter(bool), RF_ZERO),
+    ],
+    ids=["fraction", "ratfn"],
+)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_sparse_rref_matches_dense_reference(nonzero, zero, data):
+    rows = data.draw(_sparse_matrices(nonzero, zero))
+    ncols = data.draw(st.integers(0, len(rows[0])))
+    before = [list(r) for r in rows]
+    assert rref(rows, ncols) == _dense_rref(rows, ncols)
+    assert rows == before  # input left alone
+
+
+@settings(max_examples=60, deadline=None)
+@given(_int_matrices(max_rows=6), st.integers(0, 2))
+def test_independent_rows_select_a_basis_of_the_row_space(ints, repeats):
+    ints = ints + ints[:repeats]
+    rows = [[QQ(x, 3) for x in r] for r in ints]
+    ncols = len(rows[0])
+    kept = independent_rows(rows, ncols)
+    # entries this small leave no minor divisible by 2^61 - 1, so the rank
+    # mod P is the rank over QQ
+    rank = len(rref(rows, ncols)[1])
+    assert len(kept) == rank
+    assert kept == sorted(set(kept))
+    assert len(rref([rows[t] for t in kept], ncols)[1]) == rank
+
+
+def test_independent_rows_refuses_a_denominator_divisible_by_p():
+    p = (1 << 61) - 1
+    assert independent_rows([[QQ(1)], [QQ(1, p)]], 1) == [0]  # stops at full rank
+    assert independent_rows([[QQ(0)], [QQ(1, p)]], 1) is None
 
 
 @settings(max_examples=30, deadline=None)

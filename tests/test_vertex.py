@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window
+from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window, _interval_skey
 from andt.partitions import INF, LegDiagram, Partition, SliceChain, partitions_of
 from andt.surface import SurfaceGeometry
 from andt.vertex import (
@@ -346,3 +346,14 @@ def test_rigidify_euler_factor_on_long_interval():
     assert lhs_atom.coeff(1, (1, 1)) * QQ(2) == vacuum_series(
         geom, 1, 3, win
     ).coeff(1, (1, 1))
+
+
+def test_interval_skey_is_the_root_vector_as_s_exponent():
+    # the vacuum series takes its s-exponents from exact._interval_skey
+    for n in range(1, 6):
+        geom = SurfaceGeometry(n)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 2):
+                for d in range(1, 5):
+                    want = geom.s_exponent(tuple(d * x for x in geom.root_vector(i, j)))
+                    assert tuple(d * e for e in _interval_skey(n, i, j)) == want
