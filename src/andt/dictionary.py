@@ -475,6 +475,8 @@ class _AtomTargets:
                     for w1, c1 in jl[la].items():
                         for w2, c2 in jl[eta].items():
                             cst, gd = aff[(ch, k, w1, w2)]
+                            if cst.is_zero and not gd:
+                                continue
                             f = c1 * c2
                             if not cst.is_zero:
                                 const = const + f * cst
@@ -1653,8 +1655,9 @@ def _classical_restriction(which, mp: MultiPartition, geom: SurfaceGeometry) -> 
 
     The doubled-point divisor restricts to minus the box-weight sum per chart;
     the curve-class divisors restrict to size times the point restriction.
-    Signs are pinned by the weight-one cup-product oracle and the exact
-    commutation of the assembled operators.
+    No test pins the signs or the box-weight convention yet: there is no
+    weight-one cup-product oracle, and the assembled operators do not
+    commute exactly (ROADMAP item 1).
     """
     if which == "D":
         tot = RF_ZERO
@@ -1673,38 +1676,47 @@ def _classical_restriction(which, mp: MultiPartition, geom: SurfaceGeometry) -> 
     return tot
 
 
+def _classical_values(which, m: int, mps, geom: SurfaceGeometry) -> list:
+    """Classical restriction of ``which`` at each fixed point in ``mps``; the
+    doubled-point divisor does not exist below weight two and is zero there."""
+    if which == "D" and m <= 1:
+        return [RF_ZERO] * len(mps)
+    return [_classical_restriction(which, mp, geom) for mp in mps]
+
+
 def classical_divisor(which, m: int, geom: SurfaceGeometry,
                       window: Window | None = None) -> OperatorMatrix:
     """Diagonal matrix of classical multiplication in the fixed-point basis."""
     which = _divisor_key(which)
     window = window or Window(qmin=0, qmax=0, smax=0)
     mps = tuple(enumerate_multipartitions(m, geom.npoints))
-    entries = {}
     if which == "D" and m <= 1:
         warnings.warn(
             "the doubled-point divisor does not exist below weight two; "
             "returning the zero operator",
             stacklevel=2,
         )
-    else:
-        for idx, mp in enumerate(mps):
-            val = _classical_restriction(which, mp, geom)
-            if not val.is_zero:
-                entries[(idx, idx)] = QSSeries.monomial(
-                    geom.n, window, 0, (0,) * geom.n, val
-                )
+    entries = {
+        (idx, idx): QSSeries.monomial(geom.n, window, 0, (0,) * geom.n, val)
+        for idx, val in enumerate(_classical_values(which, m, mps, geom))
+        if not val.is_zero
+    }
     return OperatorMatrix(geom.n, m, "fixed-point-class", mps, window, entries)
 
 
-def _divisor_atoms(dic: Dictionary, m: int) -> list:
-    """[(tag, operator data)] for the quantum part: interaction atoms carry
-    sparse integer lattice-state matrices; dressing modes carry sparse
-    rational word matrices."""
+def _divisor_atoms(dic: Dictionary, m: int, which) -> list:
+    """[(tag, operator data)] for the atoms in the quantum part of ``which``:
+    for the doubled-point divisor every interaction atom and, from weight
+    two, every dressing mode; for the i-th curve divisor the interaction
+    atoms whose interval [i0, j0) contains i.  Interaction atoms carry sparse
+    integer lattice-state matrices; dressing modes carry sparse rational word
+    matrices."""
     atoms = [
         (("interval", i, j, k), kmat)
         for (i, j, k, kmat) in omega_plus_terms(dic.n, m)
+        if which == "D" or i <= which[1] < j
     ]
-    if m >= 2:
+    if which == "D" and m >= 2:
         fb = fixed_point_basis(dic.geom)
         atoms.extend(
             (("mode", k), mat)
@@ -1714,21 +1726,13 @@ def _divisor_atoms(dic: Dictionary, m: int) -> list:
 
 
 def _atom_series(dic: Dictionary, tag, which, window: Window):
-    """tau-scaled derivative series of one log atom, or None if it drops."""
+    """tau-scaled derivative series of one log atom, or None if it vanishes."""
     n = dic.n
     if tag[0] == "interval":
         _w, i, j, k = tag
         ser = log_atom_expand(n, window, k, i, j)
-        if which == "D":
-            d = ser.q_log_derivative()
-        else:
-            i_sel = which[1]
-            if not (i <= i_sel < j):
-                return None
-            d = ser.s_log_derivative(i_sel)
+        d = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
     else:
-        if which != "D":
-            return None
         _w, k = tag
         ser = log_atom_expand(n, window, k, 0, 1) - log_atom_expand(
             n, window, 1, 0, 1
@@ -1746,15 +1750,15 @@ def _dense(K: dict, size: int) -> list:
     return rows
 
 
-def _atom_state_matrix(dic: Dictionary, m: int, tag, K):
-    """Constant lattice-state matrix of one atom (sparse dict or dense rows)."""
-    if tag[0] == "interval":
-        return K
+def _atom_state_matrix(dic: Dictionary, m: int, tag, K) -> list:
+    """Constant lattice-state matrix of one atom, as dense rows (cached)."""
     key = (m, tag)
     hit = dic._state_atom_cache.get(key)
     if hit is None:
-        T, _, words = dic.transport(m)
-        hit = matmul(matmul(T, _dense(K, len(words))), dic.transport_inverse(m))
+        T, _, _ = dic.transport(m)
+        hit = _dense(K, len(T))
+        if tag[0] == "mode":
+            hit = matmul(matmul(T, hit), dic.transport_inverse(m))
         dic._state_atom_cache[key] = hit
     return hit
 
@@ -1785,10 +1789,7 @@ def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
         return hit
     D, Dinv, mps = dic.fixed_point_state_matrix(m)
     nd = len(D)
-    if which == "D" and m <= 1:
-        vals = [RF_ZERO] * nd
-    else:
-        vals = [_classical_restriction(which, mp, dic.geom) for mp in mps]
+    vals = _classical_values(which, m, mps, dic.geom)
     mid = [[D[r][c] * vals[c] for c in range(nd)] for r in range(nd)]
     hit = matmul(mid, Dinv)
     dic._clstate_cache[key] = hit
@@ -1810,7 +1811,7 @@ def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
     for (r, c), ser in classical.entries.items():
         entries[(r, c)] = ser
     if m >= 1:
-        for tag, K in _divisor_atoms(dic, m):
+        for tag, K in _divisor_atoms(dic, m, which):
             ser = _atom_series(dic, tag, which, window)
             if ser is None:
                 continue
@@ -1879,68 +1880,46 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
     nd = len(dic.fixed_point_state_matrix(m)[0])
     Dcl = _classical_state_matrix(dic, m, "D")
     Wcl = _classical_state_matrix(dic, m, ("omega", i))
-    atoms = _divisor_atoms(dic, m)
-    a_atoms = []
-    b_atoms = []
-    for tag, K in atoms:
-        Kst = None
-        sa = _atom_series(dic, tag, "D", wide)
-        if sa is not None:
-            Kst = _atom_state_matrix(dic, m, tag, K)
-            a_atoms.append((sa, Kst))
-        sb = _atom_series(dic, tag, ("omega", i), wide)
-        if sb is not None:
-            if Kst is None:
-                Kst = _atom_state_matrix(dic, m, tag, K)
-            b_atoms.append((sb, Kst))
 
-    def as_dense(K):
-        return _dense(K, nd) if isinstance(K, dict) else K
+    def series_atoms(which):
+        out = []
+        for tag, K in _divisor_atoms(dic, m, which):
+            ser = _atom_series(dic, tag, which, wide)
+            if ser is not None:
+                out.append((ser, _atom_state_matrix(dic, m, tag, K)))
+        return out
 
+    a_atoms = series_atoms("D")
+    b_atoms = series_atoms(("omega", i))
     total = [[QSSeries.zero(dic.n, wide) for _ in range(nd)] for _ in range(nd)]
-    checked = 0
+
+    def add_commutator(ser, X, Y):
+        XY, YX = matmul(X, Y), matmul(Y, X)
+        for r in range(nd):
+            for c in range(nd):
+                v = XY[r][c] - YX[r][c]
+                if not v.is_zero:
+                    total[r][c] = total[r][c] + ser.scale(v)
+
     cc = matmul(Dcl, Wcl)
     cc2 = matmul(Wcl, Dcl)
     const = [[cc[r][c] - cc2[r][c] for c in range(nd)] for r in range(nd)]
     for ser, K in b_atoms:
-        Kd = as_dense(K)
-        cross = matmul(Dcl, Kd)
-        cross2 = matmul(Kd, Dcl)
-        for r in range(nd):
-            for c in range(nd):
-                v = cross[r][c] - cross2[r][c]
-                if not v.is_zero:
-                    total[r][c] = total[r][c] + ser.scale(v)
+        add_commutator(ser, Dcl, K)
     for ser, K in a_atoms:
-        Kd = as_dense(K)
-        cross = matmul(Kd, Wcl)
-        cross2 = matmul(Wcl, Kd)
-        for r in range(nd):
-            for c in range(nd):
-                v = cross[r][c] - cross2[r][c]
-                if not v.is_zero:
-                    total[r][c] = total[r][c] + ser.scale(v)
+        add_commutator(ser, K, Wcl)
     for ser_a, Ka in a_atoms:
-        Kad = as_dense(Ka)
         for ser_b, Kb in b_atoms:
             prod = ser_a * ser_b
-            if prod.is_zero:
-                continue
-            Kbd = as_dense(Kb)
-            comm = matmul(Kad, Kbd)
-            comm2 = matmul(Kbd, Kad)
-            for r in range(nd):
-                for c in range(nd):
-                    v = comm[r][c] - comm2[r][c]
-                    if not v.is_zero:
-                        total[r][c] = total[r][c] + prod.scale(v)
-    failures = []
-    for r in range(nd):
-        for c in range(nd):
-            checked += 1
-            if not const[r][c].is_zero or not _zero_on_window(total[r][c], window):
-                failures.append({"row": r, "col": c})
-    return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
+            if not prod.is_zero:
+                add_commutator(prod, Ka, Kb)
+    failures = [
+        {"row": r, "col": c}
+        for r in range(nd)
+        for c in range(nd)
+        if not const[r][c].is_zero or not _zero_on_window(total[r][c], window)
+    ]
+    return {"ok": not failures, "checked": nd * nd, "witnesses": failures[:5]}
 
 
 # ---------------------------------------------------------------------------
@@ -2291,11 +2270,7 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _spec_value(rf: RatFn, t1, t2, q=None, s=None):
-    return rf.substitute_all(t1, t2, 0)
-
-
-def _atom_value(tag, k_interval, q0, svals, kind, n):
+def _atom_value(tag, q0, svals, kind):
     """Exact value of the derivative of one log atom at the specialization."""
     if tag[0] == "interval":
         _w, i, j, k = tag
@@ -2316,56 +2291,28 @@ def _atom_value(tag, k_interval, q0, svals, kind, n):
 
 
 def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
-    """(classical diagonal + correction) as an exact matrix of rationals in
-    lattice-state coordinates; the classical part is conjugated in."""
-    geom = dic.geom
-    n = dic.n
-    D, Dinv, mps = dic.fixed_point_state_matrix(m)
-    nd = len(D)
-    D0 = [[_spec_value(v, t1, t2) for v in row] for row in D]
-    Dinv0 = inverse(D0)
-    if which == "D" and m <= 1:
-        cvals = [QQ(0)] * nd
-    else:
-        cvals = [
-            _spec_value(_classical_restriction(which, mp, geom), t1, t2)
-            for mp in mps
-        ]
-    mid = [[D0[r][c] * cvals[c] for c in range(nd)] for r in range(nd)]
-    cl = matmul(mid, Dinv0)
-    corr = [[QQ(0)] * nd for _ in range(nd)]
+    """(full, corr): the divisor operator and its quantum part as exact
+    rational matrices in the fixed-point class basis, evaluated at the
+    specialization: diag(c(t)) + sum over atoms of tau * f_a(q0, s0) * K_a(t),
+    with K_a the class-basis atom matrix that ``m_divisor`` expands."""
+    _, _, mps = dic.class_word_matrix(m)
+    nd = len(mps)
     tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
-    # interaction atoms
-    for (i, j, k, kmat) in omega_plus_terms(n, m):
-        if which != "D":
-            i_sel = which[1]
-            if not (i <= i_sel < j):
-                continue
-        val = tau0 * _atom_value(("interval", i, j, k), k, q0, svals, kind, n)
+    corr = [[QQ(0)] * nd for _ in range(nd)]
+    for tag, K in _divisor_atoms(dic, m, which):
+        val = tau0 * _atom_value(tag, q0, svals, kind)
         if val == 0:
             continue
-        for (r, c), v in kmat.items():
-            corr[r][c] += val * QQ(v)
-    if which == "D" and m >= 2:
-        fb = fixed_point_basis(geom)
-        T, _, _ = dic.transport(m)
-        Tinv = dic.transport_inverse(m)
-        T0 = [[_spec_value(v, t1, t2) for v in row] for row in T]
-        Tinv0 = inverse(T0)
-        for k, mat in sorted(omega0_mode_matrices(geom, m, fb).items()):
-            val = tau0 * _atom_value(("mode", k), k, q0, svals, "q", n)
-            if val == 0:
-                continue
-            nw = len(T0)
-            mat0 = [[QQ(0)] * nw for _ in range(nw)]
-            for (r, c), v in mat.items():
-                mat0[r][c] = _spec_value(v, t1, t2) * val
-            corr_k = matmul(matmul(T0, mat0), Tinv0)
-            for r in range(nd):
-                for c in range(nd):
-                    corr[r][c] += corr_k[r][c]
-    full = [[cl[r][c] + corr[r][c] for c in range(nd)] for r in range(nd)]
+        A = _atom_class_matrix(dic, m, tag, K)
+        for r in range(nd):
+            for c in range(nd):
+                if not A[r][c].is_zero:
+                    corr[r][c] += val * A[r][c].substitute_all(t1, t2)
+    cvals = _classical_values(which, m, mps, dic.geom)
+    full = [row[:] for row in corr]
+    for r in range(nd):
+        full[r][r] += cvals[r].substitute_all(t1, t2)
     return full, corr
 
 

@@ -1,10 +1,12 @@
 """Dictionary tests at n = 1, m = 2: the calibration report, the Heisenberg
 embedding, the transport inverse, the power-sum change of basis and
 label-basis coordinates; the bracket matrix against the two-stage series
-product at n = 1, 2; and the label-target solver on hand-made systems.
+product at n = 1, 2; the label-target solver on hand-made systems; and the
+divisor operators at an exact specialization against a lattice-state
+assembly at n = 1, 2.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
-reads False at m = 2 (an open defect, ROADMAP item 2).
+reads False at m = 2 (an open defect, ROADMAP item 1).
 """
 import pytest
 
@@ -13,15 +15,20 @@ import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
     BracketEngine,
+    _atom_value,
+    _classical_restriction,
     _power_to_monomial_inverse,
     _solve_label_system,
+    _specialized_divisor,
     calibrate,
     heisenberg_embedding_check,
+    spectrum_probe,
 )
-from andt.exact import QQ, RF_ONE, RF_ZERO, matmul, rref
-from andt.fock import fixed_point_basis, unit_omega_basis
+from andt.exact import QQ, RF_ONE, RF_ZERO, inverse, matmul, rref
+from andt.fock import fixed_point_basis, omega0_mode_matrices, unit_omega_basis
 from andt.partitions import Partition
 from andt.surface import SurfaceGeometry
+from andt.wedge import omega_plus_terms
 
 
 @pytest.fixture(scope="module")
@@ -161,3 +168,70 @@ def test_label_system_rank_deficient_takes_full_path(monkeypatch):
     assert calls
     assert (vals, free) == _full_rref_solution(rows, 3)
     assert free == [1]
+
+
+def _lattice_state_divisor(dic, m, which, t1, t2, q0, svals):
+    """Reference: (full, corr, D0) with the divisor operator assembled at the
+    specialization in lattice-state coordinates.  The classical diagonal is
+    conjugated in by D0, the fixed-point classes in state coordinates, and
+    each dressing mode by T0, the transport; D0 and T0 are inverted at the
+    point."""
+    D, _, mps = dic.fixed_point_state_matrix(m)
+    nd = len(D)
+    D0 = [[v.substitute_all(t1, t2) for v in row] for row in D]
+    if which == "D" and m <= 1:
+        cvals = [QQ(0)] * nd
+    else:
+        cvals = [_classical_restriction(which, mp, dic.geom).substitute_all(t1, t2)
+                 for mp in mps]
+    cl = matmul([[D0[r][c] * cvals[c] for c in range(nd)] for r in range(nd)], inverse(D0))
+    corr = [[QQ(0)] * nd for _ in range(nd)]
+    tau0 = t1 + t2
+    kind = "q" if which == "D" else "s"
+    for (i, j, k, kmat) in omega_plus_terms(dic.n, m):
+        if which != "D" and not i <= which[1] < j:
+            continue
+        val = tau0 * _atom_value(("interval", i, j, k), q0, svals, kind)
+        for (r, c), v in kmat.items():
+            corr[r][c] += val * v
+    if which == "D" and m >= 2:
+        T, _, _ = dic.transport(m)
+        T0 = [[v.substitute_all(t1, t2) for v in row] for row in T]
+        for k, mat in omega0_mode_matrices(dic.geom, m, fixed_point_basis(dic.geom)).items():
+            val = tau0 * _atom_value(("mode", k), q0, svals, "q")
+            mat0 = [[QQ(0)] * nd for _ in range(nd)]
+            for (r, c), v in mat.items():
+                mat0[r][c] = v.substitute_all(t1, t2) * val
+            corr_k = matmul(matmul(T0, mat0), inverse(T0))
+            corr = [[x + y for x, y in zip(a, b)] for a, b in zip(corr, corr_k)]
+    full = [[x + y for x, y in zip(a, b)] for a, b in zip(cl, corr)]
+    return full, corr, D0
+
+
+SPECIALIZATIONS = [
+    (QQ(3, 2), QQ(-5, 3), QQ(2, 11), [QQ(1, 7), QQ(3, 10)]),
+    (QQ(7), QQ(4, 5), QQ(-3, 13), [QQ(2, 9), QQ(5, 6)]),
+]
+
+
+@pytest.mark.parametrize("point", SPECIALIZATIONS)
+@pytest.mark.parametrize("n", [1, 2])
+def test_specialized_divisor_is_the_lattice_state_assembly_in_class_basis(n, point, dic, dic2):
+    d = {1: dic, 2: dic2}[n]
+    t1, t2, q0, svals = point
+    for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
+        full, corr = _specialized_divisor(d, 2, which, t1, t2, q0, svals[:n])
+        ref_full, ref_corr, D0 = _lattice_state_divisor(d, 2, which, t1, t2, q0, svals[:n])
+        D0inv = inverse(D0)
+        assert matmul(matmul(D0inv, ref_full), D0) == full
+        assert matmul(matmul(D0inv, ref_corr), D0) == corr
+        assert any(v != 0 for row in corr for v in row)
+
+
+def test_spectrum_probe_retries_where_fixed_point_classes_degenerate(dic2):
+    # seed 132's first point has t2 = 2 t1, where the fixed-point class matrix
+    # in state coordinates is singular and the class-basis atom matrices have
+    # poles
+    report = spectrum_probe(2, SurfaceGeometry(2), 132, dic2)
+    assert report["attempts"] == 2
+    assert report["dimension"] == 9
