@@ -2214,8 +2214,11 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
         raise ValueError(
             f"pole of order {pole} at q = -1; declare it via pole_order"
         )
-    # Laurent series of nz/dz in z to exponent <= order + max(pole, 0)
-    terms = order + max(pole, 0) + 1
+    # Laurent series of nz/dz in z to exponent <= prec.  Every product below
+    # is truncated at u^prec, not u^order: zinv starts at u^-1, so each factor
+    # of zinv in z^-k costs one order, and only the output is cut at u^order.
+    prec = order + max(pole, 0)
+    terms = prec + 1
     lead = dz[vd]
     inv_lead = lead.inverse()
     dnorm = [c * inv_lead for c in dz[vd:]]
@@ -2231,11 +2234,11 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
     zser: dict = {}
     ipow = [_GaussRF(RF_ONE), _GaussRF(im=RF_ONE), _GaussRF(-RF_ONE),
             _GaussRF(im=-RF_ONE)]
-    for r in range(1, order + max(pole, 0) + 2):
+    for r in range(1, prec + 2):
         c = ipow[r % 4] * _GaussRF(RatFn.const(QQ(-1, math.factorial(r))))
         if not c.is_zero:
             zser[r] = c
-    zinv = _useries_inverse(zser, order + 1 + max(pole, 0))
+    zinv = _useries_inverse(zser, prec + 1)
     out: dict = {}
     power_cache = {0: {0: _GaussRF(RF_ONE)}}
 
@@ -2244,9 +2247,9 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
         if hit is not None:
             return hit
         if j > 0:
-            hit = _useries_mul(zpow(j - 1), zser, order)
+            hit = _useries_mul(zpow(j - 1), zser, prec)
         else:
-            hit = _useries_mul(zpow(j + 1), zinv, order)
+            hit = _useries_mul(zpow(j + 1), zinv, prec)
         power_cache[j] = hit
         return hit
 

@@ -355,8 +355,36 @@ class TPoly:
 
     def value_at(self, t1, t2, t3):
         """The value at an exact point (int, or QQ where a coordinate or
-        coefficient is fractional)."""
-        return sum(c * t1**a * t2**b * t3**e for (a, b, e), c in self._d.items())
+        coefficient is fractional).
+
+        At an integer point each term is a product of ``int`` powers.  At a
+        fractional point the sum stays in ``int`` over one common
+        denominator: with t_v = p_v / q_v of degree D_v and L the lcm of the
+        coefficient denominators, the value is
+        sum (L c) prod_v p_v^e_v q_v^(D_v - e_v) over L prod_v q_v^D_v, with
+        each power read from a per-variable table.
+        """
+        d = self._d
+        if t1.__class__ is int and t2.__class__ is int and t3.__class__ is int:
+            return sum(c * t1**a * t2**b * t3**e for (a, b, e), c in d.items())
+        if not d:
+            return 0
+        lcm = 1
+        for c in d.values():
+            if c.__class__ is not int:
+                lcm = _ilcm(lcm, c.denominator)
+        tables, scale = [], lcm
+        for v, t in enumerate((t1, t2, t3)):
+            deg = max(key[v] for key in d)
+            p, q = t.numerator, t.denominator
+            tables.append([p**k * q ** (deg - k) for k in range(deg + 1)])
+            scale *= q**deg
+        p1, p2, p3 = tables
+        total = 0
+        for (a, b, e), c in d.items():
+            c = c * lcm if c.__class__ is int else c.numerator * (lcm // c.denominator)
+            total += c * p1[a] * p2[b] * p3[e]
+        return total if scale == 1 else QQ(total, scale)
 
     def tau_sub(self) -> "TPoly":
         """The restriction p(t1, -t1, t3) to the hyperplane t1 + t2 = 0."""

@@ -13,10 +13,20 @@ from typing import Sequence
 
 from .exact import QQ, RatFn, RF_ZERO, T1, T2, TPoly
 
-__all__ = ["SurfaceGeometry", "CohClass"]
+__all__ = ["SurfaceGeometry", "CohClass", "tangent_wL", "tangent_wR"]
 
 # A cohomology class is just its tuple of fixed-point restrictions.
 CohClass = tuple
+
+
+def tangent_wL(n: int, i: int) -> TPoly:
+    """Tangent weight at p_i along the edge toward p_{i-1}, on the chain of length n."""
+    return (n + 2 - i) * T1 + (1 - i) * T2
+
+
+def tangent_wR(n: int, i: int) -> TPoly:
+    """Tangent weight at p_i along the edge toward p_{i+1}, on the chain of length n."""
+    return (-n + i - 1) * T1 + i * T2
 
 
 class SurfaceGeometry:
@@ -32,12 +42,12 @@ class SurfaceGeometry:
     def wL(self, i: int) -> TPoly:
         """Tangent weight at p_i along the edge toward p_{i-1} (1-based i)."""
         self._check_point(i)
-        return (self.n + 2 - i) * T1 + (1 - i) * T2
+        return tangent_wL(self.n, i)
 
     def wR(self, i: int) -> TPoly:
         """Tangent weight at p_i along the edge toward p_{i+1}."""
         self._check_point(i)
-        return (-self.n + i - 1) * T1 + i * T2
+        return tangent_wR(self.n, i)
 
     def euler_point(self, i: int) -> TPoly:
         """Product of the two tangent weights at p_i."""

@@ -30,6 +30,7 @@ an implementation bug and raises ``NonCancellingPoleError``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 from .exact import (
@@ -45,7 +46,7 @@ from .exact import (
     log_atom_expand,
 )
 from .partitions import INF, LegDiagram, Partition, SliceChain
-from .surface import SurfaceGeometry
+from .surface import SurfaceGeometry, tangent_wL, tangent_wR
 
 
 class NonCancellingPoleError(ArithmeticError):
@@ -408,29 +409,20 @@ def chi_minimal(cfg: MinimalConfig) -> int:
     return cfg.chi
 
 
-def weight_minimal(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
-    """Exact localization weight of a minimal configuration.
-
-    Product of the per-edge factor (one per chain edge in the segment), the
-    interior-vertex factors, and the two end factors, times the global sign
-    (-1)^{1 + (j-i)(1+d)} that calibrates the orientation bookkeeping; the
-    per-(a, b) fiber-limit test pins that sign once and everything else is a
-    consequence.  The result carries exactly one factor of t1 + t2.
-    """
-    d, a, b, i, j = cfg.d, cfg.a, cfg.b, cfg.i, cfg.j
-    if j > geom.npoints:
-        raise ValueError(f"interval ({i},{j}) exceeds the chain")
+@lru_cache(maxsize=None)
+def _segment_weight(n: int, d: int, i: int, j: int) -> RatFn:
+    """Segment factor of the depth-d cylinder over [i, j] on the chain of
+    length n: the edge factor to the power j - i, one factor per interior
+    vertex i < k < j, and the global sign (-1)^{1 + (j-i)(1+d)}."""
     t3 = RatFn(T3)
     tau = RatFn(TAU)
-    scale = QQ(geom.npoints)  # the end weights reduce to multiples of (n+1)t1, (n+1)t2
-
     edge = tau / (-t3)
     for r in range(1, d):
         edge = edge * RatFn(T3 * QQ(-r), T3 * QQ(-(r + 1)))
 
     weight = edge ** (j - i)
     for k in range(i + 1, j):
-        wr, wl = RatFn(geom.wR(k)), RatFn(geom.wL(k))
+        wr, wl = RatFn(tangent_wR(n, k)), RatFn(tangent_wL(n, k))
         mid = RatFn.const((-1) ** d) * (t3 * QQ(d)) / tau
         for r in range(d):
             up, down = QQ(r), QQ(r + 1)
@@ -439,18 +431,51 @@ def weight_minimal(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
             mid = mid * (wr * 2 - t3 * down) * (wl * 2 - t3 * down)
             mid = mid / ((wr * 2 + t3 * up) * (wl * 2 + t3 * up))
         weight = weight * mid
-    st1, st2 = RatFn(T1) * scale, RatFn(T2) * scale
-    for r in range(d):
-        for s in range(1, a + 1):
-            weight = weight * (t3 * QQ(r - d) - st1 * QQ(s)) / (
-                t3 * QQ(r) + st1 * QQ(s)
-            )
-        for s in range(1, b + 1):
-            weight = weight * (t3 * QQ(r - d) - st2 * QQ(s)) / (
-                t3 * QQ(r) + st2 * QQ(s)
-            )
     sign = -1 if ((j - i) * (1 + d)) % 2 == 0 else 1
     return weight * QQ(sign)
+
+
+@lru_cache(maxsize=None)
+def _end_weight(npoints: int, d: int, extra: int, var: int) -> RatFn:
+    """End factor of ``extra`` boxes stacked at one end of a depth-d cylinder:
+    the product over fiber levels r < d and stack heights 1 <= s <= extra of
+    ((r - d) t3 - s w) / (r t3 + s w), where w = npoints * t1 (var = 0, the
+    left end) or npoints * t2 (var = 1, the right end).  Built from the
+    stack one box lower."""
+    if extra == 0:
+        return RatFn.const(1)
+    t3 = RatFn(T3)
+    sw = RatFn((T1, T2)[var]) * QQ(npoints * extra)
+    weight = _end_weight(npoints, d, extra - 1, var)
+    for r in range(d):
+        weight = weight * (t3 * QQ(r - d) - sw) / (t3 * QQ(r) + sw)
+    return weight
+
+
+def weight_minimal(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
+    """Exact localization weight of a minimal configuration.
+
+    The weight is segment x left end x right end, and each factor is
+    computed once per set of indices it depends on:
+
+    - the segment factor depends on (n, d, i, j) only: one edge factor per
+      chain edge in [i, j], one factor per interior vertex, and the global
+      sign (-1)^{1 + (j-i)(1+d)} that calibrates the orientation
+      bookkeeping (the per-(a, b) fiber-limit test pins that sign once and
+      everything else is a consequence);
+    - the left-end stack depends on (n + 1, d, a), in the weight (n+1) t1;
+    - the right-end stack depends on (n + 1, d, b), in the weight (n+1) t2.
+
+    The result carries exactly one factor of t1 + t2.
+    """
+    d, a, b, i, j = cfg.d, cfg.a, cfg.b, cfg.i, cfg.j
+    if j > geom.npoints:
+        raise ValueError(f"interval ({i},{j}) exceeds the chain")
+    return (
+        _segment_weight(geom.n, d, i, j)
+        * _end_weight(geom.npoints, d, a, 0)
+        * _end_weight(geom.npoints, d, b, 1)
+    )
 
 
 def insertion_limit(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:

@@ -3,12 +3,14 @@ embedding, the transport inverse, the power-sum change of basis and
 label-basis coordinates; the bracket matrix against the two-stage series
 product at n = 1, 2; the label-target solver on hand-made systems; and the
 divisor operators at an exact specialization against a lattice-state
-assembly at n = 1, 2.
+assembly at n = 1, 2; the DT/GW change of variables q = -e^{iu} against
+sympy's series.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 1).
 """
 import pytest
+import sympy
 
 import andt.dictionary as dictionary
 import andt.exact as exact
@@ -21,10 +23,11 @@ from andt.dictionary import (
     _solve_label_system,
     _specialized_divisor,
     calibrate,
+    gw_change_of_vars,
     heisenberg_embedding_check,
     spectrum_probe,
 )
-from andt.exact import QQ, RF_ONE, RF_ZERO, inverse, matmul, rref
+from andt.exact import QQ, RF_ONE, RF_ZERO, QRational, RatFn, inverse, matmul, rref
 from andt.fock import fixed_point_basis, omega0_mode_matrices, unit_omega_basis
 from andt.partitions import Partition
 from andt.surface import SurfaceGeometry
@@ -235,3 +238,56 @@ def test_spectrum_probe_retries_where_fixed_point_classes_degenerate(dic2):
     report = spectrum_probe(2, SurfaceGeometry(2), 132, dic2)
     assert report["attempts"] == 2
     assert report["dimension"] == 9
+
+
+# ---------------------------------------------------------------------------
+# the DT/GW change of variables q = -e^{iu}
+# ---------------------------------------------------------------------------
+
+
+def _qrational(shift, num, den):
+    return QRational(shift, tuple(RatFn.const(c) for c in num), tuple(RatFn.const(c) for c in den))
+
+
+def _gw_values(f, order, pole):
+    """gw_change_of_vars with each Gaussian coefficient as a sympy number."""
+    out = {}
+    for e, g in gw_change_of_vars(f, order, pole).items():
+        re, im = g.re.const_value(), g.im.const_value()
+        out[e] = sympy.Rational(re.numerator, re.denominator) + sympy.I * sympy.Rational(
+            im.numerator, im.denominator
+        )
+    return out
+
+
+@pytest.mark.parametrize(
+    "shift, num, den, pole",
+    [
+        (1, (1,), (1, 2, 1), 2),  # q/(1+q)^2
+        (2, (1,), (1, 2, 1), 2),  # q^2/(1+q)^2
+        (1, (1,), (1, 1), 1),  # q/(1+q)
+        (0, (1, 3), (1, 0, 1), 0),  # (1+3q)/(1+q^2), no pole at q = -1
+    ],
+)
+def test_gw_change_of_vars_matches_sympy_series(shift, num, den, pole):
+    u = sympy.Symbol("u")
+    q = -sympy.exp(sympy.I * u)
+    expr = q**shift * sum(c * q**r for r, c in enumerate(num)) / sum(
+        c * q**r for r, c in enumerate(den)
+    )
+    top = 5
+    ser = sympy.expand(sympy.series(expr, u, 0, top + 1).removeO())
+    f = _qrational(shift, num, den)
+    for order in range(top + 1):
+        want = {e: ser.coeff(u, e) for e in range(-pole, order + 1)}
+        want = {e: c for e, c in want.items() if c != 0}
+        assert _gw_values(f, order, pole) == want, order
+
+
+def test_gw_change_of_vars_inverse_sine_square():
+    # q/(1+q)^2 at q = -e^{iu} is 1/(4 sin^2(u/2)) = u^-2 + 1/12 + u^2/240 + u^4/6048 + ...
+    f = _qrational(1, (1,), (1, 2, 1))
+    want = {-2: 1, 0: sympy.Rational(1, 12), 2: sympy.Rational(1, 240), 4: sympy.Rational(1, 6048)}
+    assert _gw_values(f, 4, 2) == want
+    with pytest.raises(ValueError, match="pole of order 2"):
+        gw_change_of_vars(f, 4, pole_order=1)

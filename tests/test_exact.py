@@ -529,9 +529,16 @@ def test_ratfn_substitute():
     assert g.limit_var_zero(2) == RatFn(T1)
 
 
+points = st.tuples(
+    *[st.one_of(st.integers(-3, 3), st.builds(QQ, st.integers(-3, 3), st.integers(1, 3)))] * 3
+)
+
+
 @settings(max_examples=80, deadline=None)
-@given(ratfns(), st.tuples(*[st.builds(QQ, st.integers(-3, 3), st.integers(1, 2))] * 3))
-def test_substitute_all_is_the_value_of_the_full_substitution(f, pt):
+@given(ratfns(), qpolys(), points)
+def test_substitute_all_is_the_value_of_the_full_substitution(f, p, pt):
+    # value_at over fractional coefficients and integral or fractional points
+    assert p.value_at(*pt) == p.substitute({0: pt[0], 1: pt[1], 2: pt[2]}).const_term()
     try:
         want = f.substitute({0: pt[0], 1: pt[1], 2: pt[2]}).const_value()
     except ZeroDivisionError:

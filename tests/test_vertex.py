@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import andt.vertex as vertex
 from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window, _interval_skey
 from andt.partitions import INF, LegDiagram, Partition, SliceChain, partitions_of
 from andt.surface import SurfaceGeometry
@@ -253,6 +254,53 @@ def test_weight_minimal_symplectic_valuation():
                         assert w.valuation_t1pt2() == 1, (n, i, j, d, a, b)
 
 
+def _weight_minimal_single_loop(cfg, geom):
+    """Reference: the weight as one product over every factor, rebuilt for
+    each configuration (the form weight_minimal had before it was factored)."""
+    d, a, b, i, j = cfg.d, cfg.a, cfg.b, cfg.i, cfg.j
+    t3 = RatFn(T3)
+    scale = QQ(geom.npoints)
+    edge = TAU_RF / (-t3)
+    for r in range(1, d):
+        edge = edge * RatFn(T3 * QQ(-r), T3 * QQ(-(r + 1)))
+    weight = edge ** (j - i)
+    for k in range(i + 1, j):
+        wr, wl = RatFn(geom.wR(k)), RatFn(geom.wL(k))
+        mid = RatFn.const((-1) ** d) * (t3 * QQ(d)) / TAU_RF
+        for r in range(d):
+            up, down = QQ(r), QQ(r + 1)
+            mid = mid * (wr + t3 * up) ** 2 / (wr - t3 * down) ** 2
+            mid = mid * (wl + t3 * up) ** 2 / (wl - t3 * down) ** 2
+            mid = mid * (wr * 2 - t3 * down) * (wl * 2 - t3 * down)
+            mid = mid / ((wr * 2 + t3 * up) * (wl * 2 + t3 * up))
+        weight = weight * mid
+    st1, st2 = RatFn(T1) * scale, RatFn(T2) * scale
+    for r in range(d):
+        for s in range(1, a + 1):
+            weight = weight * (t3 * QQ(r - d) - st1 * QQ(s)) / (t3 * QQ(r) + st1 * QQ(s))
+        for s in range(1, b + 1):
+            weight = weight * (t3 * QQ(r - d) - st2 * QQ(s)) / (t3 * QQ(r) + st2 * QQ(s))
+    sign = -1 if ((j - i) * (1 + d)) % 2 == 0 else 1
+    return weight * QQ(sign)
+
+
+def test_weight_minimal_is_the_single_loop_product():
+    # every (d, a, b, i, j) with chi <= 8 at n <= 2; the factor caches are
+    # keyed on integers, so a fresh geometry reads the same factors
+    chi_max = 8
+    for n in (1, 2):
+        geom = SurfaceGeometry(n)
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 2):
+                for d in range(1, chi_max + 1):
+                    for a in range(chi_max // d):
+                        for b in range(chi_max // d - a):
+                            cfg = MinimalConfig(d, a, b, i, j)
+                            want = _weight_minimal_single_loop(cfg, geom)
+                            assert weight_minimal(cfg, geom) == want, (n, cfg)
+                            assert weight_minimal(cfg, SurfaceGeometry(n)) == want, (n, cfg)
+
+
 def test_insertion_limit_matches_displayed_value():
     # after the d t3 (j-i) insertion the fiber limit is exact and equals
     # (j-i) * (t1+t2) * (-1)^{chi+1}
@@ -310,6 +358,24 @@ def test_vacuum_series_all_intervals_consistent():
         for i in range(1, n + 1):
             for j in range(i + 1, n + 2):
                 vacuum_series(geom, i, j, win)
+
+
+def test_vacuum_series_raises_on_a_perturbed_configuration(monkeypatch):
+    # route (A) reads insertion_limit through the module global, once per
+    # configuration; a wrong term for one configuration must surface at its key
+    geom = SurfaceGeometry(2)
+    bad = MinimalConfig(2, 1, 0, 1, 3)
+    exact_limit = vertex.insertion_limit
+
+    def perturbed(cfg, g):
+        term = exact_limit(cfg, g)
+        return term + TAU_RF if cfg == bad else term
+
+    monkeypatch.setattr(vertex, "insertion_limit", perturbed)
+    with pytest.raises(VacuumMismatchError) as info:
+        vacuum_series(geom, 1, 3, Window(1, 6, 4))
+    assert info.value.key == (bad.chi, (2, 2))
+    assert info.value.enumerated == info.value.closed_form + TAU_RF
 
 
 def test_vacuum_mismatch_error_payload():
