@@ -38,12 +38,12 @@ from .exact import (
     TPoly,
     Window,
     WindowError,
-    ZERO,
+    _common_denominator,
+    _dot,
     independent_rows,
     inverse,
     log_atom_expand,
     matmul,
-    poly_gcd,
     rational_reconstruct_q,
     rref,
     solve,
@@ -993,58 +993,69 @@ def _check_geometric_progression(geom: SurfaceGeometry, modes: dict):
     return rho
 
 
+def _lattice_commutator(n: int, ii: int, jj: int, k: int, st0) -> dict:
+    """[e_ii(k), e_jj(-k)] st0 for 0-based colours, as {state: int}; the keys
+    are every state either ordering reaches, cancelled or not."""
+    vec: dict = {}
+    for sign, (c1, k1), (c2, k2) in ((1, (jj, -k), (ii, k)), (-1, (ii, k), (jj, -k))):
+        for x, s1 in e_act(n, c1 + 1, c1 + 1, k1, st0):
+            for y, s2 in e_act(n, c2 + 1, c2 + 1, k2, s1):
+                vec[s2] = vec.get(s2, 0) + sign * x * y
+    return vec
+
+
 def _heisenberg_operator_check(dic: Dictionary, m_check: int = 2, kmax: int = 2) -> dict:
     """Verify the commutation relation of the embedded modes on low-weight
-    lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a."""
+    lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a.
+
+    P_k(a) = sum_ii V[a][ii] e_ii(k) and P_{-k}(b) = sum_jj U[b][jj] e_jj(-k),
+    so on st0 the commutator is sum V[a][ii] U[b][jj] C_ii,jj with
+    C_ii,jj = [e_ii(k), e_jj(-k)] st0 an integer vector.  Each C is computed
+    once per state, each product V U once per k, and the RatFn combination
+    once per (a, b) and integer coefficient vector.  Every state reached
+    through a nonzero V U is checked, and each failing (k, a, b, state) is
+    one witness.
+    """
     n = dic.n
-    npts = n + 1
+    cols = range(n + 1)
     failures = []
     checked = 0
     for k in range(1, kmax + 1):
         U = dic.mode_matrix(k)
         V = dic.annihilation_matrix(k)
+        prods = {
+            (a, b): [((ii, jj), V[a][ii] * U[b][jj])
+                     for ii in cols if V[a][ii] for jj in cols if U[b][jj]]
+            for a in cols for b in cols
+        }
+        expects = {a: RatFn.const(QQ(-k)) * dic.point_euler(a + 1) for a in cols}
+        combos: dict = {}
         for m in range(0, m_check + 1):
             for st0 in weight_basis(n, m):
-                for a in range(npts):
-                    for b in range(npts):
-                        down_up: dict = {}
-                        for jj in range(npts):
-                            u = U[b][jj]
-                            if u.is_zero:
-                                continue
-                            for c1, s1 in e_act(n, jj + 1, jj + 1, -k, st0):
-                                for ii in range(npts):
-                                    v = V[a][ii]
-                                    if v.is_zero:
-                                        continue
-                                    for c2, s2 in e_act(n, ii + 1, ii + 1, k, s1):
-                                        f = u * v * QQ(c1 * c2)
-                                        down_up[s2] = down_up.get(s2, RF_ZERO) + f
-                        up_down: dict = {}
-                        for ii in range(npts):
-                            v = V[a][ii]
-                            if v.is_zero:
-                                continue
-                            for c1, s1 in e_act(n, ii + 1, ii + 1, k, st0):
-                                for jj in range(npts):
-                                    u = U[b][jj]
-                                    if u.is_zero:
-                                        continue
-                                    for c2, s2 in e_act(n, jj + 1, jj + 1, -k, s1):
-                                        f = u * v * QQ(c1 * c2)
-                                        up_down[s2] = up_down.get(s2, RF_ZERO) + f
-                        expect = RF_ZERO
-                        if a == b:
-                            expect = RatFn.const(QQ(-k)) * dic.point_euler(a + 1)
-                        keys = set(down_up) | set(up_down) | {st0}
-                        for s in keys:
-                            got = down_up.get(s, RF_ZERO) - up_down.get(s, RF_ZERO)
-                            want = expect if s == st0 else RF_ZERO
-                            checked += 1
-                            if got != want:
-                                failures.append(
-                                    {"k": k, "a": a, "b": b, "state-weight": m}
-                                )
+                comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0)
+                        for ii in cols for jj in cols}
+                for (a, b), terms in prods.items():
+                    reached = {st0}
+                    for pair, _ in terms:
+                        reached.update(comm[pair])
+                    bad = False
+                    for s in reached:
+                        coeffs = tuple(comm[pair].get(s, 0) for pair, _ in terms)
+                        key = (a, b, coeffs)
+                        got = combos.get(key)
+                        if got is None:
+                            got = RF_ZERO
+                            for (_, f), c in zip(terms, coeffs):
+                                if c:
+                                    got = got + f * c
+                            combos[key] = got
+                        checked += 1
+                        want = expects[a] if s == st0 and a == b else RF_ZERO
+                        bad = bad or got != want
+                    if bad:
+                        failures.append(
+                            {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)}
+                        )
         if failures:
             break
     return {"ok": not failures, "checked": checked, "witnesses": failures[:3]}
@@ -1238,28 +1249,6 @@ def _tau_multiple(v: RatFn):
     return c
 
 
-def _common_denominator(fns) -> tuple:
-    """(nums, d) with fns[k] == nums[k] / d and every nums[k] integral.
-
-    d is the lcm of the denominators, times the integer that clears the
-    coefficient denominators of the numerators.
-    """
-    d = ONE
-    for f in fns:
-        if f and f.den != d:
-            d = d * f.den.exact_div(poly_gcd(d, f.den))
-    nums = [f.num * d.exact_div(f.den) if f else ZERO for f in fns]
-    u = 1
-    for p in nums:
-        for _e, v in p.items():
-            if v.__class__ is not int:
-                u = math.lcm(u, v.denominator)
-    if u != 1:
-        nums = [p * u for p in nums]
-        d = d * u
-    return nums, d
-
-
 class BracketEngine:
     """Matrix elements of the boundary operator between creation words:
     B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
@@ -1340,20 +1329,41 @@ class BracketEngine:
         return B
 
     def bracket(self, bra_vec: dict, ket_vec: dict) -> QSSeries:
-        """Bilinear in point-label word coordinates."""
+        """Bilinear in point-label word coordinates.
+
+        Fraction-free like ``bracket_matrix``: the bra coefficients are put
+        over one common denominator d, the ket coefficients over e, and at
+        each (q, s) monomial the B coefficients that meet there over L, so
+        the coefficient there is sum cb' ck' B' / (d e L), summed over
+        integer polynomials and normalised once.  The q-floor is the least
+        q-floor of the B entries that contribute a term.
+        """
         B = self.bracket_matrix()
-        tot = QSSeries.zero(self.n, self.window)
-        for wb, cb in bra_vec.items():
-            if cb.is_zero:
-                continue
-            for wk, ck in ket_vec.items():
-                if ck.is_zero:
+        bras = [(self.widx[w], c) for w, c in bra_vec.items() if c]
+        kets = [(self.widx[w], c) for w, c in ket_vec.items() if c]
+        a, d = _common_denominator([c for _, c in bras])
+        b, e = _common_denominator([c for _, c in kets])
+        terms: dict = {}  # monomial -> [(cb' ck', B coefficient)]
+        qfloor = None
+        for (wi, _), x in zip(bras, a):
+            for (wj, _), y in zip(kets, b):
+                ser = B[wi][wj]
+                if ser is None or not ser.data:
                     continue
-                ser = B[self.widx[wb]][self.widx[wk]]
-                if ser is None:
-                    continue
-                tot = tot + ser.scale(cb * ck)
-        return tot
+                qfloor = ser.qfloor if qfloor is None else min(qfloor, ser.qfloor)
+                xy = x * y
+                for mon, c in ser.data.items():
+                    terms.setdefault(mon, []).append((xy, c))
+        if qfloor is None:
+            return QSSeries.zero(self.n, self.window)
+        de = d * e
+        data = {}
+        for mon, pairs in terms.items():
+            nums, L = _common_denominator([c for _, c in pairs])
+            num = _dot((xy.items(), p.items()) for (xy, _), p in zip(pairs, nums))
+            if num:
+                data[mon] = RatFn(num, de * L)
+        return QSSeries(self.n, self.window, qfloor, data)
 
 
 def _vacuum_scalar_series(n: int, window: Window, kmax: int) -> QSSeries:

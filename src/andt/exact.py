@@ -1333,6 +1333,15 @@ def macmahon_power(c, window: Window, nvars: int = 0) -> QSSeries:
 
 # Matrices are lists of rows over one field type F, QQ or RatFn.  The kernel
 # uses only what both provide: F(0), F(1), bool(x), 1 / x, *, + and -.
+#
+# Fraction-free invariant of matmul over RatFn: no RatFn is multiplied or
+# added inside the product.  Each row i of A is written over one integral
+# common denominator, a_ik / d_i, and each column j of B over another,
+# b_kj / e_j (_common_denominator), so every a_ik and b_kj has integer
+# coefficients.  The entry sum_k a_ik b_kj is accumulated in Z[t1, t2, t3]
+# with no gcd, and normalised once, as RatFn(sum, d_i e_j), only where it is
+# nonzero.  Canonical forms are unique, so the result is the same as the
+# entry-by-entry RatFn sum.
 
 
 class SingularMatrixError(ZeroDivisionError, ValueError):
@@ -1448,19 +1457,79 @@ def nullspace(rows: list) -> list | None:
     return vec
 
 
+def _common_denominator(fns) -> tuple:
+    """(nums, d) with fns[k] == nums[k] / d and every nums[k] integral.
+
+    d is the lcm of the denominators, times the integer that clears the
+    coefficient denominators of the numerators.
+    """
+    d = ONE
+    u = 1
+    for f in fns:
+        if f:
+            if f.den != d:
+                d = d * f.den.exact_div(poly_gcd(d, f.den))
+            for v in f.num._d.values():
+                if v.__class__ is not int:
+                    u = _ilcm(u, v.denominator)
+    # d / den is integral (Gauss's lemma: d and den are integer-primitive);
+    # one cofactor per distinct denominator
+    cofactors = {d: u}
+    nums = []
+    for f in fns:
+        if not f:
+            nums.append(ZERO)
+            continue
+        c = cofactors.get(f.den)
+        if c is None:
+            c = cofactors[f.den] = d.exact_div(f.den) * u
+        nums.append(f.num if c.__class__ is int and c == 1 else f.num * c)
+    return nums, (d if u == 1 else d * u)
+
+
+def _dot(pairs) -> TPoly:
+    """sum p * q over pairs of polynomials given as lists of terms, with no
+    gcd and no coefficient normalisation (the coefficients are integers)."""
+    acc: dict = {}
+    for ps, qs in pairs:
+        for (e1, e2, e3), u in ps:
+            for (f1, f2, f3), v in qs:
+                key = (e1 + f1, e2 + f2, e3 + f3)
+                acc[key] = acc.get(key, 0) + u * v
+    return TPoly({key: v for key, v in acc.items() if v}, _trusted=True)
+
+
 def matmul(A: list, B: list) -> list:
-    """The product A . B; zero entries of either factor are skipped."""
+    """The product A . B; zero entries of either factor are skipped.
+
+    Over RatFn the product is fraction-free (see the comment above).
+    """
     if not A:
         return []
-    zero = type(A[0][0])(0)
+    if A[0][0].__class__ is not RatFn:
+        zero = type(A[0][0])(0)
+        out = []
+        for Ar in A:
+            row = [zero] * len(B[0])
+            for f, Bm in zip(Ar, B):
+                if f:
+                    for c, b in enumerate(Bm):
+                        if b:
+                            row[c] = row[c] + f * b
+            out.append(row)
+        return out
+    cols = []
+    for col in zip(*B):
+        nums, e = _common_denominator(col)
+        cols.append(([(k, list(p.items())) for k, p in enumerate(nums) if p], e))
     out = []
     for Ar in A:
-        row = [zero] * len(B[0])
-        for f, Bm in zip(Ar, B):
-            if f:
-                for c, b in enumerate(Bm):
-                    if b:
-                        row[c] = row[c] + f * b
+        nums, d = _common_denominator(Ar)
+        a = {k: list(p.items()) for k, p in enumerate(nums) if p}
+        row = []
+        for bterms, e in cols:
+            num = _dot((a[k], bt) for k, bt in bterms if k in a)
+            row.append(RatFn(num, d * e) if num else RF_ZERO)
         out.append(row)
     return out
 

@@ -1,7 +1,9 @@
 """Dictionary tests at n = 1, m = 2: the calibration report, the Heisenberg
 embedding, the transport inverse, the power-sum change of basis and
 label-basis coordinates; the bracket matrix against the two-stage series
-product at n = 1, 2; the label-target solver on hand-made systems; and the
+product and the bracket against a sum of scaled series at n = 1, 2; the
+Heisenberg check against the single loop it replaced at n = 1, 2, also on
+a perturbed dictionary; the label-target solver on hand-made systems; and the
 divisor operators at an exact specialization against a lattice-state
 assembly at n = 1, 2; the DT/GW change of variables q = -e^{iu} against
 sympy's series.
@@ -9,6 +11,8 @@ sympy's series.
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 1).
 """
+import copy
+
 import pytest
 import sympy
 
@@ -19,19 +23,27 @@ from andt.dictionary import (
     BracketEngine,
     _atom_value,
     _classical_restriction,
+    _heisenberg_operator_check,
     _power_to_monomial_inverse,
     _solve_label_system,
     _specialized_divisor,
     calibrate,
+    fixed_point_vectors,
     gw_change_of_vars,
     heisenberg_embedding_check,
     spectrum_probe,
 )
-from andt.exact import QQ, RF_ONE, RF_ZERO, QRational, RatFn, inverse, matmul, rref
-from andt.fock import fixed_point_basis, omega0_mode_matrices, unit_omega_basis
+from andt.exact import QQ, RF_ONE, RF_ZERO, QRational, QSSeries, RatFn, inverse, matmul, rref
+from andt.fock import (
+    convert_labels,
+    fixed_point_basis,
+    omega0_mode_matrices,
+    unit_omega_basis,
+    weighted_partition_basis,
+)
 from andt.partitions import Partition
 from andt.surface import SurfaceGeometry
-from andt.wedge import omega_plus_terms
+from andt.wedge import e_act, omega_plus_terms, weight_basis
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +140,137 @@ def test_bracket_matrix_matches_two_stage_product(n, m, dic, dic2):
     assert pairs
     for x, y in pairs:
         assert (x.data, x.window, x.qfloor) == (y.data, y.window, y.qfloor)
+
+
+def _reference_bracket(engine, bra_vec, ket_vec):
+    """Reference: the bracket as a running sum of scaled series."""
+    B = engine.bracket_matrix()
+    tot = QSSeries.zero(engine.n, engine.window)
+    for wb, cb in bra_vec.items():
+        if cb.is_zero:
+            continue
+        for wk, ck in ket_vec.items():
+            if ck.is_zero:
+                continue
+            ser = B[engine.widx[wb]][engine.widx[wk]]
+            if ser is not None:
+                tot = tot + ser.scale(cb * ck)
+    return tot
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 1)])
+def test_bracket_matches_sum_of_scaled_series(n, m, dic, dic2):
+    d = {1: dic, 2: dic2}[n]
+    engine = d.engine(m)
+    ob, fb = unit_omega_basis(d.geom), fixed_point_basis(d.geom)
+    words = weighted_partition_basis(m, n + 1)
+    conv = [convert_labels({w: RF_ONE}, ob, fb) for w in words]
+    conv += list(fixed_point_vectors(d.geom, m).values())
+    # the same engine with entries cut at unequal q-floors, so that the
+    # q-floor of a sum is the least one of its terms; a sum with no term
+    # left has no q-support, and the running sum's floor for it depends on
+    # the order of the terms, so only its data and window are compared
+    cut = copy.copy(engine)
+    cut._B = [
+        [None if x is None else QSSeries(
+            n, x.window, x.qfloor + (wi + 2 * wj) % 3,
+            {k: v for k, v in x.data.items() if k[0] >= x.qfloor + (wi + 2 * wj) % 3})
+         for wj, x in enumerate(row)]
+        for wi, row in enumerate(engine.bracket_matrix())
+    ]
+    for eng in (engine, cut):
+        for x in conv:
+            for y in conv:
+                got, want = eng.bracket(x, y), _reference_bracket(eng, x, y)
+                assert (got.data, got.window) == (want.data, want.window)
+                assert got.qfloor == want.qfloor or (eng is cut and not want.data)
+
+
+def _reference_heisenberg(dic, m_check, kmax):
+    """Reference: the Heisenberg check as one loop over (k, state, a, b) that
+    applies e_act and multiplies RatFn for every pair.  Returns ok, checked
+    and every failing (k, a, b, state) in the order found."""
+    n = dic.n
+    npts = n + 1
+    failing = []
+    checked = 0
+    for k in range(1, kmax + 1):
+        U = dic.mode_matrix(k)
+        V = dic.annihilation_matrix(k)
+        for m in range(0, m_check + 1):
+            for st0 in weight_basis(n, m):
+                for a in range(npts):
+                    for b in range(npts):
+                        down_up: dict = {}
+                        for jj in range(npts):
+                            u = U[b][jj]
+                            if u.is_zero:
+                                continue
+                            for c1, s1 in e_act(n, jj + 1, jj + 1, -k, st0):
+                                for ii in range(npts):
+                                    v = V[a][ii]
+                                    if v.is_zero:
+                                        continue
+                                    for c2, s2 in e_act(n, ii + 1, ii + 1, k, s1):
+                                        f = u * v * QQ(c1 * c2)
+                                        down_up[s2] = down_up.get(s2, RF_ZERO) + f
+                        up_down: dict = {}
+                        for ii in range(npts):
+                            v = V[a][ii]
+                            if v.is_zero:
+                                continue
+                            for c1, s1 in e_act(n, ii + 1, ii + 1, k, st0):
+                                for jj in range(npts):
+                                    u = U[b][jj]
+                                    if u.is_zero:
+                                        continue
+                                    for c2, s2 in e_act(n, jj + 1, jj + 1, -k, s1):
+                                        f = u * v * QQ(c1 * c2)
+                                        up_down[s2] = up_down.get(s2, RF_ZERO) + f
+                        expect = RF_ZERO
+                        if a == b:
+                            expect = RatFn.const(QQ(-k)) * dic.point_euler(a + 1)
+                        for s in set(down_up) | set(up_down) | {st0}:
+                            got = down_up.get(s, RF_ZERO) - up_down.get(s, RF_ZERO)
+                            checked += 1
+                            if got != (expect if s == st0 else RF_ZERO):
+                                case = (k, a, b, m, repr(st0))
+                                if case not in failing:
+                                    failing.append(case)
+        if failing:
+            break
+    return not failing, checked, failing
+
+
+def _assert_heisenberg_matches_reference(d, kmax):
+    report = _heisenberg_operator_check(d, kmax=kmax)
+    ok, checked, failing = _reference_heisenberg(d, 2, kmax)
+    assert (report["ok"], report["checked"]) == (ok, checked)
+    assert report["witnesses"] == [
+        {"k": k, "a": a, "b": b, "state-weight": m, "state": st} for k, a, b, m, st in failing[:3]
+    ]
+    return report
+
+
+@pytest.mark.parametrize("kmax", [2, 3])
+@pytest.mark.parametrize("n", [1, 2])
+def test_heisenberg_check_matches_reference_loop(n, kmax, dic, dic2):
+    report = _assert_heisenberg_matches_reference({1: dic, 2: dic2}[n], kmax)
+    assert report["ok"]
+    assert report["checked"] == {(1, 2): 125, (1, 3): 157, (2, 2): 810, (2, 3): 927}[(n, kmax)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
+    bad = copy.copy({1: dic, 2: dic2}[n])
+    V = [list(row) for row in bad.annihilation_matrix(1)]
+    jj = next(j for j, v in enumerate(V[0]) if v)
+    V[0][jj] = V[0][jj] * 2
+    bad._annihilation_cache = {1: V}
+    report = _assert_heisenberg_matches_reference(bad, 3)
+    assert not report["ok"]
+    ws = report["witnesses"]
+    assert ws and len({(w["k"], w["a"], w["b"], w["state"]) for w in ws}) == len(ws)
 
 
 def _full_rref_solution(rows, ncols):

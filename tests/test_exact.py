@@ -922,6 +922,55 @@ def test_solve_and_inverse_round_trip_over_ratfn(mat):
     assert matmul(mat, solve(mat, rhs)) == rhs
 
 
+# denominators that several entries share, and linear forms drawn freshly
+_SHARED_DENS = (ONE, T1, TAU, T1 * (T1 - T2), (T2 + T3) * TAU, 3 * T1 + 2 * T3)
+_unrelated_dens = st.tuples(*[st.integers(-3, 3)] * 3).filter(any).map(
+    lambda c: c[0] * T1 + c[1] * T2 + c[2] * T3
+)
+
+
+@st.composite
+def _matmul_entries(draw):
+    kind = draw(st.sampled_from(["zero", "const", "shared", "unrelated"]))
+    if kind == "zero":
+        return RF_ZERO
+    if kind == "const":
+        return RatFn.const(draw(qcoeffs))
+    den = draw(st.sampled_from(_SHARED_DENS) if kind == "shared" else _unrelated_dens)
+    return RatFn(draw(qpolys(max_terms=3)), den)
+
+
+def _matmul_matrices(nr, nc):
+    row = st.lists(_matmul_entries(), min_size=nc, max_size=nc)
+    zero_row = st.just([RF_ZERO] * nc)
+    return st.lists(st.one_of(row, zero_row), min_size=nr, max_size=nr)
+
+
+def _naive_matmul(A, B):
+    """Reference: every entry as a running RatFn sum of RatFn products."""
+    out = []
+    for Ar in A:
+        row = []
+        for j in range(len(B[0])):
+            tot = RF_ZERO
+            for k, f in enumerate(Ar):
+                tot = tot + f * B[k][j]
+            row.append(tot)
+        out.append(row)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*[st.integers(1, 4)] * 3).flatmap(
+    lambda s: st.tuples(_matmul_matrices(s[0], s[1]), _matmul_matrices(s[1], s[2]))
+))
+def test_ratfn_matmul_matches_naive_product(AB):
+    A, B = AB
+    got = matmul(A, B)
+    assert got == _naive_matmul(A, B)
+    assert all(_is_canonical(x) for row in got for x in row)
+
+
 def test_singular_matrix_error_is_value_and_zero_division_error():
     singular = [[RatFn(T1), RatFn(T2)], [RatFn(T1 * T3), RatFn(T2 * T3)]]
     for exc in (SingularMatrixError, ValueError, ZeroDivisionError):
