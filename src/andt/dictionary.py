@@ -3,9 +3,10 @@ Hilbert schemes.
 
 Provides fixed-point classes with exact tangent-Euler norms, the calibrated
 Heisenberg embedding (per-mode color-mixing matrices solved from structural
-constraints, never assumed), boundary-operator matrix elements in either
-basis, divisor operators with their classical parts, cap/tube/three-point
-series, exact rationality certificates, and seeded spectral probes.
+constraints, never assumed), boundary-operator matrix elements between
+creation words or fixed-point classes (``BracketEngine``), divisor operators
+with their classical parts, cap/tube/three-point series, exact rationality
+certificates, and seeded spectral probes.
 
 Calibration is staged: first the per-atom coefficient matrices of the
 boundary operator are pinned in the label basis (unit-padding recursion plus
@@ -47,6 +48,7 @@ from .exact import (
     rational_reconstruct_q,
     rref,
     solve,
+    theta_vacuum_logatoms,
 )
 from .fock import (
     WeightedPartition,
@@ -68,18 +70,15 @@ from .wedge import (
 )
 
 __all__ = [
-    "FixedPointClass",
     "Dictionary",
     "DivisorOp",
     "OperatorMatrix",
     "CalibrationError",
     "hilb_tangent_euler",
-    "fixed_point_class",
     "chart_point_classes",
     "fixed_point_vectors",
     "calibrate",
     "BracketEngine",
-    "theta_element",
     "interval_channel",
     "interval_corner_constant",
     "factorization_check",
@@ -172,19 +171,6 @@ def hilb_tangent_euler(rho, geom: SurfaceGeometry) -> RatFn:
         if lam.size:
             e = e * _arm_leg_product(lam, RatFn(geom.wL(k)), RatFn(geom.wR(k)))
     return e
-
-
-@dataclass(frozen=True)
-class FixedPointClass:
-    """A torus-fixed point of the Hilbert scheme with its tangent Euler class."""
-
-    rho: MultiPartition
-    euler: RatFn
-
-
-def fixed_point_class(rho, geom: SurfaceGeometry) -> FixedPointClass:
-    mp = _as_multipartition(rho, geom.npoints)
-    return FixedPointClass(mp, hilb_tangent_euler(mp, geom))
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +335,16 @@ def _unit_word(mu) -> WeightedPartition:
     return WeightedPartition(tuple((p, 0) for p in mu))
 
 
+# the points (t1, t2) = (t, -t) at which each label-target condition is sampled
+_LABEL_SAMPLES = (2, 3, 5, 7, 11, 13)
+
+
 class _AtomTargets:
     """Coefficient matrices N_at of the boundary operator per log atom.
 
     In the unit/omega label basis:
         bracket(w1, w2) = tau * sum_atoms N_at[w1][w2] * atom_series
-                          + pairing(w1, w2) * tau * (fiber scalar sum).
+                          + pairing(w1, w2) * (vacuum scalar series).
     Entries with a unit part reduce by factorization; pure-omega entries are
     rational unknowns solved from corner values and channel vanishing, then
     re-verified symbolically.
@@ -383,7 +373,7 @@ class _AtomTargets:
             out[mp] = convert_labels(vec, self.fb, self.ob)
         return out
 
-    def solve(self, m: int, samples=(2, 3, 5, 7, 11, 13)) -> dict:
+    def solve(self, m: int) -> dict:
         if m in self.solved:
             return self.solved[m]
         for mm in range(1, m):
@@ -425,38 +415,11 @@ class _AtomTargets:
         mps = list(jl.keys())
         conds = []
         cm = interval_corner_constant(n, m)
-
-        def mp_single(ch0, lam):
-            comp = [()] * (n + 1)
-            comp[ch0] = lam
-            return MultiPartition(comp)
-
-        def mp_two(ch0, lam, ch1, lam2):
-            comp = [()] * (n + 1)
-            comp[ch0] = lam
-            if lam2:
-                comp[ch1] = lam2
-            return MultiPartition(comp)
-
         for (ch, k, _mat) in atoms:
             i, j = ch
             tgt: dict = {}
-            if m == 1:
-                d1_bra = mp_single(i - 1, (1,))
-                d1_ket = mp_single(j - 1, (1,))
-                d2_bra, d2_ket = d1_bra, d1_ket
-            else:
-                d1_bra = mp_single(i - 1, (m,))
-                d1_ket = mp_two(i - 1, (m - 1,), j - 1, (1,))
-                d2_bra = mp_single(i - 1, (1,) * m)
-                d2_ket = mp_two(i - 1, (1,) * (m - 1), j - 1, (1,))
-            tgt[(d1_bra, d1_ket)] = cm if k == m - 1 else RF_ZERO
-            tgt[(d1_ket, d1_bra)] = cm if k == m - 1 else RF_ZERO
-            t2v = cm if k == -(m - 1) else RF_ZERO
-            if m == 1 and (d2_bra, d2_ket) in tgt:
-                t2v = tgt[(d2_bra, d2_ket)]  # same pair at weight one
-            tgt[(d2_bra, d2_ket)] = t2v
-            tgt[(d2_ket, d2_bra)] = t2v
+            for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
+                tgt[(bra, ket)] = tgt[(ket, bra)] = cm if k == kmode else RF_ZERO
             for la in mps:
                 for eta in mps:
                     if la == eta:
@@ -503,7 +466,7 @@ class _AtomTargets:
             for (desc, gc, const, target) in agroup:
                 red = {gk2: reduce_tau(v) for gk2, v in gc.items()}
                 cred = reduce_tau(const - target)
-                for tv in samples:
+                for tv in _LABEL_SAMPLES:
                     row = [QQ(0)] * na
                     for gk2, v in red.items():
                         row[cidx[gammas[gk2]]] = v.substitute_all(tv, -tv, 0)
@@ -633,41 +596,23 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
     sidx = {s: i for i, s in enumerate(states)}
     words = weighted_partition_basis(m, n + 1)
     ns, nw = len(states), len(words)
-    npts = n + 1
 
-    def columns(lab_cols):
-        """range of colors an unknown row may feed (diagonal pins lab -> lab)"""
-        return (lab_cols,) if diagonal_only else tuple(range(npts))
-
+    # known columns carry constants; a word holding the top mode holds it
+    # alone, and its column is linear in the unknown row U_m[lab], which the
+    # diagonal ansatz restricts to colour lab
     T = [[_Affine() for _ in range(nw)] for _ in range(ns)]
+    sign = QQ(-1) if m % 2 else QQ(1)
     for wi, w in enumerate(words):
-        vec = {vacuum(n): _Affine(const=RF_ONE)}
-        for (part, lab) in w.pairs:
-            if part < m:
-                Uk = U_known[part]
-                nxt: dict = {}
-                for st, av in vec.items():
-                    for jj in range(npts):
-                        u = Uk[lab][jj]
-                        if u.is_zero:
-                            continue
-                        for c2, s2 in e_act(n, jj + 1, jj + 1, -part, st):
-                            add = av.scale(u * QQ(c2, part))
-                            cur = nxt.get(s2)
-                            nxt[s2] = add if cur is None else cur.add(add)
-                vec = nxt
-            else:
-                # the top mode occurs alone in a weight-m word
-                vec = {}
-                for jj in columns(lab):
-                    for c2, s2 in e_act(n, jj + 1, jj + 1, -part, vacuum(n)):
-                        cur = vec.setdefault(s2, _Affine())
-                        vec[s2] = cur.add(
-                            _Affine(coeffs={(lab, jj): RatFn.const(QQ(c2, part))})
-                        )
-        sign = QQ(-1) if m % 2 else QQ(1)
-        for s, av in vec.items():
-            T[sidx[s]][wi] = av.scale(RatFn.const(sign))
+        part, lab = w.pairs[0]
+        if part < m:
+            for s, c in _word_state_vector(n, w, U_known).items():
+                T[sidx[s]][wi] = _Affine(const=c)
+            continue
+        for jj in (lab,) if diagonal_only else range(n + 1):
+            for c2, s2 in e_act(n, jj + 1, jj + 1, -m, vacuum(n)):
+                T[sidx[s2]][wi] = T[sidx[s2]][wi].add(
+                    _Affine(coeffs={(lab, jj): RatFn.const(QQ(c2, m) * sign)})
+                )
 
     Lhat = _label_to_point_matrix(geom, words)
     Lhinv = inverse(Lhat)
@@ -737,6 +682,28 @@ def _materialize_mode(n, sol, nulls, coeffs) -> list:
     return U
 
 
+def _word_state_vector(n: int, word: WeightedPartition, modes: dict) -> dict:
+    """{state: RatFn}: the creation word applied to the vacuum through the
+    embedded modes, each part p with label l acting as
+    sum_j modes[p][l][j] e_jj(-p) / p, times the sign (-1)^weight."""
+    vec = {vacuum(n): RF_ONE}
+    for (part, lab) in word.pairs:
+        Uk = modes[part]
+        nxt: dict = {}
+        for st, coef in vec.items():
+            for j in range(1, n + 2):
+                u = Uk[lab][j - 1]
+                if u.is_zero:
+                    continue
+                for c2, s2 in e_act(n, j, j, -part, st):
+                    add = coef * u * QQ(c2, part)
+                    prev = nxt.get(s2)
+                    nxt[s2] = add if prev is None else prev + add
+        vec = {s: c for s, c in nxt.items() if not c.is_zero}
+    sign = QQ(-1) if word.weight % 2 else QQ(1)
+    return {s: c * sign for s, c in vec.items()}
+
+
 def _transport_matrix(n: int, m: int, modes: dict):
     """Matrix of creation-word vectors in lattice-state coordinates."""
     states = weight_basis(n, m)
@@ -744,23 +711,8 @@ def _transport_matrix(n: int, m: int, modes: dict):
     words = weighted_partition_basis(m, n + 1)
     T = [[RF_ZERO] * len(words) for _ in states]
     for wi, w in enumerate(words):
-        vec = {vacuum(n): RF_ONE}
-        for (part, lab) in w.pairs:
-            Uk = modes[part]
-            nxt: dict = {}
-            for st, coef in vec.items():
-                for j in range(1, n + 2):
-                    u = Uk[lab][j - 1]
-                    if u.is_zero:
-                        continue
-                    for c2, s2 in e_act(n, j, j, -part, st):
-                        add = coef * u * QQ(c2, part)
-                        prev = nxt.get(s2)
-                        nxt[s2] = add if prev is None else prev + add
-            vec = {s: c for s, c in nxt.items() if not c.is_zero}
-        sign = QQ(-1) if m % 2 else QQ(1)
-        for s, c in vec.items():
-            T[sidx[s]][wi] = c * sign
+        for s, c in _word_state_vector(n, w, modes).items():
+            T[sidx[s]][wi] = c
     return T, states, words
 
 
@@ -963,15 +915,12 @@ class Dictionary:
         mats = self._fp_mats(m)
         return mats["C"], mats["Cinv"], mats["mps"]
 
-    def engine(self, m: int, window: Window | None = None, kmax: int | None = None):
+    def engine(self, m: int, window: Window | None = None):
         window = window or DEFAULT_WINDOW
-        if kmax is None:
-            kmax = max(1, window.qmax)
-        key = (m, window, kmax)
-        hit = self._engine_cache.get(key)
+        hit = self._engine_cache.get((m, window))
         if hit is None:
-            hit = BracketEngine(self, m, window, kmax)
-            self._engine_cache[key] = hit
+            hit = BracketEngine(self, m, window)
+            self._engine_cache[(m, window)] = hit
         return hit
 
 
@@ -1114,26 +1063,23 @@ def _localization_matrix_check(geom: SurfaceGeometry) -> dict:
     return {"ok": not failures, "checked": checked, "witnesses": failures}
 
 
-def calibrate(geom: SurfaceGeometry, m_max: int = 2, ansatz: str = "auto",
-              window: Window | None = None) -> Dictionary:
+def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     """Solve the Heisenberg embedding subject to, in order: (a) the Heisenberg
     relation with the surface pairing; (b) weight-one agreement between the
     word pairing and the transported lattice pairing (invertible basis change
     matching surface localization); (c) the two corner evaluations mod
-    (t1+t2)^2 at weight 2.
+    (t1+t2)^2 at weights 1 and 2, on ``DEFAULT_WINDOW``.
 
     The diagonal ansatz is attempted first; its structured failure is part of
     the returned report.  Raises CalibrationError if every ansatz fails.
     """
     if m_max < 2:
         raise ValueError("calibration needs m_max >= 2")
-    window = window or DEFAULT_WINDOW
     targets = _AtomTargets(geom)
     for m in range(1, m_max + 1):
         targets.solve(m)
-    attempts = ["diagonal", "color-mixing"] if ansatz == "auto" else [ansatz]
     attempt_reports = []
-    for kind in attempts:
+    for kind in ("diagonal", "color-mixing"):
         try:
             modes = _solve_mode_tower(
                 geom, m_max, targets, diagonal_only=(kind == "diagonal")
@@ -1168,14 +1114,8 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2, ansatz: str = "auto",
         )
         heis = _heisenberg_operator_check(dic)
         loc = _localization_matrix_check(geom)
-        corner = corner_evaluation_check(dic, min(2, m_max), window)
-        if m_max >= 2:
-            corner1 = corner_evaluation_check(dic, 1, window)
-            corner = {
-                "ok": corner["ok"] and corner1["ok"],
-                "checked": corner["checked"] + corner1["checked"],
-                "witnesses": corner["witnesses"] + corner1["witnesses"],
-            }
+        corner2 = corner_evaluation_check(dic, 2)
+        corner1 = corner_evaluation_check(dic, 1)
         constraints = [
             {"id": "(a) heisenberg-with-surface-pairing", **heis},
             {
@@ -1184,8 +1124,10 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2, ansatz: str = "auto",
                 "checked": loc["checked"] + norm_check["checked"],
                 "witnesses": loc["witnesses"] + norm_check["witnesses"],
             },
-            {"id": "(c) corner evaluations mod tau^2", "ok": corner["ok"],
-             "checked": corner["checked"], "witnesses": corner["witnesses"]},
+            {"id": "(c) corner evaluations mod tau^2",
+             "ok": corner2["ok"] and corner1["ok"],
+             "checked": corner2["checked"] + corner1["checked"],
+             "witnesses": corner2["witnesses"] + corner1["witnesses"]},
         ]
         ok = all(c["ok"] for c in constraints)
         attempt_reports.append(
@@ -1268,7 +1210,7 @@ class BracketEngine:
     nonzero.
     """
 
-    def __init__(self, dic: Dictionary, m: int, window: Window, kmax: int):
+    def __init__(self, dic: Dictionary, m: int, window: Window):
         self.dic = dic
         self.n = dic.n
         self.m = m
@@ -1277,7 +1219,8 @@ class BracketEngine:
         self.T, self.states, self.words = dic.transport(m)
         self.widx = {w: i for i, w in enumerate(self.words)}
         self.Tinv = dic.transport_inverse(m)
-        th = theta_logatoms(self.n, m, kmax)
+        # the vacuum atoms with k > qmax only touch q-degrees above the window
+        th = theta_logatoms(self.n, m, max(1, window.qmax))
         self.th = {key: atom.expand(window) for key, atom in th.items()}
         self.G = [nak_pairing(w, w, self.basis) for w in self.words]
         self._B = None
@@ -1367,61 +1310,14 @@ class BracketEngine:
 
 
 def _vacuum_scalar_series(n: int, window: Window, kmax: int) -> QSSeries:
-    """tau * sum over intervals of sum_{k>=1} k log(1-(-q)^k s-interval)."""
-    tot = QSSeries.zero(n, window)
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            for kk in range(1, kmax + 1):
-                tot = tot + log_atom_expand(n, window, kk, i, j).scale(
-                    RatFn.const(QQ(kk))
-                )
-    return tot.scale(RatFn(TAU))
+    """tau * sum over intervals of sum_{k=1..kmax} k log(1-(-q)^k s-interval)."""
+    return theta_vacuum_logatoms(n, kmax).expand(window)
 
 
 def _coerce_word(x) -> WeightedPartition:
     if isinstance(x, WeightedPartition):
         return x
     return WeightedPartition(tuple(x))
-
-
-def theta_element(dic: Dictionary, bra, ket, basis: str = "nakajima",
-                  window: Window | None = None) -> QSSeries:
-    """Matrix element of the boundary operator.
-
-    basis: "nakajima" (words labelled in the unit/omega basis),
-    "fixed-point" (words labelled by point classes), or "fixed-point-class"
-    (multipartitions naming fixed-point classes of the Hilbert scheme).
-    """
-    window = window or DEFAULT_WINDOW
-    geom = dic.geom
-    if basis == "fixed-point-class":
-        bra_mp = _as_multipartition(bra, geom.npoints)
-        ket_mp = _as_multipartition(ket, geom.npoints)
-        m = bra_mp.size
-        if ket_mp.size != m:
-            raise ValueError("mismatched total sizes")
-        if m == 0:
-            return _vacuum_scalar_series(dic.n, window, max(1, window.qmax))
-        fpv = fixed_point_vectors(geom, m)
-        return dic.engine(m, window).bracket(fpv[bra_mp], fpv[ket_mp])
-    bra_w = _coerce_word(bra)
-    ket_w = _coerce_word(ket)
-    m = bra_w.weight
-    if ket_w.weight != m:
-        raise ValueError("mismatched total sizes")
-    if m == 0:
-        return _vacuum_scalar_series(dic.n, window, max(1, window.qmax))
-    fb = fixed_point_basis(geom)
-    if basis == "nakajima":
-        ob = unit_omega_basis(geom)
-        bra_vec = convert_labels({bra_w: RF_ONE}, ob, fb)
-        ket_vec = convert_labels({ket_w: RF_ONE}, ob, fb)
-    elif basis == "fixed-point":
-        bra_vec = {bra_w: RF_ONE}
-        ket_vec = {ket_w: RF_ONE}
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    return dic.engine(m, window).bracket(bra_vec, ket_vec)
 
 
 def interval_channel(series: QSSeries, i: int, j: int) -> QSSeries:
@@ -1562,7 +1458,8 @@ def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> di
 
 
 def _corner_pairs(n: int, m: int, i: int, j: int) -> dict:
-    """The two distinguished class pairs of the interval with their mode."""
+    """{(bra, ket): mode} for the two distinguished class pairs of the
+    interval; at weight one both are the same pair, with mode 0."""
 
     def mk(ch0, lam, ch1=None, lam2=None):
         comp = [()] * (n + 1)
@@ -1572,14 +1469,12 @@ def _corner_pairs(n: int, m: int, i: int, j: int) -> dict:
         return MultiPartition(comp)
 
     if m == 1:
-        bra = mk(i - 1, (1,))
-        ket = mk(j - 1, (1,))
-        return {(bra, ket): (0, 0)}  # both displays coincide at weight one
+        return {(mk(i - 1, (1,)), mk(j - 1, (1,))): 0}
     row_bra = mk(i - 1, (m,))
     row_ket = mk(i - 1, (m - 1,), j - 1, (1,))
     col_bra = mk(i - 1, (1,) * m)
     col_ket = mk(i - 1, (1,) * (m - 1), j - 1, (1,))
-    return {(row_bra, row_ket): (m - 1, 0), (col_bra, col_ket): (-(m - 1), 1)}
+    return {(row_bra, row_ket): m - 1, (col_bra, col_ket): -(m - 1)}
 
 
 def corner_evaluation_check(dic: Dictionary, m: int,
@@ -1594,7 +1489,7 @@ def corner_evaluation_check(dic: Dictionary, m: int,
     checked = 0
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            for (bra, ket), (kmode, _which) in _corner_pairs(n, m, i, j).items():
+            for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
                 expect = log_atom_expand(n, window, kmode, i, j).scale(cm)
                 for (x, y) in ((bra, ket), (ket, bra)):
                     ser = engine.bracket(fpv[x], fpv[y])
@@ -1937,12 +1832,10 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
 # ---------------------------------------------------------------------------
 
 
-def cap(mu, geom: SurfaceGeometry, window: Window | None = None,
-        labels: str = "fixed-point") -> QSSeries:
+def cap(mu, geom: SurfaceGeometry, window: Window | None = None) -> QSSeries:
     """One-relative-insertion series over the total space of the line bundle
-    pair: q^m times the product over charts of delta_{all parts 1} / m_i!."""
-    if labels != "fixed-point":
-        raise ValueError("cap labels must be point classes")
+    pair: q^m times the product over charts of delta_{all parts 1} / m_i!.
+    The labels of ``mu`` index point classes."""
     window = window or DEFAULT_WINDOW
     w = _coerce_word(mu)
     m = w.weight
@@ -1961,17 +1854,16 @@ def cap(mu, geom: SurfaceGeometry, window: Window | None = None,
     return QSSeries.monomial(geom.n, window, m, (0,) * geom.n, RatFn.const(coeff))
 
 
-def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None,
-         basis=None) -> QSSeries:
-    """Two-relative-insertion series: q^m times the geometric pairing."""
+def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None) -> QSSeries:
+    """Two-relative-insertion series: q^m times the geometric pairing of
+    unit/omega-labelled words."""
     window = window or DEFAULT_WINDOW
-    basis = basis or unit_omega_basis(geom)
     w1 = _coerce_word(mu)
     w2 = _coerce_word(nu)
     if w1.weight != w2.weight:
         raise ValueError("mismatched total sizes")
     m = w1.weight
-    val = nak_pairing(w1, w2, basis)
+    val = nak_pairing(w1, w2, unit_omega_basis(geom))
     if val.is_zero or not (window.qmin <= m <= window.qmax):
         return QSSeries.zero(geom.n, window)
     return QSSeries.monomial(geom.n, window, m, (0,) * geom.n, val)
@@ -2329,8 +2221,12 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
     return full, corr
 
 
+# specializations tried before spectrum_probe gives up
+_PROBE_ATTEMPTS = 8
+
+
 def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
-                   dic: Dictionary | None = None, retries: int = 8) -> dict:
+                   dic: Dictionary | None = None) -> dict:
     """Square-free test of the characteristic polynomial of the quantum part
     of the doubled-point divisor operator at an exact rational specialization,
     plus commutation evidence for the divisor family.  Evidence, not proof.
@@ -2342,7 +2238,7 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
     n = geom.n
     attempt = 0
     last_err = None
-    while attempt < retries:
+    while attempt < _PROBE_ATTEMPTS:
         rng = random.Random(seed + 1000 * attempt)
         try:
             t1 = QQ(rng.randint(2, 60), rng.randint(1, 7))
@@ -2404,5 +2300,5 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
             last_err = exc
             attempt += 1
     raise RuntimeError(
-        f"no usable specialization after {retries} attempts: {last_err}"
+        f"no usable specialization after {_PROBE_ATTEMPTS} attempts: {last_err}"
     )

@@ -53,9 +53,9 @@ __all__ = [
     "RF_ONE",
     "poly_gcd",
     "log_atom_expand",
+    "theta_vacuum_logatoms",
     "macmahon_power",
     "series_exp",
-    "series_filter_support",
     "rational_reconstruct_q",
     "QRational",
     "SingularMatrixError",
@@ -1145,24 +1145,6 @@ class QSSeries:
     __repr__ = __str__
 
 
-def series_filter_support(series: QSSeries, i: int, j: int) -> QSSeries:
-    """Keep s-monomials supported exactly on the interval [i, j-1].
-
-    "Exactly" means: zero exponents outside positions i..j-1 (1-based) and
-    strictly positive exponents at both endpoints i and j-1.
-    """
-    if not (1 <= i < j <= series.nvars + 1):
-        raise ValueError(f"bad interval [{i},{j}] for {series.nvars} s-variables")
-    lo, hi = i - 1, j - 2  # 0-based endpoint positions
-    out = QSSeries(series.nvars, series.window, series.qfloor)
-    for (qe, se), c in series.data.items():
-        if se[lo] > 0 and se[hi] > 0 and all(
-            e == 0 for p, e in enumerate(se) if p < lo or p > hi
-        ):
-            out.data[(qe, se)] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # log atoms
 # ---------------------------------------------------------------------------
@@ -1283,6 +1265,22 @@ class LogAtomSum:
         return " + ".join(parts) if parts else "0"
 
     __repr__ = __str__
+
+
+def theta_vacuum_logatoms(nvars: int, kmax: int) -> LogAtomSum:
+    """tau * sum_{i<j} sum_{k=1..kmax} k log(1 - (-q)^k s_i...s_{j-1}).
+
+    The scalar vacuum part of the boundary operator, over the nvars + 1
+    points.  Its expansion is exact on any window with qmax <= kmax, since the
+    dropped atoms only touch q-degrees above kmax.
+    """
+    tau = RatFn(TAU)
+    return LogAtomSum(nvars, {
+        (k, i, j): tau * QQ(k)
+        for i in range(1, nvars + 2)
+        for j in range(i + 1, nvars + 2)
+        for k in range(1, kmax + 1)
+    })
 
 
 # ---------------------------------------------------------------------------

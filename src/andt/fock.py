@@ -8,9 +8,9 @@ is
     [p_k(a), p_l(b)] = -k delta_{k+l} <a, b> . id,
 
 negative modes create, positive modes annihilate the vacuum.  The induced
-geometric pairing carries a configurable normalization (default: scale each
-word by prod 1/part, global sign (-1)^m) which is pinned by the weight-one
-anchor: the pairing of single-part words must reduce to the surface pairing.
+geometric pairing scales each word by prod 1/part and carries the global sign
+(-1)^m; that normalization is pinned by the weight-one anchor: the pairing of
+single-part words must reduce to the surface pairing.
 
 The degree-zero dressing operator
 
@@ -18,14 +18,15 @@ The degree-zero dressing operator
                             + sum_i p_{-k}(E_i) p_k(omega_i) ]
              * log((1-(-q)^k)/(1-(-q)))
 
-is assembled here as a matrix of windowed q-series over the weight-m word
-basis; modes with k > m annihilate the space, and the k = 1 series factor
-vanishes, so the mode sum is finite and exact.
+is given here mode by mode: ``omega0_mode_matrices`` returns the rational
+matrix multiplying each series factor over the weight-m word basis.  Modes
+with k > m annihilate the space and the k = 1 series factor vanishes, so the
+mode sum is finite and exact; the divisor operators in ``dictionary`` attach
+the series factors.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -36,8 +37,6 @@ from .exact import (
     RF_ZERO,
     T1,
     T2,
-    Window,
-    log_atom_expand,
     solve,
 )
 from .partitions import partitions_of
@@ -48,7 +47,6 @@ __all__ = [
     "unit_omega_basis",
     "fixed_point_basis",
     "WeightedPartition",
-    "NormalizationConfig",
     "weighted_partition_basis",
     "p_act",
     "p_word_on_vacuum",
@@ -56,7 +54,6 @@ __all__ = [
     "nak_gram",
     "convert_labels",
     "omega0_mode_matrices",
-    "omega0",
 ]
 
 
@@ -219,35 +216,9 @@ def p_word_on_vacuum(parts) -> dict:
     return {WeightedPartition(tuple(parts)): RF_ONE}
 
 
-@dataclass(frozen=True)
-class NormalizationConfig:
-    """Scale/sign convention for the geometric classes of label words."""
-
-    inverse_part_scale: bool = True
-    sign_exponent_per_weight: int = 1  # pairing sign (-1)^(this * m)
-
-    def scale(self, word: WeightedPartition) -> QQ:
-        if not self.inverse_part_scale:
-            return QQ(1)
-        s = QQ(1)
-        for p, _ in word.pairs:
-            s /= p
-        return s
-
-    def pairing_sign(self, m: int) -> int:
-        return -1 if (self.sign_exponent_per_weight * m) % 2 else 1
-
-
-DEFAULT_NORMALIZATION = NormalizationConfig()
-
-
-def nak_pairing(
-    mu: WeightedPartition,
-    nu: WeightedPartition,
-    basis: LabelBasis,
-    config: NormalizationConfig = DEFAULT_NORMALIZATION,
-) -> RatFn:
-    """Geometric pairing of two label words (annihilate-then-read-vacuum)."""
+def nak_pairing(mu: WeightedPartition, nu: WeightedPartition, basis: LabelBasis) -> RatFn:
+    """Geometric pairing of two label words (annihilate-then-read-vacuum),
+    scaled by prod 1/part over both words and by the sign (-1)^m."""
     if mu.weight != nu.weight:
         return RF_ZERO
     vec = {nu: RF_ONE}
@@ -258,22 +229,20 @@ def nak_pairing(
     val = vec.get(VACUUM_WORD, RF_ZERO)
     if val.is_zero:
         return RF_ZERO
-    factor = config.scale(mu) * config.scale(nu) * config.pairing_sign(mu.weight)
+    factor = QQ(-1 if mu.weight % 2 else 1)
+    for p, _ in mu.pairs + nu.pairs:
+        factor /= p
     return val * factor
 
 
-def nak_gram(
-    m: int,
-    basis: LabelBasis,
-    config: NormalizationConfig = DEFAULT_NORMALIZATION,
-) -> dict:
+def nak_gram(m: int, basis: LabelBasis) -> dict:
     words = weighted_partition_basis(m, basis.size)
     out = {}
     for r, mu in enumerate(words):
         for c, nu in enumerate(words):
             if c < r:
                 continue
-            val = nak_pairing(mu, nu, basis, config)
+            val = nak_pairing(mu, nu, basis)
             if not val.is_zero:
                 out[(r, c)] = val
                 if c != r:
@@ -334,25 +303,3 @@ def omega0_mode_matrices(geom: SurfaceGeometry, m: int, basis: LabelBasis) -> di
         if mat:
             out[k] = mat
     return out
-
-
-def omega0(
-    geom: SurfaceGeometry, m: int, window: Window, basis: LabelBasis | None = None
-) -> dict:
-    """Matrix of the degree-zero dressing operator over the weight-m word basis.
-
-    Entries are QSSeries in q alone (s-degree zero), exact on the window.
-    """
-    if basis is None:
-        basis = unit_omega_basis(geom)
-    n = geom.n
-    entries: dict = {}
-    for k, mat in omega0_mode_matrices(geom, m, basis).items():
-        series = log_atom_expand(n, window, k, 0, 1) + log_atom_expand(
-            n, window, 1, 0, 1
-        ).scale(RatFn.const(QQ(-1)))
-        for key, coeff in mat.items():
-            add = series.scale(coeff)
-            cur = entries.get(key)
-            entries[key] = add if cur is None else cur + add
-    return entries

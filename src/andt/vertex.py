@@ -43,7 +43,7 @@ from .exact import (
     TAU,
     Window,
     _interval_skey,
-    log_atom_expand,
+    theta_vacuum_logatoms,
 )
 from .partitions import INF, LegDiagram, Partition, SliceChain
 from .surface import SurfaceGeometry, tangent_wL, tangent_wR
@@ -539,15 +539,7 @@ def vacuum_series(geom: SurfaceGeometry, i: int, j: int, window: Window) -> QSSe
 
 def theta_vacuum_series(geom: SurfaceGeometry, window: Window) -> QSSeries:
     """(t1+t2) * sum over segments of sum_{k>=1} k log(1-(-q)^k s_i...s_{j-1})."""
-    n = geom.npoints - 1
-    total = QSSeries.zero(n, window)
-    tau = RatFn(TAU)
-    for i in range(1, geom.npoints + 1):
-        for j in range(i + 1, geom.npoints + 1):
-            for k in range(1, window.qmax + 1):
-                atom = log_atom_expand(n, window, k, i, j)
-                total = total + atom.scale(tau * QQ(k))
-    return total
+    return theta_vacuum_logatoms(geom.npoints - 1, window.qmax).expand(window)
 
 
 def rigidify_check(geom: SurfaceGeometry, window: Window) -> dict:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import QQ, LogAtomSum, RatFn, TAU
+from .exact import QQ, LogAtomSum, RatFn, TAU, theta_vacuum_logatoms
 from .partitions import MultiPartition, Partition, enumerate_multipartitions
 
 __all__ = [
@@ -28,16 +28,13 @@ __all__ = [
     "vacuum",
     "weight_basis",
     "state_from_multipartition",
-    "multipartition_of_state",
     "e_act",
     "apply_ops",
     "apply_current",
     "normal_pair_matrix",
     "operator_matrix",
     "omega_plus_logatoms",
-    "fiber_log_atoms",
     "theta_logatoms",
-    "omega0_logatoms",
 ]
 
 
@@ -103,12 +100,6 @@ def vacuum(n: int) -> WedgeState:
 
 def state_from_multipartition(mp: MultiPartition) -> WedgeState:
     return WedgeState((0,) * len(mp), tuple(c.parts for c in mp))
-
-
-def multipartition_of_state(state: WedgeState) -> MultiPartition:
-    if any(state.charges):
-        raise ValueError("state carries nonzero color charges")
-    return MultiPartition(state.parts)
 
 
 @lru_cache(maxsize=None)
@@ -338,60 +329,15 @@ def omega_plus_logatoms(n: int, m: int) -> dict:
     return {key: v for key, v in entries.items() if v.atoms or v.remainder}
 
 
-def fiber_log_atoms(n: int, i: int, j: int, kmax: int) -> LogAtomSum:
-    """sum_{k>=0} (k+1) log(1 - (-q)^{k+1} s_i...s_{j-1}), atoms up to k+1 = kmax.
-
-    Exact on any window with qmax <= kmax since the dropped atoms only touch
-    q-degrees above kmax.
-    """
-    return LogAtomSum(
-        n, {(kk, i, j): RatFn.const(kk) for kk in range(1, kmax + 1)}
-    )
-
-
 def theta_logatoms(n: int, m: int, kmax: int) -> dict:
-    """Entries of the boundary operator: (t1+t2) (interaction + sum F * Id)."""
+    """Entries of the boundary operator: (t1+t2) * interaction + vacuum * Id,
+    with the vacuum series ``theta_vacuum_logatoms(n, kmax)``."""
     tau = RatFn(TAU)
     entries = {
         key: atom.scale(tau) for key, atom in omega_plus_logatoms(n, m).items()
     }
-    dim = len(weight_basis(n, m))
-    ftot = LogAtomSum(n)
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            ftot = ftot + fiber_log_atoms(n, i, j, kmax)
-    ftot = ftot.scale(tau)
-    for r in range(dim):
+    ftot = theta_vacuum_logatoms(n, kmax)
+    for r in range(len(weight_basis(n, m))):
         cur = entries.get((r, r))
         entries[(r, r)] = ftot if cur is None else cur + ftot
     return entries
-
-
-def omega0_logatoms(n: int, m: int) -> dict:
-    """Entries of the degree-zero dressing operator on the weight-m basis.
-
-    Reduced form: + sum_{k=1..m} sum_a e_aa(-k) e_aa(k) * [log(1-(-q)^k) -
-    log(1-(-q))], exact because modes with k > m annihilate the space.  The
-    pure-q atoms use the interval sentinel (0, 1).  At m = 1 the only
-    surviving mode is k = 1 whose series factor is log(1) = 0.
-    """
-    entries: dict = {}
-    for k in range(2, m + 1):  # the k = 1 series factor is log(1) = 0
-        entries_k: dict = {}
-        for a in range(1, n + 2):
-            def pair(vec, aa=a, kk=k):
-                mid = apply_ops(n, [(aa, aa, kk)], vec)
-                return apply_ops(n, [(aa, aa, -kk)], mid)
-
-            mat_a = operator_matrix(n, m, pair)
-            for key, val in mat_a.items():
-                entries_k[key] = entries_k.get(key, QQ(0)) + val
-        for key, val in entries_k.items():
-            if not val:
-                continue
-            atom = LogAtomSum(
-                n, {(k, 0, 1): RatFn.const(val), (1, 0, 1): RatFn.const(-val)}
-            )
-            cur = entries.get(key)
-            entries[key] = atom if cur is None else cur + atom
-    return {key: v for key, v in entries.items() if v.atoms or v.remainder}

@@ -20,7 +20,6 @@ import andt.dictionary as dictionary
 import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
-    BracketEngine,
     _atom_value,
     _classical_restriction,
     _heisenberg_operator_check,
@@ -28,22 +27,45 @@ from andt.dictionary import (
     _solve_label_system,
     _specialized_divisor,
     calibrate,
+    cap,
     fixed_point_vectors,
     gw_change_of_vars,
     heisenberg_embedding_check,
     spectrum_probe,
+    three_point,
+    tube,
 )
-from andt.exact import QQ, RF_ONE, RF_ZERO, QRational, QSSeries, RatFn, inverse, matmul, rref
+from andt.exact import (
+    QQ,
+    RF_ONE,
+    RF_ZERO,
+    QRational,
+    QSSeries,
+    RatFn,
+    Window,
+    inverse,
+    matmul,
+    rref,
+)
 from andt.fock import (
+    WeightedPartition,
     convert_labels,
     fixed_point_basis,
+    nak_pairing,
     omega0_mode_matrices,
     unit_omega_basis,
     weighted_partition_basis,
 )
 from andt.partitions import Partition
 from andt.surface import SurfaceGeometry
-from andt.wedge import e_act, omega_plus_terms, weight_basis
+from andt.wedge import (
+    apply_ops,
+    e_act,
+    omega_plus_terms,
+    operator_matrix,
+    theta_logatoms,
+    weight_basis,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,30 +121,33 @@ def test_solvers_are_the_exact_kernel():
     assert dictionary.ratfn_inverse is exact.inverse
 
 
-def _two_stage_bracket_matrix(engine):
-    """Reference: B = G . T^{-1} . Theta . T as series products, Theta . T first."""
-    nw, ns = len(engine.words), len(engine.states)
-    M1 = [[None] * nw for _ in range(ns)]
-    for (r, c), ser in engine.th.items():
-        for wj in range(nw):
-            t = engine.T[c][wj]
-            if t.is_zero:
-                continue
-            add = ser.scale(t)
-            cur = M1[r][wj]
-            M1[r][wj] = add if cur is None else cur + add
+def _two_stage_bracket_matrix(d, m, window):
+    """Reference: B = G . T^{-1} . Theta . T, with Theta expanded here from
+    theta_logatoms(n, m, window.qmax) and the product taken at each (q, s)
+    monomial with exact.matmul, Theta . T first.  The q-floor of an entry is
+    the least q-floor of the Theta entries (r, c) with T^{-1}[wi][r] and
+    T[c][wj] nonzero; an entry with no such (r, c) is None."""
+    T, states, words = d.transport(m)
+    Tinv = d.transport_inverse(m)
+    G = [nak_pairing(w, w, fixed_point_basis(d.geom)) for w in words]
+    th = {key: a.expand(window) for key, a in theta_logatoms(d.n, m, window.qmax).items()}
+    ns, nw = len(states), len(words)
+    data = [[{} for _ in range(nw)] for _ in range(nw)]
+    for mon in {mon for ser in th.values() for mon in ser.data}:
+        Th = [[RF_ZERO] * ns for _ in range(ns)]
+        for (r, c), ser in th.items():
+            Th[r][c] = ser.coeff(*mon)
+        P = matmul(Tinv, matmul(Th, T))
+        for wi in range(nw):
+            for wj in range(nw):
+                if P[wi][wj]:
+                    data[wi][wj][mon] = G[wi] * P[wi][wj]
     B = [[None] * nw for _ in range(nw)]
     for wi in range(nw):
         for wj in range(nw):
-            tot = None
-            for r in range(ns):
-                ser = M1[r][wj]
-                coef = engine.Tinv[wi][r]
-                if ser is None or coef.is_zero:
-                    continue
-                add = ser.scale(coef)
-                tot = add if tot is None else tot + add
-            B[wi][wj] = None if tot is None else tot.scale(engine.G[wi])
+            floors = [ser.qfloor for (r, c), ser in th.items() if Tinv[wi][r] and T[c][wj]]
+            if floors:
+                B[wi][wj] = QSSeries(d.n, window, min(floors), data[wi][wj])
     return B
 
 
@@ -131,15 +156,26 @@ def dic2():
     return calibrate(SurfaceGeometry(2), 2)
 
 
-@pytest.mark.parametrize("n, m", [(1, 1), (1, 2), (2, 1)])
-def test_bracket_matrix_matches_two_stage_product(n, m, dic, dic2):
-    engine = BracketEngine({1: dic, 2: dic2}[n], m, DEFAULT_WINDOW, 3)
-    got, want = engine.bracket_matrix(), _two_stage_bracket_matrix(engine)
+@pytest.mark.parametrize(
+    "n, m, window",
+    [
+        pytest.param(1, 1, DEFAULT_WINDOW, id="1-1"),
+        pytest.param(1, 2, DEFAULT_WINDOW, id="1-2"),
+        pytest.param(2, 1, DEFAULT_WINDOW, id="2-1"),
+        # qmax above DEFAULT_WINDOW's: the q^4 s and q^5 s vacuum terms count
+        pytest.param(1, 1, Window(-3, 5, 2), id="1-1-qmax5"),
+    ],
+)
+def test_bracket_matrix_matches_two_stage_product(n, m, window, dic, dic2):
+    d = {1: dic, 2: dic2}[n]
+    got, want = d.engine(m, window).bracket_matrix(), _two_stage_bracket_matrix(d, m, window)
     assert [[x is None for x in row] for row in got] == [[x is None for x in row] for row in want]
     pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr) if y is not None]
     assert pairs
     for x, y in pairs:
         assert (x.data, x.window, x.qfloor) == (y.data, y.window, y.qfloor)
+    if window.qmax > 3:
+        assert any(q > 3 for y in want[0] if y is not None for (q, _) in y.data)
 
 
 def _reference_bracket(engine, bra_vec, ket_vec):
@@ -381,6 +417,72 @@ def test_spectrum_probe_retries_where_fixed_point_classes_degenerate(dic2):
     report = spectrum_probe(2, SurfaceGeometry(2), 132, dic2)
     assert report["attempts"] == 2
     assert report["dimension"] == 9
+
+
+@pytest.fixture(scope="module")
+def dic13():
+    return calibrate(SurfaceGeometry(1), 3)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 2)])
+def test_omega0_modes_transport_to_the_lattice_dressing_modes(n, m, dic, dic2, dic13):
+    # T . omega0_mode_matrices(k) . T^{-1} = sum_a e_aa(-k) e_aa(k), with T
+    # the transport of point-labelled words into lattice states
+    d = {(1, 2): dic, (1, 3): dic13, (2, 2): dic2}[(n, m)]
+    T, _, words = d.transport(m)
+    modes = omega0_mode_matrices(d.geom, m, fixed_point_basis(d.geom))
+    assert set(modes) == set(range(2, m + 1))
+    for k, mat in modes.items():
+
+        def dressing(vec, k=k):
+            out: dict = {}
+            for a in range(1, n + 2):
+                for st, c in apply_ops(n, [(a, a, -k), (a, a, k)], vec).items():
+                    out[st] = out.get(st, 0) + c
+            return {st: c for st, c in out.items() if c}
+
+        lattice = operator_matrix(n, m, dressing)
+        nw = len(words)
+        M = [[mat.get((r, c), RF_ZERO) for c in range(nw)] for r in range(nw)]
+        want = [[RatFn.const(lattice.get((r, c), 0)) for c in range(nw)] for r in range(nw)]
+        assert any(v for row in want for v in row)
+        assert matmul(matmul(T, M), d.transport_inverse(m)) == want, k
+
+
+def test_cap_is_q_to_the_weight_on_all_ones_words():
+    geom = SurfaceGeometry(2)
+    w = DEFAULT_WINDOW
+    # all parts 1: q^m prod over labels of 1/m_i!
+    ones = WeightedPartition(((1, 0), (1, 0), (1, 2)))
+    assert cap(ones, geom) == QSSeries.monomial(2, w, 3, (0, 0), RatFn.const(QQ(1, 2)))
+    single = WeightedPartition(((1, 1),))
+    assert cap(single, geom, Window(0, 1, 0)) == QSSeries.monomial(
+        2, Window(0, 1, 0), 1, (0, 0), RF_ONE)
+    # a part above 1 gives zero, and so does a weight outside the window
+    assert cap(WeightedPartition(((2, 0), (1, 1))), geom).is_zero
+    assert cap(WeightedPartition(((1, 0),) * 4), geom).is_zero
+    assert cap(single, geom, Window(2, 3, 0)).is_zero
+    # labels index the n + 1 point classes
+    with pytest.raises(ValueError, match="point classes"):
+        cap(WeightedPartition(((1, 3),)), geom)
+
+
+def test_tube_is_q_to_the_weight_times_the_pairing(dic):
+    geom = dic.geom
+    ob = unit_omega_basis(geom)
+    words = weighted_partition_basis(2, geom.npoints)
+    nonzero = 0
+    for mu in words:
+        for nu in words:
+            t = tube(mu, nu, geom)
+            val = nak_pairing(mu, nu, ob)
+            assert (t.window, t.data) == (DEFAULT_WINDOW, {(2, (0,)): val} if val else {})
+            assert three_point(mu, "ones", nu, geom=geom) == t
+            nonzero += bool(val)
+    assert nonzero
+    assert tube(words[0], words[0], geom, Window(-3, 1, 1)).is_zero
+    with pytest.raises(ValueError, match="mismatched"):
+        tube(words[0], WeightedPartition(((1, 0),)), geom)
 
 
 # ---------------------------------------------------------------------------

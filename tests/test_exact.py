@@ -32,7 +32,6 @@ from andt.exact import (
     log_atom_expand,
     macmahon_power,
     series_exp,
-    series_filter_support,
     rational_reconstruct_q,
     rref,
     independent_rows,
@@ -648,23 +647,6 @@ def test_log_atom_sum_expand_and_cancel():
     e = mixed.expand(w)
     assert e.coeff(1, (1, 1)) == RF_ONE
     assert e.coeff(2, (1, 0)) == RatFn(-TAU)
-
-
-def test_filter_support():
-    w = Window(0, 2, 3)
-    a = series_of(3, w, 0, {
-        (0, (1, 1, 0)): 1,   # supported on [1,3), endpoints 1 and 2 nonzero
-        (0, (1, 0, 0)): 2,   # fails: endpoint s2 zero for [1,3]
-        (1, (2, 1, 0)): 3,
-        (0, (1, 1, 1)): 4,   # support exceeds [1,3)
-        (0, (0, 1, 0)): 5,
-    })
-    f = series_filter_support(a, 1, 3)
-    assert set(f.data) == {(0, (1, 1, 0)), (1, (2, 1, 0))}
-    g = series_filter_support(a, 2, 3)
-    assert set(g.data) == {(0, (0, 1, 0))}
-    with pytest.raises(ValueError):
-        series_filter_support(a, 2, 2)
 
 
 # -- exp / MacMahon -------------------------------------------------------------

@@ -4,17 +4,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from andt.exact import QQ, RatFn, RF_ONE, RF_ZERO, T1, T2, Window
+from andt.exact import QQ, RatFn, RF_ONE, RF_ZERO, T1, T2, Window, log_atom_expand
 from andt.fock import (
-    DEFAULT_NORMALIZATION,
-    NormalizationConfig,
     VACUUM_WORD,
     WeightedPartition,
     convert_labels,
     fixed_point_basis,
     nak_gram,
     nak_pairing,
-    omega0,
     omega0_mode_matrices,
     p_act,
     p_word_on_vacuum,
@@ -111,7 +108,7 @@ def test_pairing_weight_one_anchor():
             for j in range(1, n + 1):
                 v = p_act(-1, geom.cls_E(j), {VACUUM_WORD: RF_ONE}, basis)
                 w = p_act(1, geom.cls_omega(i), v, basis)
-                val = w.get(VACUUM_WORD, RF_ZERO) * DEFAULT_NORMALIZATION.pairing_sign(1)
+                val = -w.get(VACUUM_WORD, RF_ZERO)  # pairing sign (-1)^m at m = 1
                 assert val == (RF_ONE if i == j else RF_ZERO)
 
 
@@ -228,26 +225,23 @@ def test_label_coords_roundtrip():
 
 
 def test_omega0_weight_one_is_zero():
+    # k = 1 carries a vanishing series factor and k > m annihilates
     for n in (0, 1, 2):
         geom = SurfaceGeometry(n)
-        w = Window(qmin=0, qmax=8, smax=0)
-        assert omega0(geom, 1, w) == {}
-        assert omega0(geom, 0, w) == {}
+        for basis in (unit_omega_basis(geom), fixed_point_basis(geom)):
+            assert omega0_mode_matrices(geom, 1, basis) == {}
+            assert omega0_mode_matrices(geom, 0, basis) == {}
 
 
 def test_omega0_weight_two_series_is_log_one_minus_q():
     # the only mode is k=2 with series log((1-q^2)/(1+q)) = log(1-q)
     geom = SurfaceGeometry(1)
     w = Window(qmin=0, qmax=8, smax=0)
-    entries = omega0(geom, 2, w)
-    assert entries, "expected a nonzero operator at weight 2"
     modes = omega0_mode_matrices(geom, 2, unit_omega_basis(geom))
-    assert set(modes) == {2}
-    for key, series in entries.items():
-        coeff = modes[2][key]
-        for d in range(1, 9):
-            got = series.coeff(d, (0,))
-            assert got == coeff * QQ(-1, d), (key, d)
+    assert set(modes) == {2} and modes[2]
+    series = log_atom_expand(1, w, 2, 0, 1) - log_atom_expand(1, w, 1, 0, 1)
+    for d in range(1, 9):
+        assert series.coeff(d, (0,)) == RatFn.const(QQ(-1, d)), d
 
 
 def test_omega0_high_modes_annihilate():
@@ -283,15 +277,22 @@ def test_omega0_self_adjoint_for_gram():
                 assert gm.get((c, r), RF_ZERO) == v, (n, m, k, r, c)
 
 
-def test_normalization_config_scale():
-    cfg = NormalizationConfig()
-    word = WeightedPartition(((3, 0), (2, 1), (1, 0)))
-    assert cfg.scale(word) == QQ(1, 6)
-    assert cfg.pairing_sign(word.weight) == 1
-    assert cfg.pairing_sign(3) == -1
-    plain = NormalizationConfig(inverse_part_scale=False, sign_exponent_per_weight=0)
-    assert plain.scale(word) == QQ(1)
-    assert plain.pairing_sign(5) == 1
+def test_pairing_normalization_scale_and_sign():
+    # each word is scaled by prod 1/part and the pairing carries (-1)^m:
+    # <p_k(a) p_{-k}(b)> = -k <a, b> gives (-1)^(k+1) <a, b> / k
+    geom = SurfaceGeometry(1)
+    basis = unit_omega_basis(geom)
+    for k in (1, 2, 3):
+        for a in range(basis.size):
+            for b in range(basis.size):
+                got = nak_pairing(WeightedPartition(((k, a),)), WeightedPartition(((k, b),)), basis)
+                assert got == basis.pairing(a, b) * QQ((-1) ** (k + 1), k), (k, a, b)
+    # two parts: (-2 <a, a>)(-1 <b, b>) / (2 * 1)^2 * (-1)^3
+    mixed = WeightedPartition(((2, 0), (1, 1)))
+    assert nak_pairing(mixed, mixed, basis) == basis.pairing(0, 0) * basis.pairing(1, 1) * QQ(-1, 2)
+    # a repeated part: 2 <a, a>^2, scale 1, sign +1
+    twice = WeightedPartition(((1, 1), (1, 1)))
+    assert nak_pairing(twice, twice, basis) == basis.pairing(1, 1) ** 2 * QQ(2)
 
 
 def test_p_word_on_vacuum():

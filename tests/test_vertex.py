@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import andt.vertex as vertex
+from andt.dictionary import _vacuum_scalar_series
 from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window, _interval_skey
 from andt.partitions import INF, LegDiagram, Partition, SliceChain, partitions_of
 from andt.surface import SurfaceGeometry
+from andt.wedge import theta_logatoms
 from andt.vertex import (
     BoxConfig,
     EdgePolynomial,
@@ -392,6 +394,18 @@ def test_theta_vacuum_series_leading_terms():
     assert th.coeff(1, (1,)) == TAU_RF
     assert th.coeff(2, (1,)) == TAU_RF * QQ(-2)
     assert th.coeff(2, (2,)) == TAU_RF * QQ(-1, 2)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_one_vacuum_series_in_vertex_dictionary_and_wedge(n):
+    # the scalar vacuum part of the boundary operator, read three ways
+    w = Window(-2, 6, 3)
+    kmax = max(1, w.qmax)
+    via_vertex = theta_vacuum_series(SurfaceGeometry(n), w)
+    via_dictionary = _vacuum_scalar_series(n, w, kmax)
+    via_wedge = theta_logatoms(n, 0, kmax)[(0, 0)].expand(w)
+    assert via_vertex.data == via_dictionary.data == via_wedge.data
+    assert bool(via_vertex.data) == (n > 0)
 
 
 def test_rigidify_check_small_windows():

@@ -10,16 +10,14 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from andt.exact import QQ, Window
+from andt.exact import QQ, TAU, RatFn, Window, log_atom_expand, theta_vacuum_logatoms
 from andt.partitions import enumerate_multipartitions
 from andt.wedge import (
     WedgeState,
     apply_current,
     apply_ops,
     e_act,
-    fiber_log_atoms,
     normal_pair_matrix,
-    omega0_logatoms,
     omega_plus_logatoms,
     operator_matrix,
     state_from_multipartition,
@@ -309,12 +307,12 @@ def test_normal_pair_symmetric_on_basis():
 
 def test_fiber_expansion_low_coefficients():
     w = Window(qmin=0, qmax=4, smax=2)
-    f = fiber_log_atoms(1, 1, 2, 4).expand(w)
-    one = QQ(1)
-    assert f.coeff(1, (1,)).substitute_all(one, one) == QQ(1)
-    assert f.coeff(2, (1,)).substitute_all(one, one) == QQ(-2)
-    assert f.coeff(2, (2,)).substitute_all(one, one) == QQ(-1, 2)
-    assert f.coeff(3, (1,)).substitute_all(one, one) == QQ(3)
+    f = theta_vacuum_logatoms(1, 4).expand(w)
+    tau = RatFn(TAU)
+    assert f.coeff(1, (1,)) == tau * QQ(1)
+    assert f.coeff(2, (1,)) == tau * QQ(-2)
+    assert f.coeff(2, (2,)) == tau * QQ(-1, 2)
+    assert f.coeff(3, (1,)) == tau * QQ(3)
 
 
 def test_theta_vacuum_is_fiber_series():
@@ -329,11 +327,21 @@ def test_theta_vacuum_is_fiber_series():
             assert coeff.valuation_t1pt2() >= 1
 
 
+def _lattice_omega0_mode(n, m, k):
+    """Matrix of sum_a e_aa(-k) e_aa(k) on the weight-m basis."""
+    tot: dict = {}
+    for a in range(1, n + 2):
+        for key, v in operator_matrix(n, m, lambda vec, a=a: apply_ops(n, [(a, a, -k), (a, a, k)], vec)).items():
+            tot[key] = tot.get(key, 0) + v
+    return {key: v for key, v in tot.items() if v}
+
+
 def test_omega0_small_weights():
-    assert omega0_logatoms(1, 0) == {}
-    assert omega0_logatoms(1, 1) == {}
-    assert omega0_logatoms(2, 1) == {}
-    entries = omega0_logatoms(1, 2)
+    # the lattice form of the dressing modes k = 2..m
+    assert _lattice_omega0_mode(1, 0, 2) == {}
+    assert _lattice_omega0_mode(1, 1, 2) == {}
+    assert _lattice_omega0_mode(2, 1, 2) == {}
+    entries = _lattice_omega0_mode(1, 2, 2)
     # ones-blocks on the two pure-color pairs, nothing on the mixed state
     expected_keys = {(r, c) for r in (0, 1) for c in (0, 1)} | {
         (r, c) for r in (3, 4) for c in (3, 4)
@@ -343,21 +351,18 @@ def test_omega0_small_weights():
 
 
 def test_omega0_weight_two_values():
-    # each nonzero entry is log(1 - q^2) - log(1 + q):
-    # q^d coefficient = [-1/(d/2) if d even] + (-1)^d/d
-    entries = omega0_logatoms(1, 2)
+    # the k = 2 mode is 1 on the (0, 0) entry, with series factor
+    # log(1 - q^2) - log(1 + q): q^d coefficient = [-1/(d/2) if d even] + (-1)^d/d
+    assert _lattice_omega0_mode(1, 2, 2)[(0, 0)] == 1
     w = Window(qmin=-8, qmax=8, smax=1)
-    ref = entries[(0, 0)].expand(w)
+    ref = log_atom_expand(1, w, 2, 0, 1) - log_atom_expand(1, w, 1, 0, 1)
     expect = {}
     for d in range(1, 5):
         expect[2 * d] = expect.get(2 * d, QQ(0)) - QQ(1, d)
     for d in range(1, 9):
         expect[d] = expect.get(d, QQ(0)) + QQ((-1) ** d, d)
-    one = QQ(1)
     for d in range(1, 9):
-        got = ref.coeff(d, (0,))
-        want = expect.get(d, QQ(0))
-        assert got.substitute_all(one, one) == want, d
+        assert ref.coeff(d, (0,)) == RatFn.const(expect[d]), d
 
 
 def test_operator_matrix_rejects_nonpreserving():
