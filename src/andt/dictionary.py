@@ -41,6 +41,9 @@ from .exact import (
     WindowError,
     _common_denominator,
     _dot,
+    _fold_numerators,
+    _fold_products,
+    _numerators,
     independent_rows,
     inverse,
     log_atom_expand,
@@ -1701,11 +1704,18 @@ def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
     return hit
 
 
+def _require_solved(dic: Dictionary, m: int) -> None:
+    """Refuse a weight whose modes the dictionary would only extrapolate."""
+    if m > dic.m_max:
+        raise ValueError(f"weight m = {m} exceeds the calibrated range m_max = {dic.m_max}")
+
+
 def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
               dic: Dictionary) -> DivisorOp:
     """Divisor operator: classical multiplication plus the derivative of the
     dressing/interaction data, assembled in the fixed-point class basis."""
     which = _divisor_key(which)
+    _require_solved(dic, m)
     key = (which, m, window)
     hit = dic._divisor_cache.get(key)
     if hit is not None:
@@ -1764,23 +1774,15 @@ def _product_window(window: Window, m: int, factors: int = 2) -> Window:
     return Window(qmin=lo, qmax=hi, smax=window.smax)
 
 
-def _zero_on_window(ser: QSSeries, target: Window) -> bool:
-    """Vanishing of every stored coefficient inside the target window; the
-    series must be exact at least up to the target truncation."""
-    if ser.window.qmax < target.qmax or ser.window.smax < target.smax:
-        raise WindowError("series not known on the whole target window")
-    return not any(
-        target.qmin <= qd <= target.qmax and sum(sk) <= target.smax
-        for (qd, sk) in ser.data
-    )
-
-
 def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                           window: Window | None = None) -> dict:
     """Exact commutation of the doubled-point and i-th curve divisor operators
     on the window, evaluated in lattice-state coordinates where the atom
-    matrices are constant."""
+    matrices are constant.  Each commutator entry is an integer numerator
+    over L_r * G_c, and each entry's sum over the atom series is folded on
+    numerators alone (`exact._fold_numerators`)."""
     window = window or DEFAULT_WINDOW
+    _require_solved(dic, m)
     wide = _product_window(window, m)
     nd = len(dic.fixed_point_state_matrix(m)[0])
     Dcl = _classical_state_matrix(dic, m, "D")
@@ -1794,36 +1796,51 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                 out.append((ser, _atom_state_matrix(dic, m, tag, K)))
         return out
 
-    a_atoms = series_atoms("D")
-    b_atoms = series_atoms(("omega", i))
-    total = [[QSSeries.zero(dic.n, wide) for _ in range(nd)] for _ in range(nd)]
-
-    def add_commutator(ser, X, Y):
-        XY, YX = matmul(X, Y), matmul(Y, X)
-        for r in range(nd):
-            for c in range(nd):
-                v = XY[r][c] - YX[r][c]
-                if not v.is_zero:
-                    total[r][c] = total[r][c] + ser.scale(v)
-
-    cc = matmul(Dcl, Wcl)
-    cc2 = matmul(Wcl, Dcl)
-    const = [[cc[r][c] - cc2[r][c] for c in range(nd)] for r in range(nd)]
-    for ser, K in b_atoms:
-        add_commutator(ser, Dcl, K)
-    for ser, K in a_atoms:
-        add_commutator(ser, K, Wcl)
+    a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
+    terms = [(ser, Dcl, K) for ser, K in b_atoms] + [(ser, K, Wcl) for ser, K in a_atoms]
     for ser_a, Ka in a_atoms:
         for ser_b, Kb in b_atoms:
             prod = ser_a * ser_b
             if not prod.is_zero:
-                add_commutator(prod, Ka, Kb)
-    failures = [
-        {"row": r, "col": c}
-        for r in range(nd)
-        for c in range(nd)
-        if not const[r][c].is_zero or not _zero_on_window(total[r][c], window)
-    ]
+                terms.append((prod, Ka, Kb))
+
+    # row r of every matrix over one denominator L_r, column c over one G_c
+    mats = list({id(M): M for M in (Dcl, Wcl, *(K for _s, K in a_atoms + b_atoms))}.values())
+    at = {id(M): k * nd for k, M in enumerate(mats)}
+    rows = [_common_denominator([v for M in mats for v in M[r]])[0] for r in range(nd)]
+    cols = [_common_denominator([M[j][c] for M in mats for j in range(nd)])[0] for c in range(nd)]
+    rows, cols = ([[list(p.items()) for p in v] for v in vs] for vs in (rows, cols))
+
+    def commutator(X, Y) -> dict:
+        """{(r, c): nonzero numerator of (XY - YX)[r][c] over L_r * G_c}."""
+        x, y = at[id(X)], at[id(Y)]
+        nums = {(r, c): _dot((rows[r][x + j], cols[c][y + j]) for j in range(nd))
+                - _dot((rows[r][y + j], cols[c][x + j]) for j in range(nd))
+                for r in range(nd) for c in range(nd)}
+        return {rc: num for rc, num in nums.items() if num}
+
+    const = commutator(Dcl, Wcl)
+    comms = [commutator(X, Y) for _ser, X, Y in terms]
+    sernums, _S = _numerators([ser for ser, _X, _Y in terms])
+    totals = {
+        (r, c): _fold_numerators(dic.n, wide, [
+            (num, list(num.items()), ser, sn)
+            for (ser, _X, _Y), sn, comm in zip(terms, sernums, comms)
+            if (num := comm.get((r, c))) is not None
+        ])
+        for r in range(nd) for c in range(nd)
+    }
+
+    def vanishes(r, c):
+        tot = totals[(r, c)]
+        if (r, c) in const:
+            return False
+        if tot.window.qmax < window.qmax or tot.window.smax < window.smax:
+            raise WindowError("series not known on the whole target window")
+        return not any(window.qmin <= q <= window.qmax and sum(s) <= window.smax
+                       for q, s in tot.data)
+
+    failures = [{"row": r, "col": c} for r in range(nd) for c in range(nd) if not vanishes(r, c)]
     return {"ok": not failures, "checked": nd * nd, "witnesses": failures[:5]}
 
 
@@ -1911,6 +1928,7 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
         selectors = [_divisor_key(rho)]
     if dic is None:
         raise ValueError("divisor insertions need a calibrated dictionary")
+    _require_solved(dic, m)
     bra, mps = _word_to_class_coords(dic, w1, m)
     ket, _ = _word_to_class_coords(dic, w2, m)
     eul = [hilb_tangent_euler(mp, geom) for mp in mps]
@@ -1926,11 +1944,11 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
     ]
     for sel in reversed(selectors):
         op = m_divisor(sel, m, wide, geom, dic).matrix
-        nxt = [QSSeries.zero(geom.n, wide) for _ in range(nd)]
+        rows: list = [[] for _ in range(nd)]
         for (r, c), ser in op.entries.items():
             if not cols[c].is_zero:
-                nxt[r] = nxt[r] + ser * cols[c]
-        cols = nxt
+                rows[r].append((ser, cols[c]))
+        cols = [_fold_products(geom.n, wide, row) for row in rows]
     data: dict = {}
     qfloor = wide.qmax + m
     for r in range(nd):

@@ -925,12 +925,50 @@ def _skey_ok(s: tuple, nvars: int, smax: int) -> bool:
     return len(s) == nvars and all(e >= 0 for e in s) and sum(s) <= smax
 
 
+def _mul_window(f: "QSSeries", g: "QSSeries") -> tuple:
+    """(window, qfloor, qcut) of f * g, which keeps the terms up to q^qcut and
+    s-degree window.smax; a zero factor gives the intersection, empty."""
+    if f.is_zero or g.is_zero:
+        w = f.window.intersect(g.window)
+        return w, w.qmax, w.qmax
+    if f.qfloor < f.window.qmin or g.qfloor < g.window.qmin:
+        raise WindowError("multiplication operand is not fully known from its exact floor")
+    qfloor = f.qfloor + g.qfloor
+    qcut = min(f.window.qmax + g.qfloor, g.window.qmax + f.qfloor)
+    return Window(qfloor, max(qfloor, qcut), min(f.window.smax, g.window.smax)), qfloor, qcut
+
+
+def _product_terms(fd: Mapping, gd: Mapping, qcut: int, smax: int):
+    """(key, x, y) for each pair of terms x of f and y of g that f * g keeps."""
+    for (q1, s1), x in fd.items():
+        for (q2, s2), y in gd.items():
+            se = tuple(a + b for a, b in zip(s1, s2))
+            if q1 + q2 <= qcut and sum(se) <= smax:
+                yield (q1 + q2, se), x, y
+
+
+def _sum_window(f: "QSSeries", g: "QSSeries") -> tuple:
+    """(window, qfloor) of the sum f + g: an empty operand is dropped whole,
+    otherwise the windows intersect and the lesser floor holds."""
+    if f.is_zero:
+        return g.window, g.qfloor
+    if g.is_zero:
+        return f.window, f.qfloor
+    return f.window.intersect(g.window), min(f.qfloor, g.qfloor)
+
+
 class QSSeries:
     """Series sum c_{N,beta} q^N s^beta with RatFn coefficients.
 
     ``window`` bounds what is stored; ``qfloor`` is a proven lower bound for
     the *exact* q-support, which is what justifies truncated products.  Keys
     are (q exponent, s exponent tuple); coefficients are nonzero RatFn.
+
+    Window rules (`_mul_window`, `_sum_window`): f * g has the window
+    [f.qfloor + g.qfloor, min(f.qmax + g.qfloor, g.qmax + f.qfloor)].  A sum of
+    nonempty series keeps its coefficients on the intersection of the windows,
+    with the lesser q-floor.  An empty operand is dropped whole, window included:
+    a running sum that has emptied takes the next addend's window back.
     """
 
     __slots__ = ("nvars", "window", "qfloor", "data")
@@ -1011,18 +1049,12 @@ class QSSeries:
         if isinstance(other, QSSeries):
             if self.nvars != other.nvars:
                 raise ValueError("mixed s-variable counts")
-            if self.is_zero:
-                return other
-            if other.is_zero:
-                return self
-            w = self.window.intersect(other.window)
-            d = {}
-            for key, c in itertools.chain(self.data.items(), other.data.items()):
-                if key in d:
-                    d[key] = d[key] + c
-                else:
-                    d[key] = c
-            return QSSeries(self.nvars, w, min(self.qfloor, other.qfloor), d)
+            w, qfloor = _sum_window(self, other)
+            d = dict(self.data)
+            for key, c in other.data.items():
+                prev = d.get(key)
+                d[key] = c if prev is None else prev + c
+            return QSSeries(self.nvars, w, qfloor, d)
         return NotImplemented
 
     def __neg__(self):
@@ -1049,39 +1081,12 @@ class QSSeries:
             return self.scale(c)
         if self.nvars != other.nvars:
             raise ValueError("mixed s-variable counts")
-        if self.is_zero or other.is_zero:
-            w = self.window.intersect(other.window)
-            return QSSeries(self.nvars, w, w.qmax, {})
-        for f in (self, other):
-            if f.qfloor < f.window.qmin:
-                raise WindowError(
-                    "multiplication operand is not fully known from its exact floor"
-                )
-        qfloor = self.qfloor + other.qfloor
-        qmax = min(
-            self.window.qmax + other.qfloor, other.window.qmax + self.qfloor
-        )
-        smax = min(self.window.smax, other.window.smax)
-        if qfloor > qmax:
-            return QSSeries(self.nvars, Window(qfloor, qfloor, smax), qfloor, {})
-        w = Window(qfloor, qmax, smax)
+        w, qfloor, qcut = _mul_window(self, other)
         out: dict = {}
-        for (q1, s1), c1 in self.data.items():
-            for (q2, s2), c2 in other.data.items():
-                qe = q1 + q2
-                if qe > qmax:
-                    continue
-                se = tuple(a + b for a, b in zip(s1, s2))
-                if sum(se) > smax:
-                    continue
-                key = (qe, se)
-                prev = out.get(key)
-                term = c1 * c2
-                out[key] = term if prev is None else prev + term
-        out = {k: v for k, v in out.items() if not v.is_zero}
-        res = QSSeries(self.nvars, w, qfloor)
-        res.data = out
-        return res
+        for key, c1, c2 in _product_terms(self.data, other.data, qcut, w.smax):
+            term = c1 * c2
+            out[key] = out[key] + term if key in out else term
+        return QSSeries(self.nvars, w, qfloor, out)
 
     __rmul__ = __mul__
 
@@ -1495,6 +1500,63 @@ def _dot(pairs) -> TPoly:
                 key = (e1 + f1, e2 + f2, e3 + f3)
                 acc[key] = acc.get(key, 0) + u * v
     return TPoly({key: v for key, v in acc.items() if v}, _trusted=True)
+
+
+def _numerators(items: list) -> tuple:
+    """(nums, d): every coefficient of ``items`` over one common denominator d.
+    A series gives {key: numerator terms}, a RatFn scalar its numerator terms."""
+    flat = []
+    for x in items:
+        flat.extend(x.data.values() if isinstance(x, QSSeries) else (x,))
+    nums, d = _common_denominator(flat)
+    it = (list(p.items()) for p in nums)
+    return [{k: next(it) for k in x.data} if isinstance(x, QSSeries) else next(it)
+            for x in items], d
+
+
+def _fold_numerators(nvars: int, window: Window, terms) -> QSSeries:
+    """The left fold acc = acc + a * b from the zero series on ``window``, on
+    numerators (`_numerators`) and with no gcd: terms are (a, an, b, bn), with
+    a a series or else a scalar of numerator an.  With one denominator for every
+    a and one for every b, a coefficient is zero exactly when its numerator is.
+    Windows follow `_mul_window` and `_sum_window`; the data are TPoly."""
+    acc = QSSeries.zero(nvars, window)
+    data = acc.data
+    for a, an, b, bn in terms:
+        if isinstance(a, QSSeries):
+            w, qfloor, qcut = _mul_window(a, b)
+            prod: dict = {}
+            for key, x, y in _product_terms(an, bn, qcut, w.smax):
+                prod.setdefault(key, []).append((x, y))
+            term = QSSeries(nvars, w, qfloor)
+            term.data = {k: num for k, ps in prod.items() if (num := _dot(ps))}
+        else:  # a scalar keeps b's window; zero takes the floor qmax, as in `scale`
+            term = QSSeries(nvars, b.window, b.qfloor if an else b.window.qmax)
+            term.data = {k: _dot([(an, t)]) for k, t in bn.items()} if an else {}
+        w, qfloor = _sum_window(acc, term)
+        lo, hi = max(w.qmin, qfloor), w.qmax
+        for k, num in term.data.items():
+            if num := data.pop(k, ZERO) + num:
+                data[k] = num
+        for k in list(data):
+            if sum(k[1]) > w.smax:
+                raise WindowError(f"bad s-key {k[1]}")
+            if not lo <= k[0] <= hi:
+                del data[k]
+        acc.window, acc.qfloor = w, qfloor
+    return acc
+
+
+def _fold_products(nvars: int, window: Window, pairs) -> QSSeries:
+    """`_fold_numerators` over ``pairs`` (a, b), with each side over one common
+    denominator and each coefficient of the result normalised once."""
+    pairs = [(a if isinstance(a, QSSeries) else _as_ratfn(a), b) for a, b in pairs]
+    an, d = _numerators([a for a, _ in pairs])
+    bn, e = _numerators([b for _, b in pairs])
+    acc = _fold_numerators(nvars, window, ((a, x, b, y) for (a, b), x, y in zip(pairs, an, bn)))
+    den = d * e
+    acc.data = {k: RatFn(num, den) for k, num in acc.data.items()}
+    return acc
 
 
 def matmul(A: list, B: list) -> list:

@@ -5,8 +5,9 @@ product and the bracket against a sum of scaled series at n = 1, 2; the
 Heisenberg check against the single loop it replaced at n = 1, 2, also on
 a perturbed dictionary; the label-target solver on hand-made systems; and the
 divisor operators at an exact specialization against a lattice-state
-assembly at n = 1, 2; the DT/GW change of variables q = -e^{iu} against
-sympy's series.
+assembly at n = 1, 2; the commutation check and the three-point series
+against the running series sums their numerator folds replaced; the DT/GW
+change of variables q = -e^{iu} against sympy's series.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 1).
@@ -28,6 +29,7 @@ from andt.dictionary import (
     _specialized_divisor,
     calibrate,
     cap,
+    divisor_pair_commutes,
     fixed_point_vectors,
     gw_change_of_vars,
     heisenberg_embedding_check,
@@ -447,6 +449,117 @@ def test_omega0_modes_transport_to_the_lattice_dressing_modes(n, m, dic, dic2, d
         want = [[RatFn.const(lattice.get((r, c), 0)) for c in range(nw)] for r in range(nw)]
         assert any(v for row in want for v in row)
         assert matmul(matmul(T, M), d.transport_inverse(m)) == want, k
+
+
+def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
+    """The commutation check as a grid of running QSSeries sums of scaled
+    atom series, each entry tested on the window (the loop that the
+    numerator fold replaced)."""
+    wide = dictionary._product_window(window, m)
+    nd = len(d.fixed_point_state_matrix(m)[0])
+    Dcl = dictionary._classical_state_matrix(d, m, "D")
+    Wcl = dictionary._classical_state_matrix(d, m, ("omega", i))
+
+    def series_atoms(which):
+        out = []
+        for tag, K in dictionary._divisor_atoms(d, m, which):
+            ser = dictionary._atom_series(d, tag, which, wide)
+            if ser is not None:
+                out.append((ser, dictionary._atom_state_matrix(d, m, tag, K)))
+        return out
+
+    a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
+    total = [[QSSeries.zero(d.n, wide) for _ in range(nd)] for _ in range(nd)]
+
+    def add_commutator(ser, X, Y):
+        XY, YX = matmul(X, Y), matmul(Y, X)
+        for r in range(nd):
+            for c in range(nd):
+                v = XY[r][c] - YX[r][c]
+                if not v.is_zero:
+                    total[r][c] = total[r][c] + ser.scale(v)
+
+    cc, cc2 = matmul(Dcl, Wcl), matmul(Wcl, Dcl)
+    for ser, K in b_atoms:
+        add_commutator(ser, Dcl, K)
+    for ser, K in a_atoms:
+        add_commutator(ser, K, Wcl)
+    for ser_a, Ka in a_atoms:
+        for ser_b, Kb in b_atoms:
+            prod = ser_a * ser_b
+            if not prod.is_zero:
+                add_commutator(prod, Ka, Kb)
+
+    def vanishes(r, c):
+        if cc[r][c] != cc2[r][c]:
+            return False
+        ser = total[r][c]
+        assert ser.window.qmax >= window.qmax and ser.window.smax >= window.smax
+        return not any(
+            window.qmin <= qd <= window.qmax and sum(sk) <= window.smax for qd, sk in ser.data
+        )
+
+    failures = [{"row": r, "col": c} for r in range(nd) for c in range(nd) if not vanishes(r, c)]
+    return {"ok": not failures, "checked": nd * nd, "witnesses": failures[:5]}
+
+
+@pytest.mark.parametrize("n, i", [(1, 1), (2, 1), (2, 2)])
+def test_divisor_pair_commutes_matches_the_series_grid(n, i, dic, dic2):
+    d = {1: dic, 2: dic2}[n]
+    got = divisor_pair_commutes(d, 2, i)
+    assert got == _commutation_reference(d, 2, i)
+    assert got["witnesses"]  # still fails at m = 2 (ROADMAP item 2)
+
+
+def _left_fold(nvars, window, pairs):
+    acc = QSSeries.zero(nvars, window)
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+def _as_tuple(ser):
+    return ser.data, ser.window, ser.qfloor
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_three_point_matches_the_series_fold(n, dic, dic2, monkeypatch):
+    # every word pair at n = 1; the pairs (mu, nu0) at n = 2
+    d = {1: dic, 2: dic2}[n]
+    words = weighted_partition_basis(2, n + 1)
+    pairs = [(mu, nu) for mu in words for nu in (words if n == 1 else words[:1])]
+    selectors = ["D", ("omega", 1)] if n == 1 else ["D"]
+    window = Window(-6, 6, 2)
+    got = {
+        (sel, mu, nu): _as_tuple(three_point(mu, sel, nu, window, geom=d.geom, dic=d))
+        for sel in selectors for mu, nu in pairs
+    }
+    monkeypatch.setattr(dictionary, "_fold_products", _left_fold)
+    for (sel, mu, nu), series in got.items():
+        assert series == _as_tuple(three_point(mu, sel, nu, window, geom=d.geom, dic=d))
+    assert any(data for data, _w, _f in got.values())
+
+
+@pytest.mark.xfail(strict=True, raises=exact.WindowError,
+                   reason="sums of products drop coefficients below their window (ROADMAP item 1)")
+def test_three_point_at_weight_three(dic13):
+    words = weighted_partition_basis(3, 2)
+    three_point(words[0], "D", words[1], geom=dic13.geom, dic=dic13)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda d, w: dictionary.m_divisor("D", 3, DEFAULT_WINDOW, d.geom, d),
+                 id="m_divisor"),
+    pytest.param(lambda d, w: divisor_pair_commutes(d, 3, 1), id="divisor_pair_commutes"),
+    pytest.param(lambda d, w: three_point(w[0], "D", w[1], geom=d.geom, dic=d),
+                 id="three_point"),
+])
+def test_weight_above_the_calibrated_range_is_refused(call, dic):
+    d = copy.copy(dic)
+    d._transport_cache = {}
+    with pytest.raises(ValueError, match="m = 3 exceeds the calibrated range m_max = 2"):
+        call(d, weighted_partition_basis(3, 2))
+    assert not d._transport_cache  # refused before any extrapolated mode is used
 
 
 def test_cap_is_q_to_the_weight_on_all_ones_words():

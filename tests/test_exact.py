@@ -585,6 +585,20 @@ def test_series_mul_requires_floor():
         bad * good
 
 
+def test_series_sum_rule_drops_an_empty_operand_with_its_window():
+    # today's rule (QSSeries docstring): a nonempty sum intersects the
+    # windows; a sum that has emptied takes the next addend's window back
+    a = series_of(1, Window(0, 4, 1), 0, {(0, (0,)): 1, (1, (1,)): 2})
+    b = series_of(1, Window(2, 6, 1), 2, {(2, (0,)): 5, (5, (1,)): 1})
+    s = a + b
+    assert (s.window, s.qfloor) == (Window(2, 4, 1), 0)
+    assert s.data == {(2, (0,)): RatFn.const(5)}
+    emptied = s + (-b)
+    assert emptied.is_zero and emptied.window == Window(2, 4, 1)
+    back = emptied + b
+    assert (back.window, back.qfloor, back.data) == (b.window, b.qfloor, b.data)
+
+
 def test_series_smax_truncation():
     w = Window(0, 4, 2)
     a = series_of(1, w, 0, {(0, (1,)): 1})
@@ -960,3 +974,82 @@ def test_singular_matrix_error_is_value_and_zero_division_error():
             inverse(singular)
     with pytest.raises(SingularMatrixError):
         solve([[QQ(0)]], [[QQ(1)]])
+
+
+# -- the fraction-free series fold --------------------------------------------
+
+
+@st.composite
+def _fold_series(draw):
+    """A two-variable series on a drawn window, floor at or above qmin, with
+    entries over shared or unrelated denominators; smax is sometimes 1, so
+    some sums meet an s-key above their window."""
+    smax = draw(st.sampled_from((2, 2, 2, 1)))
+    qmin = draw(st.integers(-2, 0))
+    qmax = qmin + draw(st.integers(1, 4))
+    qfloor = draw(st.integers(qmin, qmax))
+    skeys = st.tuples(st.integers(0, smax), st.integers(0, smax)).filter(lambda t: sum(t) <= smax)
+    keys = st.tuples(st.integers(qfloor, qmax), skeys)
+    data = draw(st.dictionaries(keys, _matmul_entries(), min_size=1, max_size=4))
+    return QSSeries(2, Window(qmin, qmax, smax), qfloor, data)
+
+
+@st.composite
+def _fold_pairs(draw):
+    """(a, b) pairs with a a series or a scalar; a pair may be followed by
+    its negation, which empties a running sum that it started."""
+    scalars = st.one_of(_matmul_entries(), st.integers(-2, 2))
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        a = draw(st.one_of(_fold_series(), scalars))
+        b = draw(_fold_series())
+        pairs.append((a, b))
+        if draw(st.booleans()):
+            pairs.append((-a, b))
+    return pairs
+
+
+def _left_fold(nvars, window, pairs):
+    acc = QSSeries.zero(nvars, window)
+    for a, b in pairs:
+        acc = acc + a * b
+    return acc
+
+
+@settings(max_examples=35, deadline=None)
+@given(_fold_series(), _fold_pairs())
+def test_fold_products_is_the_left_fold(start, pairs):
+    window = start.window
+    try:
+        want = _left_fold(2, window, pairs)
+    except WindowError:
+        with pytest.raises(WindowError):
+            exact_mod._fold_products(2, window, pairs)
+        return
+    got = exact_mod._fold_products(2, window, pairs)
+    assert (got.data, got.window, got.qfloor) == (want.data, want.window, want.qfloor)
+    assert all(_is_canonical(c) for c in got.data.values())
+
+
+def test_fold_products_takes_the_next_window_after_the_sum_empties():
+    a = series_of(1, Window(0, 4, 1), 0, {(0, (0,)): 1, (1, (1,)): 2})
+    b = series_of(1, Window(2, 6, 1), 2, {(2, (0,)): 5, (4, (1,)): 1})
+    one = series_of(1, Window(-1, 6, 1), 0, {(0, (0,)): 1})
+    pairs = [(one, a), (RatFn(T1, TAU), b), (-one, a), (RatFn(-T1, TAU), b), (T2, b)]
+    got = exact_mod._fold_products(1, Window(-1, 6, 1), pairs)
+    want = _left_fold(1, Window(-1, 6, 1), pairs)
+    assert (got.data, got.window, got.qfloor) == (want.data, want.window, want.qfloor)
+    assert got.window == b.window and got.data == {
+        (2, (0,)): RatFn(5 * T2), (4, (1,)): RatFn(T2)}
+
+
+def test_fold_numerators_take_no_gcd(monkeypatch):
+    gcds = []
+    monkeypatch.setattr(exact_mod, "poly_gcd", lambda a, b: gcds.append((a, b)) or ONE)
+    b = series_of(1, Window(0, 4, 1), 0, {(0, (0,)): QQ(1, 2), (1, (1,)): 3})
+    nums, _d = exact_mod._numerators([b])
+    scalar = T1 * T1 - T2
+    acc = exact_mod._fold_numerators(
+        1, b.window, [(scalar, list(scalar.items()), b, nums[0])] * 2)
+    assert not gcds
+    assert acc.data == {(0, (0,)): 2 * scalar, (1, (1,)): 12 * scalar}
