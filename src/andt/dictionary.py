@@ -575,17 +575,18 @@ class _TowerFailure(Exception):
         self.witnesses = witnesses
 
 
-def _label_to_point_matrix(geom: SurfaceGeometry, words) -> list:
-    """Columns: unit/omega-label words written in point-label coordinates."""
+def _point_to_label_matrix(geom: SurfaceGeometry, words) -> list:
+    """Columns: point-label words written in unit/omega-label coordinates
+    (the inverse of the label-to-point change of basis)."""
     ob = unit_omega_basis(geom)
     fb = fixed_point_basis(geom)
     widx = {w: i for i, w in enumerate(words)}
     nw = len(words)
     out = [[RF_ZERO] * nw for _ in range(nw)]
-    for b, wl in enumerate(words):
-        conv = convert_labels({wl: RF_ONE}, ob, fb)
-        for wpt, c in conv.items():
-            out[widx[wpt]][b] = c
+    for b, wpt in enumerate(words):
+        conv = convert_labels({wpt: RF_ONE}, fb, ob)
+        for wl, c in conv.items():
+            out[widx[wl]][b] = c
     return out
 
 
@@ -617,8 +618,7 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
                     _Affine(coeffs={(lab, jj): RatFn.const(QQ(c2, m) * sign)})
                 )
 
-    Lhat = _label_to_point_matrix(geom, words)
-    Lhinv = inverse(Lhat)
+    Lhinv = _point_to_label_matrix(geom, words)
     Lhinv_t = [list(col) for col in zip(*Lhinv)]
     fb = targets.fb
     G = [nak_pairing(w, w, fb) for w in words]
@@ -1366,6 +1366,7 @@ def _word_bracket_table(dic: Dictionary, m: int, window: Window) -> dict:
 def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
     """Unit parts factor out of the bracket exactly:
     <mu(1) A | Theta | nu(1) B> = <mu(1), nu(1)> <A|Theta|B>."""
+    _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     geom = dic.geom
     ob = unit_omega_basis(geom)
@@ -1399,6 +1400,7 @@ def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -
 def tau_linearity_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
     """Pure-omega entries minus the scalar part have coefficients gamma*(t1+t2)
     with gamma rational."""
+    _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     ob = unit_omega_basis(dic.geom)
     Fser = _vacuum_scalar_series(dic.n, window, max(1, window.qmax))
@@ -1429,6 +1431,7 @@ def _fp_bracket_cache(dic: Dictionary, m: int, window: Window):
 def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
     """For distinct fixed-point classes agreeing in size at either endpoint of
     an interval, the interval channel vanishes mod (t1+t2)^2."""
+    _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     engine, fpv = _fp_bracket_cache(dic, m, window)
     mps = list(fpv)
@@ -1484,6 +1487,7 @@ def corner_evaluation_check(dic: Dictionary, m: int,
                             window: Window | None = None) -> dict:
     """Both corner evaluations per interval:
     bracket = (t1+t2) c_m log(1 - (-q)^{+-(m-1)} s_i...s_{j-1}) mod (t1+t2)^2."""
+    _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     engine, fpv = _fp_bracket_cache(dic, m, window)
     n = dic.n
@@ -2253,6 +2257,7 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
 
     if dic is None:
         dic = calibrated_dictionary(geom.n)
+    _require_solved(dic, m)
     n = geom.n
     attempt = 0
     last_err = None

@@ -478,14 +478,39 @@ def weight_minimal(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
     )
 
 
+@lru_cache(maxsize=None)
+def _segment_limit(n: int, d: int, i: int, j: int) -> RatFn:
+    """Fiber limit of t3 times the segment factor (its pole in t3 is simple)."""
+    return (RatFn(T3) * _segment_weight(n, d, i, j)).limit_var_zero(2)
+
+
+@lru_cache(maxsize=None)
+def _end_limit(npoints: int, d: int, extra: int, var: int) -> RatFn:
+    """Fiber limit of the end factor (each level tends to -s w / s w = -1)."""
+    return _end_weight(npoints, d, extra, var).limit_var_zero(2)
+
+
 def insertion_limit(cfg: MinimalConfig, geom: SurfaceGeometry) -> RatFn:
     """Exact fiber-direction limit of the weight times its divisor insertion.
 
-    The insertion contributes d * t3 * (j - i); the product is regular in the
-    fiber variable and the limit is proportional to t1 + t2.
+    The insertion contributes d * t3 * (j - i), and the limit is t3 -> 0.
+    The segment factor has a simple pole in t3, so t3 times it is regular
+    there; both end factors are regular there as they stand.  The limit of
+    a product of factors with finite limits is the product of the limits,
+    so the result is d (j - i) * lim(t3 segment) * lim(left) * lim(right),
+    each limit cached on its factor's key.  A factor with a pole at t3 = 0
+    raises ZeroDivisionError instead of giving a value.  The result is
+    proportional to t1 + t2.
     """
-    factor = RatFn(T3) * QQ(cfg.d * (cfg.j - cfg.i))
-    return (factor * weight_minimal(cfg, geom)).limit_var_zero(2)
+    d, a, b, i, j = cfg.d, cfg.a, cfg.b, cfg.i, cfg.j
+    if j > geom.npoints:
+        raise ValueError(f"interval ({i},{j}) exceeds the chain")
+    return (
+        _segment_limit(geom.n, d, i, j)
+        * _end_limit(geom.npoints, d, a, 0)
+        * _end_limit(geom.npoints, d, b, 1)
+        * QQ(d * (j - i))
+    )
 
 
 # ---------------------------------------------------------------------------

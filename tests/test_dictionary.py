@@ -553,6 +553,12 @@ def test_three_point_at_weight_three(dic13):
     pytest.param(lambda d, w: divisor_pair_commutes(d, 3, 1), id="divisor_pair_commutes"),
     pytest.param(lambda d, w: three_point(w[0], "D", w[1], geom=d.geom, dic=d),
                  id="three_point"),
+    pytest.param(lambda d, w: spectrum_probe(3, d.geom, 1, d), id="spectrum_probe"),
+    pytest.param(lambda d, w: dictionary.vanishing_check(d, 3), id="vanishing_check"),
+    pytest.param(lambda d, w: dictionary.corner_evaluation_check(d, 3),
+                 id="corner_evaluation_check"),
+    pytest.param(lambda d, w: dictionary.factorization_check(d, 3), id="factorization_check"),
+    pytest.param(lambda d, w: dictionary.tau_linearity_check(d, 3), id="tau_linearity_check"),
 ])
 def test_weight_above_the_calibrated_range_is_refused(call, dic):
     d = copy.copy(dic)

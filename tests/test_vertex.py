@@ -286,10 +286,8 @@ def _weight_minimal_single_loop(cfg, geom):
     return weight * QQ(sign)
 
 
-def test_weight_minimal_is_the_single_loop_product():
-    # every (d, a, b, i, j) with chi <= 8 at n <= 2; the factor caches are
-    # keyed on integers, so a fresh geometry reads the same factors
-    chi_max = 8
+def _small_configs(chi_max=8):
+    """Every (geometry, config) with chi <= chi_max at n <= 2."""
     for n in (1, 2):
         geom = SurfaceGeometry(n)
         for i in range(1, n + 1):
@@ -297,10 +295,54 @@ def test_weight_minimal_is_the_single_loop_product():
                 for d in range(1, chi_max + 1):
                     for a in range(chi_max // d):
                         for b in range(chi_max // d - a):
-                            cfg = MinimalConfig(d, a, b, i, j)
-                            want = _weight_minimal_single_loop(cfg, geom)
-                            assert weight_minimal(cfg, geom) == want, (n, cfg)
-                            assert weight_minimal(cfg, SurfaceGeometry(n)) == want, (n, cfg)
+                            yield geom, MinimalConfig(d, a, b, i, j)
+
+
+def test_weight_minimal_is_the_single_loop_product():
+    # the factor caches are keyed on integers, so a fresh geometry reads the
+    # same factors
+    for geom, cfg in _small_configs():
+        want = _weight_minimal_single_loop(cfg, geom)
+        assert weight_minimal(cfg, geom) == want, (geom.n, cfg)
+        assert weight_minimal(cfg, SurfaceGeometry(geom.n)) == want, (geom.n, cfg)
+
+
+def test_insertion_limit_is_the_limit_of_the_whole_product():
+    # the product of the factor limits equals the limit of the product
+    for geom, cfg in _small_configs():
+        insertion = RatFn(T3) * QQ(cfg.d * (cfg.j - cfg.i))
+        want = (insertion * weight_minimal(cfg, geom)).limit_var_zero(2)
+        assert insertion_limit(cfg, geom) == want, (geom.n, cfg)
+
+
+def test_every_end_limit_is_a_sign():
+    # each fiber level of an end stack tends to (-s w) / (s w) = -1
+    for npoints in (2, 3, 4):
+        for d in range(1, 5):
+            for extra in range(4):
+                for var in (0, 1):
+                    got = vertex._end_limit(npoints, d, extra, var)
+                    assert got == RatFn.const((-1) ** (d * extra)), (npoints, d, extra, var)
+
+
+@pytest.mark.parametrize("pole_var", [0, 1])
+def test_an_end_factor_with_a_fiber_pole_raises(monkeypatch, pole_var):
+    # an end factor without a finite limit at t3 = 0 fails loudly, never a value
+    exact_end = vertex._end_weight
+
+    def with_pole(npoints, d, extra, var):
+        w = exact_end(npoints, d, extra, var)
+        return w / RatFn(T3) if var == pole_var else w
+
+    monkeypatch.setattr(vertex, "_end_weight", with_pole)
+    vertex._end_limit.cache_clear()
+    try:
+        with pytest.raises(ZeroDivisionError):
+            insertion_limit(MinimalConfig(2, 1, 0, 1, 2), SurfaceGeometry(1))
+    finally:
+        # the patched factor also fed the recursion of the exact one
+        exact_end.cache_clear()
+        vertex._end_limit.cache_clear()
 
 
 def test_insertion_limit_matches_displayed_value():
