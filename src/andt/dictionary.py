@@ -1172,7 +1172,7 @@ _calibrate_cache: dict = {}
 
 
 def calibrated_dictionary(n: int, m_max: int = 2) -> Dictionary:
-    """Cached calibration entry point keyed by surface rank."""
+    """Cached calibration entry point keyed by (surface rank, m_max)."""
     key = (n, m_max)
     hit = _calibrate_cache.get(key)
     if hit is None:
@@ -1569,7 +1569,9 @@ def _classical_restriction(which, mp: MultiPartition, geom: SurfaceGeometry) -> 
     the curve-class divisors restrict to size times the point restriction.
     No test pins the signs or the box-weight convention yet: there is no
     weight-one cup-product oracle, and the assembled operators do not
-    commute exactly (ROADMAP item 1).
+    commute exactly.  ROADMAP item 2 (a) suspects the "D" branch swaps the
+    box weights (wl*c + wr*r is expected); the fix waits for the operators
+    baselines to be re-recorded.
     """
     if which == "D":
         tot = RF_ZERO
@@ -2007,189 +2009,64 @@ def rationality_certificate(op: OperatorMatrix, sdeg: int, degbound: int) -> dic
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
 class _GaussRF:
-    """a + b*I with rational-function parts and I^2 = -1."""
+    """re + im*I with rational-function parts."""
 
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=RF_ZERO, im=RF_ZERO):
-        self.re = re
-        self.im = im
-
-    @property
-    def is_zero(self):
-        return self.re.is_zero and self.im.is_zero
-
-    def __add__(self, other):
-        return _GaussRF(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other):
-        return _GaussRF(self.re - other.re, self.im - other.im)
-
-    def __mul__(self, other):
-        return _GaussRF(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
-
-    def __neg__(self):
-        return _GaussRF(-self.re, -self.im)
-
-    def inverse(self):
-        d = self.re * self.re + self.im * self.im
-        return _GaussRF(self.re / d, -self.im / d)
-
-    def __eq__(self, other):
-        if isinstance(other, _GaussRF):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
-
-    def __repr__(self):
-        return f"({self.re}) + ({self.im})*I"
-
-
-def _useries_mul(a: dict, b: dict, order: int) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            if e > order:
-                continue
-            v = ca * cb
-            cur = out.get(e)
-            out[e] = v if cur is None else cur + v
-    return {e: c for e, c in out.items() if not c.is_zero}
-
-
-def _useries_inverse(a: dict, order: int) -> dict:
-    v0 = min(a)
-    lead = a[v0]
-    inv0 = lead.inverse()
-    # write a = lead * u^v0 * (1 + r), invert the unit part iteratively
-    r = {e - v0: c * inv0 for e, c in a.items() if e != v0}
-    out = {0: _GaussRF(RF_ONE)}
-    acc = {0: _GaussRF(RF_ONE)}
-    for _ in range(order + 1):
-        acc = _useries_mul(acc, {e: -c for e, c in r.items()}, order)
-        if not acc:
-            break
-        for e, c in acc.items():
-            cur = out.get(e)
-            tot = c if cur is None else cur + c
-            if tot.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = tot
-    return {e - v0: c * inv0 for e, c in out.items()}
-
-
-def _poly_in_z(coeffs) -> list:
-    """Rewrite sum c_r q^r with q = z - 1 as a polynomial in z."""
-    out = [RF_ZERO] * max(len(coeffs), 1)
-    for r, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        # (z - 1)^r
-        for kk in range(r + 1):
-            binom = QQ(math.comb(r, kk) * (-1) ** (r - kk))
-            out[kk] = out[kk] + c * RatFn.const(binom)
-        if r >= len(out):
-            out.extend([RF_ZERO] * (r + 1 - len(out)))
-    # ensure indices up to max degree exist
-    need = max(len(coeffs), 1)
-    while len(out) < need:
-        out.append(RF_ZERO)
-    return out
+    re: RatFn = RF_ZERO
+    im: RatFn = RF_ZERO
 
 
 def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
     """Expand a rational function of q around q = -exp(I*u).
 
-    Returns {u-exponent: coefficient} with Gaussian rational-function
-    coefficients, from the leading pole up to u^order.  A pole at q = -1
-    deeper than the declared pole_order raises.
+    Returns {u-exponent: _GaussRF coefficient} from the leading pole up to
+    u^order.  The expansion is taken in the real variable v = I*u: with
+    q = -e^v, the v^k coefficient of sum c_r q^r is
+    sum_r c_r (-1)^r r^k / k!.  The pole order at q = -1 is
+    v-val(denominator) - v-val(numerator), which is the order in q + 1,
+    since q + 1 = 1 - e^v has valuation 1 in v.  A pole deeper than the
+    declared pole_order raises.  The v-series quotient F is the Laurent
+    division of ``QRational.expand``, and the u^e coefficient is I^e * F_e.
     """
-    num = list(f.num)
-    den = list(f.den)
+    num, den = list(f.num), list(f.den)
     if f.shift >= 0:
-        # fold q^shift into the numerator
-        shifted = [RF_ZERO] * f.shift + num
-        num = shifted
+        num = [RF_ZERO] * f.shift + num
     else:
-        den = [RF_ZERO] * (-f.shift) + den
-        # q^{-s}: multiply denominator by q^s; q = z-1 handled below
-    nz = _poly_in_z(num)
-    dz = _poly_in_z(den)
-
-    def valuation(p):
-        for i, c in enumerate(p):
-            if not c.is_zero:
-                return i
-        return None
-
-    vn = valuation(nz)
-    vd = valuation(dz)
-    if vn is None:
+        den = [RF_ZERO] * -f.shift + den
+    if all(c.is_zero for c in num):
         return {}
-    if vd is None:
+    if all(c.is_zero for c in den):
         raise ZeroDivisionError("zero denominator")
+
+    def taylor(coeffs, k):
+        # the v^k coefficient of sum c_r q^r at q = -e^v
+        tot = RF_ZERO
+        for r, c in enumerate(coeffs):
+            if not c.is_zero:
+                tot = tot + c * QQ((-1) ** r * r**k, math.factorial(k))
+        return tot
+
+    # a nonzero polynomial vanishes at q = -1 to order at most its degree
+    vn = next(k for k in itertools.count() if not taylor(num, k).is_zero)
+    vd = next(k for k in itertools.count() if not taylor(den, k).is_zero)
     pole = vd - vn
     if pole > pole_order:
         raise ValueError(
             f"pole of order {pole} at q = -1; declare it via pole_order"
         )
-    # Laurent series of nz/dz in z to exponent <= prec.  Every product below
-    # is truncated at u^prec, not u^order: zinv starts at u^-1, so each factor
-    # of zinv in z^-k costs one order, and only the output is cut at u^order.
-    prec = order + max(pole, 0)
-    terms = prec + 1
-    lead = dz[vd]
-    inv_lead = lead.inverse()
-    dnorm = [c * inv_lead for c in dz[vd:]]
-    nnorm = [c * inv_lead for c in nz[vn:]]
-    lo = vn - vd
-    coeffs = []
-    for r in range(terms):
-        c = nnorm[r] if r < len(nnorm) else RF_ZERO
-        for s in range(1, min(r, len(dnorm) - 1) + 1):
-            c = c - dnorm[s] * coeffs[r - s]
-        coeffs.append(c)
-    # z = 1 - exp(I u) = -sum_{r>=1} (I u)^r / r!
-    zser: dict = {}
-    ipow = [_GaussRF(RF_ONE), _GaussRF(im=RF_ONE), _GaussRF(-RF_ONE),
-            _GaussRF(im=-RF_ONE)]
-    for r in range(1, prec + 2):
-        c = ipow[r % 4] * _GaussRF(RatFn.const(QQ(-1, math.factorial(r))))
-        if not c.is_zero:
-            zser[r] = c
-    zinv = _useries_inverse(zser, prec + 1)
-    out: dict = {}
-    power_cache = {0: {0: _GaussRF(RF_ONE)}}
-
-    def zpow(j):
-        hit = power_cache.get(j)
-        if hit is not None:
-            return hit
-        if j > 0:
-            hit = _useries_mul(zpow(j - 1), zser, prec)
-        else:
-            hit = _useries_mul(zpow(j + 1), zinv, prec)
-        power_cache[j] = hit
-        return hit
-
-    for r, c in enumerate(coeffs):
-        if c.is_zero:
-            continue
-        cc = _GaussRF(c)
-        for e, g in zpow(lo + r).items():
-            v = g * cc
-            cur = out.get(e)
-            tot = v if cur is None else cur + v
-            if tot.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = tot
-    return {e: c for e, c in out.items() if e <= order}
+    terms = range(max(order + pole, 0) + 1)
+    inv_lead = taylor(den, vd).inverse()
+    quotient = QRational(
+        -pole,
+        tuple(taylor(num, vn + k) * inv_lead for k in terms),
+        tuple(taylor(den, vd + k) * inv_lead for k in terms),
+    )
+    out = {}
+    for e, c in quotient.expand(-pole, order).items():
+        c = -c if e % 4 >= 2 else c
+        out[e] = _GaussRF(im=c) if e % 2 else _GaussRF(c)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -2256,7 +2133,7 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
     import sympy
 
     if dic is None:
-        dic = calibrated_dictionary(geom.n)
+        dic = calibrated_dictionary(geom.n, max(2, m))
     _require_solved(dic, m)
     n = geom.n
     attempt = 0

@@ -7,10 +7,11 @@ a perturbed dictionary; the label-target solver on hand-made systems; and the
 divisor operators at an exact specialization against a lattice-state
 assembly at n = 1, 2; the commutation check and the three-point series
 against the running series sums their numerator folds replaced; the DT/GW
-change of variables q = -e^{iu} against sympy's series.
+change of variables q = -e^{iu} against sympy's series, on constant rationals
+and on the rationality certificate of the divisor operator.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
-reads False at m = 2 (an open defect, ROADMAP item 1).
+reads False at m = 2 (an open defect, ROADMAP item 2).
 """
 import copy
 
@@ -426,6 +427,14 @@ def dic13():
     return calibrate(SurfaceGeometry(1), 3)
 
 
+def test_spectrum_probe_without_a_dictionary_calibrates_to_its_weight(monkeypatch, dic13):
+    # the cached (n, m_max) = (1, 3) dictionary is used; nothing is calibrated
+    monkeypatch.setitem(dictionary._calibrate_cache, (1, 3), dic13)
+    monkeypatch.setattr(dictionary, "calibrate", None)
+    report = spectrum_probe(3, SurfaceGeometry(1), 1)
+    assert (report["m"], report["dimension"]) == (3, 10)
+
+
 @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 2)])
 def test_omega0_modes_transport_to_the_lattice_dressing_modes(n, m, dic, dic2, dic13):
     # T . omega0_mode_matrices(k) . T^{-1} = sum_a e_aa(-k) e_aa(k), with T
@@ -631,6 +640,8 @@ def _gw_values(f, order, pole):
         (2, (1,), (1, 2, 1), 2),  # q^2/(1+q)^2
         (1, (1,), (1, 1), 1),  # q/(1+q)
         (0, (1, 3), (1, 0, 1), 0),  # (1+3q)/(1+q^2), no pole at q = -1
+        (-2, (1, 3), (1, 3, 3, 1), 3),  # q^-2 (1+3q)/(1+q)^3
+        (0, (2, 1), (1, 0, 0, 1), 1),  # (2+q)/(1+q^3)
     ],
 )
 def test_gw_change_of_vars_matches_sympy_series(shift, num, den, pole):
@@ -655,3 +666,47 @@ def test_gw_change_of_vars_inverse_sine_square():
     assert _gw_values(f, 4, 2) == want
     with pytest.raises(ValueError, match="pole of order 2"):
         gw_change_of_vars(f, 4, pole_order=1)
+
+
+def test_gw_change_of_vars_zero_numerator_and_zero_denominator():
+    assert gw_change_of_vars(_qrational(1, (0, 0), (1, 2, 1)), 3, 2) == {}
+    with pytest.raises(ZeroDivisionError):
+        gw_change_of_vars(_qrational(0, (1, 3), (0, 0)), 3, 2)
+
+
+def test_gw_change_of_vars_below_the_leading_term_is_empty():
+    # q/(1+q) starts at u^-1
+    assert gw_change_of_vars(_qrational(1, (1,), (1, 1)), -2, 1) == {}
+
+
+def test_divisor_certificate_through_the_gw_change_of_vars(dic):
+    # M_D at n = 1 -> rational functions in q -> series in u, at a rational
+    # point (t1, t2), against sympy's series of the specialised rational
+    t1, t2 = QQ(7, 3), QQ(-11, 5)
+    op = dictionary.m_divisor("D", 2, Window(-6, 6, 2), dic.geom, dic)
+    cert = dictionary.rationality_certificate(op.matrix, sdeg=1, degbound=2)
+    assert cert["ok"]
+    u = sympy.Symbol("u")
+    q = -sympy.exp(sympy.I * u)
+
+    def at_point(c):
+        v = c.substitute_all(t1, t2)
+        return sympy.Rational(int(v.numerator), int(v.denominator))
+
+    order, pole = 3, 2
+    shifts, starts = set(), set()
+    for rc in [(1, 1), (2, 2), (0, 2)]:
+        f = cert["entries"][rc][(1,)]
+        expr = q**f.shift * sum(at_point(c) * q**r for r, c in enumerate(f.num)) / sum(
+            at_point(c) * q**r for r, c in enumerate(f.den)
+        )
+        ser = sympy.expand(sympy.series(expr, u, 0, order + 1).removeO())
+        want = {e: ser.coeff(u, e) for e in range(-pole, order + 1)}
+        got = {
+            e: at_point(g.re) + sympy.I * at_point(g.im)
+            for e, g in gw_change_of_vars(f, order, pole).items()
+        }
+        assert got == {e: c for e, c in want.items() if c != 0}, rc
+        shifts.add(f.shift)
+        starts.add(min(got))
+    assert shifts == {-1, 1} and 1 in starts
