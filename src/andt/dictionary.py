@@ -236,15 +236,8 @@ def chart_point_classes(geom: SurfaceGeometry, chart: int, m: int) -> dict:
         mu: WeightedPartition(tuple((p, label) for p in mu)) for mu in partitions_of(m)
     }
     gram = {mu: nak_pairing(words[mu], words[mu], basis) for mu in words}
-
-    def zfac(mu):
-        z = 1
-        for p in mu:
-            z *= p
-        return z
-
     # inner product of symmetric-function avatars written in power sums
-    gram_sf = {mu: gram[mu] * QQ(zfac(mu)) ** 2 / sc ** (2 * len(mu)) for mu in gram}
+    gram_sf = {mu: gram[mu] * QQ(math.prod(mu)) ** 2 / sc ** (2 * len(mu)) for mu in gram}
 
     def inner(x, y):
         tot = RF_ZERO
@@ -274,7 +267,7 @@ def chart_point_classes(geom: SurfaceGeometry, chart: int, m: int) -> dict:
     ones = Partition((1,) * m)
     out: dict = {}
     for lam, vec in done.items():
-        wvec = {mu: c * QQ(zfac(mu)) / sc ** len(mu) for mu, c in vec.items()}
+        wvec = {mu: c * QQ(math.prod(mu)) / sc ** len(mu) for mu, c in vec.items()}
         c0 = wvec.get(ones)
         if c0 is None or c0.is_zero:
             raise RuntimeError(f"degenerate leading coefficient for {lam}")
@@ -359,7 +352,6 @@ class _AtomTargets:
         self.ob = unit_omega_basis(geom)
         self.fb = fixed_point_basis(geom)
         self.solved: dict = {}
-        self.info: dict = {}
 
     def atoms(self, m: int) -> list:
         return [((i, j), k, mat) for (i, j, k, mat) in omega_plus_terms(self.n, m)]
@@ -384,35 +376,31 @@ class _AtomTargets:
         n = self.n
         words = weighted_partition_basis(m, n + 1)
         atoms = self.atoms(m)
-        gammas: dict = {}
-
-        def gamma_key(ch, k, w1, w2):
-            a, b = sorted((w1, w2))
-            return (ch, k, a, b)
-
+        gammas: dict = {}  # unknown (ch, k, word pair in sorted order) -> index
+        # the unit pairing and omega-label rests of each word pair, shared
+        # by every atom
+        split = {w: _unit_split(w) for w in words}
+        wpairs = [
+            (w1, w2, self.unit_pair(split[w1][0], split[w2][0]), split[w1][1], split[w2][1])
+            for w1 in words
+            for w2 in words
+        ]
         # affine form of each entry: known constant + optional single unknown
         aff: dict = {}
         for (ch, k, _mat) in atoms:
-            for w1 in words:
-                for w2 in words:
-                    mu, om1 = _unit_split(w1)
-                    nu, om2 = _unit_split(w2)
-                    up = self.unit_pair(mu, nu)
-                    if up.is_zero:
-                        aff[(ch, k, w1, w2)] = (RF_ZERO, {})
-                        continue
-                    m2 = om1.weight
-                    if m2 == 0:
-                        aff[(ch, k, w1, w2)] = (RF_ZERO, {})
-                    elif m2 < m:
-                        sub = self.solved[m2].get((ch, k), {})
-                        val = sub.get((om1, om2), RF_ZERO)
-                        aff[(ch, k, w1, w2)] = (up * val, {})
-                    else:
-                        gk = gamma_key(ch, k, w1, w2)
-                        if gk not in gammas:
-                            gammas[gk] = len(gammas)
-                        aff[(ch, k, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
+            for w1, w2, up, om1, om2 in wpairs:
+                m2 = om1.weight
+                if up.is_zero or m2 == 0:
+                    aff[(ch, k, w1, w2)] = (RF_ZERO, {})
+                elif m2 < m:
+                    sub = self.solved[m2].get((ch, k), {})
+                    val = sub.get((om1, om2), RF_ZERO)
+                    aff[(ch, k, w1, w2)] = (up * val, {})
+                else:
+                    gk = (ch, k, *sorted((w1, w2)))
+                    if gk not in gammas:
+                        gammas[gk] = len(gammas)
+                    aff[(ch, k, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
 
         jl = self.label_class_vectors(m)
         mps = list(jl.keys())
@@ -454,14 +442,11 @@ class _AtomTargets:
         # then verify every condition symbolically
         ng = len(gammas)
         sol = [QQ(0)] * ng
-        free: list = []
-        touched: set = set()
         by_atom: dict = {}
         for cond in conds:
             by_atom.setdefault(cond[0][:2], []).append(cond)
         for agroup in by_atom.values():
             acols = sorted({gammas[gk2] for (_, gc, _, _) in agroup for gk2 in gc})
-            touched.update(acols)
             cidx = {c: i for i, c in enumerate(acols)}
             na = len(acols)
             rows = []
@@ -475,11 +460,9 @@ class _AtomTargets:
                         row[cidx[gammas[gk2]]] = v.substitute_all(tv, -tv, 0)
                     rows.append(row + [-cred.substitute_all(tv, -tv, 0)])
                     meta.append(desc)
-            vals, gfree = _solve_label_system(rows, na, meta, m)
+            vals, _ = _solve_label_system(rows, na, meta, m)
             for col, val in enumerate(vals):
                 sol[acols[col]] = val
-            free.extend(acols[c] for c in gfree)
-        free.extend(sorted(set(range(ng)) - touched - set(free)))
 
         gvals = {gk2: sol[idx] for gk2, idx in gammas.items()}
         for (desc, gc, const, target) in conds:
@@ -492,17 +475,14 @@ class _AtomTargets:
         out: dict = {}
         for (ch, k, _mat) in atoms:
             mat: dict = {}
-            for w1 in words:
-                for w2 in words:
-                    cst, gd = aff[(ch, k, w1, w2)]
-                    val = cst
-                    for gk2, gcf in gd.items():
-                        val = val + gcf * RatFn.const(gvals[gk2])
-                    if not val.is_zero:
-                        mat[(w1, w2)] = val
+            for w1, w2, *_ in wpairs:
+                val, gd = aff[(ch, k, w1, w2)]
+                for gk2, gcf in gd.items():
+                    val = val + gcf * RatFn.const(gvals[gk2])
+                if not val.is_zero:
+                    mat[(w1, w2)] = val
             out[(ch, k)] = mat
         self.solved[m] = out
-        self.info[m] = {"unknowns": ng, "free": len(free)}
         return out
 
 
@@ -545,28 +525,6 @@ def _solve_label_system(rows: list, ncols: int, meta: list, m: int) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-class _Affine:
-    """const + sum coeffs[key] * unknown_key over rational functions."""
-
-    __slots__ = ("const", "coeffs")
-
-    def __init__(self, const=RF_ZERO, coeffs=None):
-        self.const = const
-        self.coeffs = coeffs or {}
-
-    def add(self, other: "_Affine") -> "_Affine":
-        c = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            cur = c.get(k)
-            c[k] = v if cur is None else cur + v
-        return _Affine(self.const + other.const, c)
-
-    def scale(self, f: RatFn) -> "_Affine":
-        if f.is_zero:
-            return _Affine()
-        return _Affine(self.const * f, {k: v * f for k, v in self.coeffs.items()})
-
-
 class _TowerFailure(Exception):
     def __init__(self, level: int, kind: str, witnesses: list):
         super().__init__(f"embedding solve failed at weight {level}: {kind}")
@@ -593,6 +551,17 @@ def _point_to_label_matrix(geom: SurfaceGeometry, words) -> list:
 def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False):
     """Solve for the mode-m matrix given lower modes; linear in its entries.
 
+    The creation words in lattice-state coordinates are T = T0 + sum_u u T_u
+    over the unknowns u = (lab, jj), row lab of U_m (jj = lab alone in the
+    diagonal ansatz).  T0 holds the words of lower modes; T_u holds the
+    constant vector v_jj = (-1)^m e_jj(-m)|0> / m in the column of (m, lab).
+    Per omega-plus term, with boundary matrix M (word coordinates) and
+    lattice matrix K, T M - K T = (T0 M - K T0) + sum_u u (T_u M - K T_u)
+    gives one equation per (state, word) entry not identically zero, in the
+    order (term, state, word), over the sorted unknowns.  T0 M is one
+    fraction-free ``matmul``; T_u M - K T_u = v_jj (x) M[(m, lab)] -
+    (K v_jj) (x) e_(m, lab).
+
     Returns (solution dict, nullspace basis, residual tags).
     """
     geom = targets.geom
@@ -601,54 +570,64 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
     words = weighted_partition_basis(m, n + 1)
     ns, nw = len(states), len(words)
 
-    # known columns carry constants; a word holding the top mode holds it
-    # alone, and its column is linear in the unknown row U_m[lab], which the
-    # diagonal ansatz restricts to colour lab
-    T = [[_Affine() for _ in range(nw)] for _ in range(ns)]
+    T0 = [[RF_ZERO] * nw for _ in range(ns)]
     sign = QQ(-1) if m % 2 else QQ(1)
+    top = {jj: {} for jj in range(n + 1)}  # v_jj as {state index: QQ}
+    for jj, vec in top.items():
+        for c2, s2 in e_act(n, jj + 1, jj + 1, -m, vacuum(n)):
+            vec[sidx[s2]] = vec.get(sidx[s2], 0) + QQ(c2, m) * sign
+    blocks: dict = {}  # u -> (column of the word (m, lab), v_jj)
     for wi, w in enumerate(words):
         part, lab = w.pairs[0]
         if part < m:
             for s, c in _word_state_vector(n, w, U_known).items():
-                T[sidx[s]][wi] = _Affine(const=c)
+                T0[sidx[s]][wi] = c
             continue
         for jj in (lab,) if diagonal_only else range(n + 1):
-            for c2, s2 in e_act(n, jj + 1, jj + 1, -m, vacuum(n)):
-                T[sidx[s2]][wi] = T[sidx[s2]][wi].add(
-                    _Affine(coeffs={(lab, jj): RatFn.const(QQ(c2, m) * sign)})
-                )
+            blocks[(lab, jj)] = (wi, top[jj])
 
+    # M = diag(G)^-1 Lhinv^T N Lhinv, with G the point-word norms
     Lhinv = _point_to_label_matrix(geom, words)
-    Lhinv_t = [list(col) for col in zip(*Lhinv)]
     fb = targets.fb
     G = [nak_pairing(w, w, fb) for w in words]
+    left = [[x / g for x in col] for col, g in zip(zip(*Lhinv), G)]
     eqs = []
     for (i, j, k, kmat) in omega_plus_terms(n, m):
         Nlab = targets.solved[m].get(((i, j), k), {})
         N = [[Nlab.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
-        Npt = matmul(matmul(Lhinv_t, N), Lhinv)
-        M = [[Npt[a][b] / G[a] for b in range(nw)] for a in range(nw)]
+        M = matmul(matmul(left, N), Lhinv)
+        E0 = matmul(T0, M)
+        for (r, c2), kv in kmat.items():
+            for wcol, x in enumerate(T0[c2]):
+                if x:
+                    E0[r][wcol] = E0[r][wcol] - kv * x
+        coeffs: dict = {}  # (st, wcol) -> {u: entry of T_u M - K T_u}
+        for u, (wi, vec) in blocks.items():
+            for st, v in vec.items():
+                for wcol, f in enumerate(M[wi]):
+                    if f:
+                        coeffs.setdefault((st, wcol), {})[u] = f * v
+            kvec: dict = {}
+            for (r, c2), kv in kmat.items():
+                if c2 in vec:
+                    kvec[r] = kvec.get(r, 0) + kv * vec[c2]
+            for r, x in kvec.items():
+                entry = coeffs.setdefault((r, wi), {})
+                entry[u] = entry.get(u, RF_ZERO) - x
         for st in range(ns):
             for wcol in range(nw):
-                acc = _Affine()
-                for c in range(nw):
-                    f = M[c][wcol]
-                    if not f.is_zero:
-                        acc = acc.add(T[st][c].scale(f))
-                for (r, c2), kv in kmat.items():
-                    if r == st:
-                        acc = acc.add(T[c2][wcol].scale(RatFn.const(-QQ(kv))))
-                if acc.coeffs or not acc.const.is_zero:
-                    eqs.append(((i, j, k, st, wcol), acc))
+                cf = {u: v for u, v in coeffs.get((st, wcol), {}).items() if v}
+                if cf or E0[st][wcol]:
+                    eqs.append(((i, j, k, st, wcol), E0[st][wcol], cf))
 
-    unk = sorted({key for (_, a) in eqs for key in a.coeffs})
+    unk = sorted({u for (_, _, cf) in eqs for u in cf})
     uidx = {k2: i for i, k2 in enumerate(unk)}
     nu = len(unk)
     rows = []
     tags = []
-    for tag, a in eqs:
-        row = [RF_ZERO] * nu + [-a.const]
-        for k2, v in a.coeffs.items():
+    for tag, const, cf in eqs:
+        row = [RF_ZERO] * nu + [-const]
+        for k2, v in cf.items():
             row[uidx[k2]] = v
         rows.append(row)
         tags.append(tag)
@@ -720,10 +699,16 @@ def _transport_matrix(n: int, m: int, modes: dict):
 
 
 def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
-                      diagonal_only=False) -> dict:
-    """Level-by-level solve; raises _TowerFailure with structured witnesses."""
+                      diagonal_only=False) -> tuple:
+    """Level-by-level solve; raises _TowerFailure with structured witnesses.
+
+    Returns (modes, transports, inverses), the last two as the chosen modes'
+    ``Dictionary.transport`` and ``transport_inverse`` would compute them.
+    """
     n = geom.n
     modes: dict = {}
+    transports: dict = {}
+    inverses: dict = {}
     for m in range(1, m_max + 1):
         targets.solve(m)
         sol, nulls, residuals = _solve_mode_level(
@@ -762,9 +747,9 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
             Um = _materialize_mode(n, sol, nulls, cand)
             trial = dict(modes)
             trial[m] = Um
-            T, _, _ = _transport_matrix(n, m, trial)
+            tr = _transport_matrix(n, m, trial)
             try:
-                inverse(T)
+                transports[m], inverses[m] = tr, inverse(tr[0])
             except ValueError:
                 continue
             chosen = Um
@@ -785,7 +770,7 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
                 ],
             )
         modes[m] = chosen
-    return modes
+    return modes, transports, inverses
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1069,7 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     attempt_reports = []
     for kind in ("diagonal", "color-mixing"):
         try:
-            modes = _solve_mode_tower(
+            modes, transports, inverses = _solve_mode_tower(
                 geom, m_max, targets, diagonal_only=(kind == "diagonal")
             )
         except _TowerFailure as exc:
@@ -1115,6 +1100,8 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
             dict(norm_check["norms"]),
             {},
         )
+        dic._transport_cache.update(transports)
+        dic._tinv_cache.update(inverses)
         heis = _heisenberg_operator_check(dic)
         loc = _localization_matrix_check(geom)
         corner2 = corner_evaluation_check(dic, 2)
@@ -1137,9 +1124,7 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
             {
                 "ansatz": kind,
                 "status": "ok" if ok else "failed",
-                "constraints": [
-                    {k: v for k, v in c.items() if k != "norms"} for c in constraints
-                ],
+                "constraints": constraints,
                 "mode_rule": dic.mode_rule,
                 "progression_ratio": str(dic.rho),
             }

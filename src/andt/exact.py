@@ -643,7 +643,9 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
 # -- canonical arithmetic ----------------------------------------------------
 # The arithmetic takes a gcd only where a common factor is still possible
 # (Henrici's method, Knuth TAOCP vol. 2, 4.5.1); the constructor's full
-# normalisation is kept for input not known to be canonical.  For canonical
+# normalisation is kept for input not known to be canonical.  A gcd with a
+# nonzero constant is 1, so _gcd takes none there; a canonical denominator
+# that is constant is ONE, and a sum of two polynomials is one.  For canonical
 # a/b and c/d:
 #   *  after the cross-cancellation g1 = gcd(a, d), g2 = gcd(c, b), the
 #      product (a/g1)(c/g2) / ((b/g2)(d/g1)) is canonical;
@@ -662,6 +664,13 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
 # coefficient, so every quotient above keeps that sign.  A sum is zero only
 # when a/b = -c/d, which forces b = d; the zero checks keep a zero from ever
 # carrying a denominator.
+
+
+def _gcd(a: TPoly, b: TPoly) -> TPoly:
+    """poly_gcd(a, b), or ONE without a call when either is a nonzero constant."""
+    if (len(a._d) == 1 and _ZKEY in a._d) or (len(b._d) == 1 and _ZKEY in b._d):
+        return ONE
+    return poly_gcd(a, b)
 
 
 class RatFn:
@@ -689,7 +698,7 @@ class RatFn:
             self.num, self.den = ZERO, ONE
             self._hash = None
             return
-        g = poly_gcd(num, den)
+        g = _gcd(num, den)
         if g != ONE:
             num = num.exact_div(g)
             den = den.exact_div(g)
@@ -747,8 +756,11 @@ class RatFn:
             return self
         a, b, c, d = self.num, self.den, other.num, other.den
         if b == d:
+            if b == ONE:
+                t = a + c
+                return RF_ZERO if t.is_zero else RatFn(t, ONE, _canonical=True)
             return RatFn(a + c, b)
-        g = poly_gcd(b, d)
+        g = _gcd(b, d)
         if g == ONE:
             t = a * d + c * b
             return RF_ZERO if t.is_zero else RatFn(t, b * d, _canonical=True)
@@ -756,7 +768,7 @@ class RatFn:
         t = a * d.exact_div(g) + c * b1
         if t.is_zero:
             return RF_ZERO
-        g2 = poly_gcd(t, g)
+        g2 = _gcd(t, g)
         if g2 == ONE:
             return RatFn(t, b1 * d, _canonical=True)
         return RatFn(t.exact_div(g2), b1 * d.exact_div(g2), _canonical=True)
@@ -782,8 +794,8 @@ class RatFn:
         if self.is_zero or other.is_zero:
             return RF_ZERO
         # cross-cancel before multiplying to keep intermediates small
-        g1 = poly_gcd(self.num, other.den)
-        g2 = poly_gcd(other.num, self.den)
+        g1 = _gcd(self.num, other.den)
+        g2 = _gcd(other.num, self.den)
         n1 = self.num if g1 == ONE else self.num.exact_div(g1)
         d2 = other.den if g1 == ONE else other.den.exact_div(g1)
         n2 = other.num if g2 == ONE else other.num.exact_div(g2)
@@ -1470,8 +1482,8 @@ def _common_denominator(fns) -> tuple:
     u = 1
     for f in fns:
         if f:
-            if f.den != d:
-                d = d * f.den.exact_div(poly_gcd(d, f.den))
+            if f.den != d and f.den != ONE:
+                d = d * f.den.exact_div(_gcd(d, f.den))
             for v in f.num._d.values():
                 if v.__class__ is not int:
                     u = _ilcm(u, v.denominator)

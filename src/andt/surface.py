@@ -33,6 +33,8 @@ class SurfaceGeometry:
     """All fixed-point data for a given chain length n >= 0."""
 
     def __init__(self, n: int):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an int, not {type(n).__name__}")
         if n < 0:
             raise ValueError("n must be >= 0")
         self.n = n

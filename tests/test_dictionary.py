@@ -3,7 +3,8 @@ embedding, the transport inverse, the power-sum change of basis and
 label-basis coordinates; the bracket matrix against the two-stage series
 product and the bracket against a sum of scaled series at n = 1, 2; the
 Heisenberg check against the single loop it replaced at n = 1, 2, also on
-a perturbed dictionary; the label-target solver on hand-made systems; and the
+a perturbed dictionary; the label-target solver on hand-made systems; the
+mode-level solve against its frozen output (tests/data); and the
 divisor operators at an exact specialization against a lattice-state
 assembly at n = 1, 2; the commutation check and the three-point series
 against the running series sums their numerator folds replaced; the DT/GW
@@ -14,6 +15,8 @@ The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 2).
 """
 import copy
+import json
+from pathlib import Path
 
 import pytest
 import sympy
@@ -22,11 +25,14 @@ import andt.dictionary as dictionary
 import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
+    _AtomTargets,
     _atom_value,
     _classical_restriction,
     _heisenberg_operator_check,
     _power_to_monomial_inverse,
     _solve_label_system,
+    _solve_mode_level,
+    _solve_mode_tower,
     _specialized_divisor,
     calibrate,
     cap,
@@ -353,6 +359,36 @@ def test_label_system_rank_deficient_takes_full_path(monkeypatch):
     assert calls
     assert (vals, free) == _full_rref_solution(rows, 3)
     assert free == [1]
+
+
+def _mode_level_snapshot():
+    """{case: {"sol", "nulls", "residuals"}} as ordered string pairs, from a
+    fresh _AtomTargets; weight 2 takes the colour-mixing weight-1 modes as
+    the known lower modes."""
+    out = {}
+    for n, ms in ((1, (1, 2)), (2, (1,))):
+        geom = SurfaceGeometry(n)
+        targets = _AtomTargets(geom)
+        targets.solve(max(ms))
+        for m in ms:
+            known = _solve_mode_tower(geom, m - 1, targets)[0] if m > 1 else {}
+            for diag in (True, False):
+                sol, nulls, residuals = _solve_mode_level(
+                    n, m, known, targets, diagonal_only=diag
+                )
+                out[f"n={n} m={m} {'diagonal' if diag else 'color-mixing'}"] = {
+                    "sol": [[str(k), str(v)] for k, v in sol.items()],
+                    "nulls": [[[str(k), str(v)] for k, v in vec.items()] for vec in nulls],
+                    "residuals": [[str(t), str(v)] for t, v in residuals],
+                }
+    return out
+
+
+def test_mode_level_reproduces_the_frozen_solution():
+    # frozen from the solve over affine entries that the fraction-free column
+    # blocks replaced: same unknown order, pivots, nullspace and residual tags
+    path = Path(__file__).parent / "data" / "mode_level_oracle.json"
+    assert _mode_level_snapshot() == json.loads(path.read_text())
 
 
 def _lattice_state_divisor(dic, m, which, t1, t2, q0, svals):

@@ -471,6 +471,56 @@ def test_ratfn_coprime_denominators_take_one_gcd(monkeypatch):
     assert r.num == T2 * T3 + T1 + T3 and r.den == (T1 + T3) * T2
 
 
+@pytest.mark.parametrize("a, b", [
+    (RatFn(T1 * TAU, T2 * (T1 + T3)), RatFn.const(QQ(-3, 2))),  # a scaling
+    (RatFn(T1 + T2), RatFn(T3 * (T3 - T1))),  # two polynomials
+    (RatFn(TPoly.const(2), T1 * TAU), RatFn(TPoly.const(QQ(-1, 3)), T2 + T3)),
+])
+def test_ratfn_product_with_a_constant_cross_operand_takes_no_gcd(monkeypatch, a, b):
+    # each cross pair (a.num, b.den), (b.num, a.den) has a constant side
+    calls = _count_poly_gcd_calls(monkeypatch)
+    for r in (a * b, b * a):
+        assert r.num == a.num * b.num and r.den == a.den * b.den
+    assert calls == []
+
+
+def test_ratfn_sum_of_polynomials_and_constant_sided_constructor_take_no_gcd(monkeypatch):
+    calls = _count_poly_gcd_calls(monkeypatch)
+    assert (RatFn(T1 + T2) + RatFn(T1 * T3)).num == T1 + T2 + T1 * T3
+    assert RatFn(T1) - RatFn(T1) == RF_ZERO
+    assert RatFn(T1 * T2, TPoly.const(-2)).num == QQ(-1, 2) * T1 * T2
+    assert RatFn(TPoly.const(3), -2 * T1 * TAU).den == T1 * TAU
+    assert calls == []
+
+
+@st.composite
+def raw_constant_sided(draw):
+    """(num, den) TPoly expressions with a constant numerator (possibly zero)
+    or a constant denominator, not reduced."""
+    if draw(st.booleans()):
+        return TPoly.const(draw(qcoeffs)), draw(qcoeffs.filter(bool)) * draw(pool_products)
+    return draw(qcoeffs) * draw(pool_products), TPoly.const(draw(qcoeffs.filter(bool)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_ratfns(), raw_constant_sided(), st.booleans())
+def test_ratfn_arithmetic_with_a_constant_side_matches_full_constructor(x, y, swap):
+    if swap:
+        x, y = y, x
+    (n1, d1), (n2, d2) = x, y
+    a, b = RatFn(n1, d1), RatFn(n2, d2)
+    cases = [
+        (a + b, n1 * d2 + n2 * d1, d1 * d2),
+        (a - b, n1 * d2 - n2 * d1, d1 * d2),
+        (a * b, n1 * n2, d1 * d2),
+    ]
+    if not n2.is_zero:
+        cases.append((a / b, n1 * d2, d1 * n2))
+    for r, num, den in cases:
+        assert r == RatFn(num, den)
+        assert _is_canonical(r)
+
+
 def test_ratfn_shared_denominator_sum_cancels_to_zero():
     r = RatFn(T1 * QQ(1, 2), TAU * T3) + RatFn(-T1, 2 * TAU * T3)
     assert r == RF_ZERO

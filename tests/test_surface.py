@@ -109,3 +109,10 @@ def test_index_validation():
         g.cls_E(2)
     with pytest.raises(ValueError):
         SurfaceGeometry(-1)
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, True, "2", None])
+def test_rank_that_is_not_an_int_is_refused(n):
+    # a float rank used to be accepted and fail later inside calibrate
+    with pytest.raises(TypeError, match="^n must be an int"):
+        SurfaceGeometry(n)
