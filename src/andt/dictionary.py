@@ -65,6 +65,7 @@ from .fock import (
 from .partitions import MultiPartition, Partition, enumerate_multipartitions, partitions_of
 from .surface import SurfaceGeometry
 from .wedge import (
+    apply_current,
     e_act,
     omega_plus_terms,
     theta_logatoms,
@@ -142,14 +143,10 @@ ratfn_inverse = inverse
 
 def _arm_leg_product(lam: Partition, wx: RatFn, wy: RatFn) -> RatFn:
     """prod over boxes ((arm+1) wx - leg wy)(-arm wx + (leg+1) wy)."""
-    rows = list(lam)
     e = RF_ONE
-    for r, rl in enumerate(rows):
-        for c in range(rl):
-            arm = rl - c - 1
-            leg = sum(1 for rr in range(r + 1, len(rows)) if rows[rr] > c)
-            e = e * (wx * QQ(arm + 1) - wy * QQ(leg))
-            e = e * (wx * QQ(-arm) + wy * QQ(leg + 1))
+    for _box, arm, leg in lam.hooks():
+        e = e * (wx * QQ(arm + 1) - wy * QQ(leg))
+        e = e * (wx * QQ(-arm) + wy * QQ(leg + 1))
     return e
 
 
@@ -670,18 +667,7 @@ def _word_state_vector(n: int, word: WeightedPartition, modes: dict) -> dict:
     sum_j modes[p][l][j] e_jj(-p) / p, times the sign (-1)^weight."""
     vec = {vacuum(n): RF_ONE}
     for (part, lab) in word.pairs:
-        Uk = modes[part]
-        nxt: dict = {}
-        for st, coef in vec.items():
-            for j in range(1, n + 2):
-                u = Uk[lab][j - 1]
-                if u.is_zero:
-                    continue
-                for c2, s2 in e_act(n, j, j, -part, st):
-                    add = coef * u * QQ(c2, part)
-                    prev = nxt.get(s2)
-                    nxt[s2] = add if prev is None else prev + add
-        vec = {s: c for s, c in nxt.items() if not c.is_zero}
+        vec = apply_current(n, [u * QQ(1, part) for u in modes[part][lab]], -part, vec)
     sign = QQ(-1) if word.weight % 2 else QQ(1)
     return {s: c * sign for s, c in vec.items()}
 
@@ -795,6 +781,14 @@ class Dictionary:
     progression with ratio ``rho``.  ``normalizations`` holds the squared
     norms of the fixed-point classes (their tangent Euler classes), verified
     against the pairing during calibration.
+
+    Every matrix derived from the modes is built once, through ``cached``, and
+    kept in the one table ``_memo``, keyed ``(kind, *args)`` on hashable
+    arguments only.  The kinds are ``annihilation`` (k), ``transport`` and
+    ``transport_inverse`` (m; ``calibrate`` seeds both for m <= m_max),
+    ``class_word`` and ``fixed_point_state`` (m), ``engine`` (m, window),
+    ``divisor`` (selector, m, window), ``atom_class`` and ``atom_state``
+    (m, atom tag), and ``classical_state`` (m, selector).
     """
 
     def __init__(self, geom: SurfaceGeometry, m_max: int, ansatz: str, modes: dict,
@@ -808,15 +802,14 @@ class Dictionary:
         self.mode_rule = mode_rule
         self.normalizations = normalizations
         self.report = report
-        self._transport_cache: dict = {}
-        self._tinv_cache: dict = {}
-        self._engine_cache: dict = {}
-        self._annihilation_cache: dict = {}
-        self._fp_state_cache: dict = {}
-        self._divisor_cache: dict = {}
-        self._conj_cache: dict = {}
-        self._state_atom_cache: dict = {}
-        self._clstate_cache: dict = {}
+        self._memo: dict = {}
+
+    def cached(self, key: tuple, build):
+        """The memo entry under ``key``, made by ``build()`` on first use."""
+        hit = self._memo.get(key)
+        if hit is None:
+            hit = self._memo[key] = build()
+        return hit
 
     # -- mode access -------------------------------------------------------
 
@@ -841,75 +834,50 @@ class Dictionary:
     def annihilation_matrix(self, k: int) -> list:
         """Matrix pairing with the creation side to the Heisenberg relation:
         V_k = -diag(euler) . (U_k^T)^{-1}."""
-        hit = self._annihilation_cache.get(k)
-        if hit is not None:
-            return hit
-        U = self.mode_matrix(k)
-        npts = self.n + 1
-        Ut = [[U[j][i] for j in range(npts)] for i in range(npts)]
-        Uti = inverse(Ut)
-        V = [
-            [-self.point_euler(i + 1) * Uti[i][j] for j in range(npts)]
-            for i in range(npts)
-        ]
-        self._annihilation_cache[k] = V
-        return V
+        def build():
+            U = self.mode_matrix(k)
+            npts = self.n + 1
+            Uti = inverse([[U[j][i] for j in range(npts)] for i in range(npts)])
+            return [
+                [-self.point_euler(i + 1) * Uti[i][j] for j in range(npts)]
+                for i in range(npts)
+            ]
+        return self.cached(("annihilation", k), build)
 
     # -- transports --------------------------------------------------------
 
     def transport(self, m: int):
-        hit = self._transport_cache.get(m)
-        if hit is None:
-            modes = {k: self.mode_matrix(k) for k in range(1, m + 1)}
-            hit = _transport_matrix(self.n, m, modes)
-            self._transport_cache[m] = hit
-        return hit
+        return self.cached(("transport", m), lambda: _transport_matrix(
+            self.n, m, {k: self.mode_matrix(k) for k in range(1, m + 1)}))
 
     def transport_inverse(self, m: int) -> list:
-        hit = self._tinv_cache.get(m)
-        if hit is None:
-            T, _, _ = self.transport(m)
-            hit = inverse(T)
-            self._tinv_cache[m] = hit
-        return hit
-
-    def _fp_mats(self, m: int) -> dict:
-        hit = self._fp_state_cache.get(m)
-        if hit is not None:
-            return hit
-        T, states, words = self.transport(m)
-        widx = {w: i for i, w in enumerate(words)}
-        mps = tuple(enumerate_multipartitions(m, self.n + 1))
-        fpv = fixed_point_vectors(self.geom, m)
-        nw = len(words)
-        C = [[RF_ZERO] * len(mps) for _ in range(nw)]
-        for ci, mp in enumerate(mps):
-            for w, v in fpv[mp].items():
-                C[widx[w]][ci] = v
-        D = matmul(T, C)
-        Cinv = inverse(C)
-        Dinv = matmul(Cinv, self.transport_inverse(m))
-        hit = {"D": D, "Dinv": Dinv, "mps": mps, "C": C, "Cinv": Cinv}
-        self._fp_state_cache[m] = hit
-        return hit
-
-    def fixed_point_state_matrix(self, m: int):
-        """(D, Dinv, mps): columns are fixed-point classes in state coords."""
-        mats = self._fp_mats(m)
-        return mats["D"], mats["Dinv"], mats["mps"]
+        return self.cached(("transport_inverse", m), lambda: inverse(self.transport(m)[0]))
 
     def class_word_matrix(self, m: int):
         """(C, Cinv, mps): fixed-point classes in creation-word coords."""
-        mats = self._fp_mats(m)
-        return mats["C"], mats["Cinv"], mats["mps"]
+        def build():
+            widx = {w: i for i, w in enumerate(self.transport(m)[2])}
+            mps = tuple(enumerate_multipartitions(m, self.n + 1))
+            fpv = fixed_point_vectors(self.geom, m)
+            C = [[RF_ZERO] * len(mps) for _ in widx]
+            for ci, mp in enumerate(mps):
+                for w, v in fpv[mp].items():
+                    C[widx[w]][ci] = v
+            return C, inverse(C), mps
+        return self.cached(("class_word", m), build)
+
+    def fixed_point_state_matrix(self, m: int):
+        """(D, Dinv, mps) = (T.C, Cinv.Tinv, mps): columns are fixed-point
+        classes in state coords."""
+        def build():
+            C, Cinv, mps = self.class_word_matrix(m)
+            return (matmul(self.transport(m)[0], C),
+                    matmul(Cinv, self.transport_inverse(m)), mps)
+        return self.cached(("fixed_point_state", m), build)
 
     def engine(self, m: int, window: Window | None = None):
         window = window or DEFAULT_WINDOW
-        hit = self._engine_cache.get((m, window))
-        if hit is None:
-            hit = BracketEngine(self, m, window)
-            self._engine_cache[(m, window)] = hit
-        return hit
+        return self.cached(("engine", m, window), lambda: BracketEngine(self, m, window))
 
 
 def _mode_progression_ratio(geom: SurfaceGeometry) -> RatFn:
@@ -1061,6 +1029,8 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     The diagonal ansatz is attempted first; its structured failure is part of
     the returned report.  Raises CalibrationError if every ansatz fails.
     """
+    if isinstance(m_max, bool) or not isinstance(m_max, int):
+        raise TypeError(f"m_max must be an int, not {type(m_max).__name__}")
     if m_max < 2:
         raise ValueError("calibration needs m_max >= 2")
     targets = _AtomTargets(geom)
@@ -1100,8 +1070,8 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
             dict(norm_check["norms"]),
             {},
         )
-        dic._transport_cache.update(transports)
-        dic._tinv_cache.update(inverses)
+        dic._memo.update({("transport", m): tr for m, tr in transports.items()})
+        dic._memo.update({("transport_inverse", m): ti for m, ti in inverses.items()})
         heis = _heisenberg_operator_check(dic)
         loc = _localization_matrix_check(geom)
         corner2 = corner_evaluation_check(dic, 2)
@@ -1407,18 +1377,13 @@ def tau_linearity_check(dic: Dictionary, m: int, window: Window | None = None) -
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
 
 
-def _fp_bracket_cache(dic: Dictionary, m: int, window: Window):
-    engine = dic.engine(m, window)
-    fpv = fixed_point_vectors(dic.geom, m)
-    return engine, fpv
-
-
 def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
     """For distinct fixed-point classes agreeing in size at either endpoint of
     an interval, the interval channel vanishes mod (t1+t2)^2."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
-    engine, fpv = _fp_bracket_cache(dic, m, window)
+    engine = dic.engine(m, window)
+    fpv = fixed_point_vectors(dic.geom, m)
     mps = list(fpv)
     n = dic.n
     failures = []
@@ -1474,7 +1439,8 @@ def corner_evaluation_check(dic: Dictionary, m: int,
     bracket = (t1+t2) c_m log(1 - (-q)^{+-(m-1)} s_i...s_{j-1}) mod (t1+t2)^2."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
-    engine, fpv = _fp_bracket_cache(dic, m, window)
+    engine = dic.engine(m, window)
+    fpv = fixed_point_vectors(dic.geom, m)
     n = dic.n
     cm = interval_corner_constant(n, m) * RatFn(TAU)
     failures = []
@@ -1650,49 +1616,36 @@ def _dense(K: dict, size: int) -> list:
 
 
 def _atom_state_matrix(dic: Dictionary, m: int, tag, K) -> list:
-    """Constant lattice-state matrix of one atom, as dense rows (cached)."""
-    key = (m, tag)
-    hit = dic._state_atom_cache.get(key)
-    if hit is None:
-        T, _, _ = dic.transport(m)
-        hit = _dense(K, len(T))
+    """Constant lattice-state matrix of one atom, as dense rows (memoized)."""
+    def build():
+        T = dic.transport(m)[0]
+        rows = _dense(K, len(T))
         if tag[0] == "mode":
-            hit = matmul(matmul(T, hit), dic.transport_inverse(m))
-        dic._state_atom_cache[key] = hit
-    return hit
+            rows = matmul(matmul(T, rows), dic.transport_inverse(m))
+        return rows
+    return dic.cached(("atom_state", m, tag), build)
 
 
 def _atom_class_matrix(dic: Dictionary, m: int, tag, K) -> list:
-    """Constant matrix of one atom in the fixed-point class basis (cached;
+    """Constant matrix of one atom in the fixed-point class basis (memoized;
     window-independent, shared across the divisor family)."""
-    key = (m, tag)
-    hit = dic._conj_cache.get(key)
-    if hit is not None:
-        return hit
-    if tag[0] == "interval":
-        D, Dinv, _ = dic.fixed_point_state_matrix(m)
-        hit = matmul(matmul(Dinv, _dense(K, len(D))), D)
-    else:
+    def build():
+        if tag[0] == "interval":
+            D, Dinv, _ = dic.fixed_point_state_matrix(m)
+            return matmul(matmul(Dinv, _dense(K, len(D))), D)
         # word-level conjugation: the transports cancel
         C, Cinv, _ = dic.class_word_matrix(m)
-        hit = matmul(matmul(Cinv, _dense(K, len(C))), C)
-    dic._conj_cache[key] = hit
-    return hit
+        return matmul(matmul(Cinv, _dense(K, len(C))), C)
+    return dic.cached(("atom_class", m, tag), build)
 
 
 def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
     """Classical multiplication conjugated into lattice-state coordinates."""
-    key = (m, which)
-    hit = dic._clstate_cache.get(key)
-    if hit is not None:
-        return hit
-    D, Dinv, mps = dic.fixed_point_state_matrix(m)
-    nd = len(D)
-    vals = _classical_values(which, m, mps, dic.geom)
-    mid = [[D[r][c] * vals[c] for c in range(nd)] for r in range(nd)]
-    hit = matmul(mid, Dinv)
-    dic._clstate_cache[key] = hit
-    return hit
+    def build():
+        D, Dinv, mps = dic.fixed_point_state_matrix(m)
+        vals = _classical_values(which, m, mps, dic.geom)
+        return matmul([[x * v for x, v in zip(row, vals)] for row in D], Dinv)
+    return dic.cached(("classical_state", m, which), build)
 
 
 def _require_solved(dic: Dictionary, m: int) -> None:
@@ -1701,22 +1654,24 @@ def _require_solved(dic: Dictionary, m: int) -> None:
         raise ValueError(f"weight m = {m} exceeds the calibrated range m_max = {dic.m_max}")
 
 
+def _require_same_rank(geom: SurfaceGeometry, dic: Dictionary) -> None:
+    """Refuse a geometry and a dictionary of different surface ranks."""
+    if geom.n != dic.n:
+        raise ValueError(f"geometry has rank n = {geom.n} but the dictionary has n = {dic.n}")
+
+
 def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
               dic: Dictionary) -> DivisorOp:
     """Divisor operator: classical multiplication plus the derivative of the
     dressing/interaction data, assembled in the fixed-point class basis."""
+    _require_same_rank(geom, dic)
     which = _divisor_key(which)
     _require_solved(dic, m)
-    key = (which, m, window)
-    hit = dic._divisor_cache.get(key)
-    if hit is not None:
-        return hit
-    classical = classical_divisor(which, m, geom, window)
-    mps = classical.index
-    entries: dict = {}
-    for (r, c), ser in classical.entries.items():
-        entries[(r, c)] = ser
-    if m >= 1:
+
+    def build():
+        classical = classical_divisor(which, m, geom, window)
+        mps = classical.index
+        entries = dict(classical.entries)
         for tag, K in _divisor_atoms(dic, m, which):
             ser = _atom_series(dic, tag, which, window)
             if ser is None:
@@ -1732,13 +1687,9 @@ def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
                         continue
                     cur = entries.get((r, c))
                     entries[(r, c)] = add if cur is None else cur + add
-    op = DivisorOp(
-        which,
-        OperatorMatrix(geom.n, m, "fixed-point-class", mps, window, entries),
-        classical,
-    )
-    dic._divisor_cache[key] = op
-    return op
+        matrix = OperatorMatrix(geom.n, m, "fixed-point-class", mps, window, entries)
+        return DivisorOp(which, matrix, classical)
+    return dic.cached(("divisor", which, m, window), build)
 
 
 def operator_self_adjoint(op: OperatorMatrix, geom: SurfaceGeometry) -> dict:
@@ -1898,6 +1849,8 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
     generation conjecture for the divisor-operator algebra and are refused
     without the explicit flag.
     """
+    if dic is not None:
+        _require_same_rank(geom, dic)
     window = window or DEFAULT_WINDOW
     w1 = _coerce_word(mu)
     w2 = _coerce_word(nu)
@@ -2119,6 +2072,7 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
 
     if dic is None:
         dic = calibrated_dictionary(geom.n, max(2, m))
+    _require_same_rank(geom, dic)
     _require_solved(dic, m)
     n = geom.n
     attempt = 0

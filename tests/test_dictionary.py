@@ -9,7 +9,12 @@ divisor operators at an exact specialization against a lattice-state
 assembly at n = 1, 2; the commutation check and the three-point series
 against the running series sums their numerator folds replaced; the DT/GW
 change of variables q = -e^{iu} against sympy's series, on constant rationals
-and on the rationality certificate of the divisor operator.
+and on the rationality certificate of the divisor operator.  Also: the
+Dictionary's memo table (each entry built once, under its own kind, and the
+transports seeded by calibrate), the tangent Euler classes at weights one and
+two, the creation-word state vectors against the e_act loop they replaced,
+and the refusal of a non-int m_max and of a geometry and dictionary of
+different ranks.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 2).
@@ -26,20 +31,27 @@ import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
     _AtomTargets,
+    _arm_leg_product,
+    _atom_class_matrix,
+    _atom_state_matrix,
     _atom_value,
     _classical_restriction,
+    _classical_state_matrix,
+    _divisor_atoms,
     _heisenberg_operator_check,
     _power_to_monomial_inverse,
     _solve_label_system,
     _solve_mode_level,
     _solve_mode_tower,
     _specialized_divisor,
+    _word_state_vector,
     calibrate,
     cap,
     divisor_pair_commutes,
     fixed_point_vectors,
     gw_change_of_vars,
     heisenberg_embedding_check,
+    hilb_tangent_euler,
     spectrum_probe,
     three_point,
     tube,
@@ -65,7 +77,7 @@ from andt.fock import (
     unit_omega_basis,
     weighted_partition_basis,
 )
-from andt.partitions import Partition
+from andt.partitions import Partition, partitions_of
 from andt.surface import SurfaceGeometry
 from andt.wedge import (
     apply_ops,
@@ -73,6 +85,7 @@ from andt.wedge import (
     omega_plus_terms,
     operator_matrix,
     theta_logatoms,
+    vacuum,
     weight_basis,
 )
 
@@ -97,10 +110,77 @@ def test_heisenberg_embedding(dic):
     assert heisenberg_embedding_check(dic)["ok"]
 
 
+@pytest.mark.parametrize("m_max, kind", [(2.5, "float"), (2.0, "float"), (True, "bool"),
+                                         ("2", "str"), (None, "NoneType")])
+def test_calibrate_refuses_a_non_int_m_max(m_max, kind):
+    with pytest.raises(TypeError, match=f"^m_max must be an int, not {kind}$"):
+        calibrate(SurfaceGeometry(1), m_max)
+
+
+def _hand_arm_leg_product(lam, wx, wy):
+    """Reference: the arm/leg product with each box's arm and leg counted by
+    hand from the rows, not read from Partition.hooks()."""
+    rows = list(lam)
+    e = RF_ONE
+    for r, rl in enumerate(rows):
+        for c in range(rl):
+            arm = rl - c - 1
+            leg = sum(1 for rr in range(r + 1, len(rows)) if rows[rr] > c)
+            e = e * (wx * QQ(arm + 1) - wy * QQ(leg))
+            e = e * (wx * QQ(-arm) + wy * QQ(leg + 1))
+    return e
+
+
+def test_hilb_tangent_euler_on_weight_one_and_two(dic):
+    geom = dic.geom
+    wL, wR = ([RatFn(f(k)) for k in (1, 2)] for f in (geom.wL, geom.wR))
+    box, two, col = Partition((1,)), Partition((2,)), Partition((1, 1))
+    assert hilb_tangent_euler([box, ()], geom) == wL[0] * wR[0]
+    assert hilb_tangent_euler([(), box], geom) == wL[1] * wR[1]
+    assert hilb_tangent_euler([box, box], geom) == wL[0] * wR[0] * wL[1] * wR[1]
+    for k in (0, 1):
+        x, y = wL[k], wR[k]
+        comps = [[(), ()], [(), ()]]
+        comps[0][k], comps[1][k] = two, col
+        assert hilb_tangent_euler(comps[0], geom) == 2 * x * (y - x) * x * y
+        assert hilb_tangent_euler(comps[1], geom) == 2 * y * (x - y) * x * y
+    for mp in fixed_point_vectors(geom, 2):  # the pairing's norms agree
+        assert hilb_tangent_euler(mp, geom) == dic.normalizations[mp]
+    for m in range(1, 8):
+        for lam in partitions_of(m):
+            assert _arm_leg_product(lam, wL[0], wR[0]) == _hand_arm_leg_product(lam, wL[0], wR[0])
+
+
 def test_transport_inverse(dic):
     T, _, _ = dic.transport(2)
     eye = [[RF_ONE if i == j else RF_ZERO for j in range(len(T))] for i in range(len(T))]
     assert matmul(T, dic.transport_inverse(2)) == eye
+
+
+def _loop_word_state_vector(n, word, modes):
+    """Reference: the creation word on the vacuum as an explicit loop over
+    e_act, not through wedge.apply_current."""
+    vec = {vacuum(n): RF_ONE}
+    for (part, lab) in word.pairs:
+        nxt = {}
+        for st, coef in vec.items():
+            for j in range(1, n + 2):
+                u = modes[part][lab][j - 1]
+                if u.is_zero:
+                    continue
+                for c2, s2 in e_act(n, j, j, -part, st):
+                    add = coef * u * QQ(c2, part)
+                    nxt[s2] = nxt[s2] + add if s2 in nxt else add
+        vec = {s: c for s, c in nxt.items() if not c.is_zero}
+    sign = QQ(-1) if word.weight % 2 else QQ(1)
+    return {s: c * sign for s, c in vec.items()}
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_word_state_vector_is_the_e_act_loop(n, dic, dic2):
+    d = {1: dic, 2: dic2}[n]
+    for w in weighted_partition_basis(2, n + 1):
+        assert _word_state_vector(n, w, d.modes) == _loop_word_state_vector(n, w, d.modes)
 
 
 def test_power_to_monomial_inverse():
@@ -311,11 +391,66 @@ def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
     V = [list(row) for row in bad.annihilation_matrix(1)]
     jj = next(j for j, v in enumerate(V[0]) if v)
     V[0][jj] = V[0][jj] * 2
-    bad._annihilation_cache = {1: V}
+    bad._memo = {("annihilation", 1): V}
     report = _assert_heisenberg_matches_reference(bad, 3)
     assert not report["ok"]
     ws = report["witnesses"]
     assert ws and len({(w["k"], w["a"], w["b"], w["state"]) for w in ws}) == len(ws)
+
+
+def _memoized_accessors(d, m):
+    """{kind: a call of the accessor that memoizes under that kind}."""
+    atoms = dict(_divisor_atoms(d, m, "D"))
+    itag = next(t for t in atoms if t[0] == "interval")
+    mtag = next(t for t in atoms if t[0] == "mode")
+    return {
+        "annihilation": lambda: d.annihilation_matrix(m),
+        "transport": lambda: d.transport(m),
+        "transport_inverse": lambda: d.transport_inverse(m),
+        "class_word": lambda: d.class_word_matrix(m),
+        "fixed_point_state": lambda: d.fixed_point_state_matrix(m),
+        "engine": lambda: d.engine(m),
+        "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
+        "atom_class": lambda: _atom_class_matrix(d, m, itag, atoms[itag]),
+        "atom_state": lambda: _atom_state_matrix(d, m, mtag, atoms[mtag]),
+        "classical_state": lambda: _classical_state_matrix(d, m, "D"),
+    }
+
+
+def test_memo_builds_each_entry_once_under_its_own_kind(dic):
+    d = copy.copy(dic)
+    d._memo = {}
+    calls = _memoized_accessors(d, 2)
+    first = {kind: call() for kind, call in calls.items()}
+    assert all(call() is first[kind] for kind, call in calls.items())
+    # every kind has its own entries, and no two entries share an object
+    assert {key[0] for key in d._memo} == set(calls)
+    assert len({id(v) for v in d._memo.values()}) == len(d._memo)
+    assert all(any(v is first[k] for v in d._memo.values()) for k in calls)
+
+
+def test_calibrate_seeds_the_transport_inverses(monkeypatch):
+    inverted = []
+
+    def spy(M):
+        inverted.append(M)
+        return inverse(M)
+
+    monkeypatch.setattr(dictionary, "inverse", spy)
+    d = calibrate(SurfaceGeometry(1), 2)
+    # the mode tower inverts each chosen transport; nothing inverts it again
+    for m in (1, 2):
+        assert sum(M is d.transport(m)[0] for M in inverted) == 1
+
+    def refuse(*_args):
+        raise AssertionError("inverted again")
+
+    monkeypatch.setattr(dictionary, "inverse", refuse)
+    monkeypatch.setattr(dictionary, "_transport_matrix", refuse)
+    for m in (1, 2):
+        T = d.transport(m)[0]
+        eye = [[RF_ONE if i == j else RF_ZERO for j in range(len(T))] for i in range(len(T))]
+        assert matmul(T, d.transport_inverse(m)) == eye
 
 
 def _full_rref_solution(rows, ncols):
@@ -607,10 +742,24 @@ def test_three_point_at_weight_three(dic13):
 ])
 def test_weight_above_the_calibrated_range_is_refused(call, dic):
     d = copy.copy(dic)
-    d._transport_cache = {}
+    d._memo = {}
     with pytest.raises(ValueError, match="m = 3 exceeds the calibrated range m_max = 2"):
         call(d, weighted_partition_basis(3, 2))
-    assert not d._transport_cache  # refused before any extrapolated mode is used
+    assert not d._memo  # refused before any extrapolated mode is used
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, d, w: dictionary.m_divisor("D", 2, DEFAULT_WINDOW, g, d),
+                 id="m_divisor"),
+    pytest.param(lambda g, d, w: three_point(w[0], "D", w[1], geom=g, dic=d), id="three_point"),
+    pytest.param(lambda g, d, w: spectrum_probe(2, g, 1, d), id="spectrum_probe"),
+])
+def test_geometry_and_dictionary_of_different_ranks_are_refused(call, dic):
+    d = copy.copy(dic)
+    d._memo = {}
+    with pytest.raises(ValueError, match="rank n = 2 but the dictionary has n = 1"):
+        call(SurfaceGeometry(2), d, weighted_partition_basis(2, 3))
+    assert not d._memo
 
 
 def test_cap_is_q_to_the_weight_on_all_ones_words():
