@@ -2,18 +2,22 @@
 Hilbert schemes.
 
 Provides fixed-point classes with exact tangent-Euler norms, the calibrated
-Heisenberg embedding (per-mode color-mixing matrices solved from structural
-constraints, never assumed), boundary-operator matrix elements between
-creation words or fixed-point classes (``BracketEngine``), divisor operators
-with their classical parts, cap/tube/three-point series, exact rationality
-certificates, and seeded spectral probes.
+Heisenberg embedding (per-mode color-mixing matrices built from their closed
+form and verified against the structural constraints that determine them),
+boundary-operator matrix elements between creation words or fixed-point
+classes (``BracketEngine``), divisor operators with their classical parts,
+cap/tube/three-point series, exact rationality certificates, and seeded
+spectral probes.
 
-Calibration is staged: first the per-atom coefficient matrices of the
-boundary operator are pinned in the label basis (unit-padding recursion plus
-rational unknowns fixed by corner values and interval-channel vanishing);
-then the per-mode embedding matrices are solved as an intertwiner condition,
-linear in the top mode.  A diagonal ansatz is attempted first and its failure
-is reported as a structured finding before enlarging to color mixing.
+The constraints come in two stages: the per-atom coefficient matrices of the
+boundary operator in the label basis (unit-padding recursion plus rational
+unknowns fixed by corner values and interval-channel vanishing), and the
+per-mode embedding matrices as an intertwiner condition, linear in the top
+mode.  ``calibrate`` builds the modes U_k = rho^(k-1) U_1 in closed form and
+proves, level by level, that they solve both stages exactly; the constraint
+solver (``_AtomTargets.solve``, ``_solve_mode_tower``) stays as the oracle
+the tests compare against.  A diagonal ansatz is solved for first, and its
+failure is reported as a structured finding.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 from .exact import (
+    ExactDivisionError,
     ONE,
     QQ,
     QRational,
@@ -33,6 +38,7 @@ from .exact import (
     RF_ZERO,
     RatFn,
     ReconstructError,
+    SingularMatrixError,
     T1,
     T2,
     TAU,
@@ -44,6 +50,7 @@ from .exact import (
     _fold_numerators,
     _fold_products,
     _numerators,
+    _sandwich,
     independent_rows,
     inverse,
     log_atom_expand,
@@ -332,14 +339,58 @@ def _unit_word(mu) -> WeightedPartition:
 _LABEL_SAMPLES = (2, 3, 5, 7, 11, 13)
 
 
+def _ansatz_entry(m: int, up: RatFn, om1: WeightedPartition, om2: WeightedPartition,
+                  lower: dict):
+    """The ansatz of one label-basis entry N[w1][w2] of an atom at weight m:
+    its value, or None where it is a free rational constant.
+
+    ``up`` pairs the unit parts of w1 and w2, om1 and om2 are their
+    omega-label rests, and ``lower`` maps each weight below m to the atom's
+    label matrix there ({(om1, om2): RatFn}).  An entry with an empty rest or
+    a zero unit pairing is 0; one whose rest weighs less than m is ``up``
+    times the rest's entry one weight down (factorization); a pure-omega
+    entry at weight m is free, the same constant for (w1, w2) and (w2, w1).
+    """
+    m2 = om1.weight
+    if up.is_zero or m2 == 0:
+        return RF_ZERO
+    if m2 < m:
+        return up * lower[m2].get((om1, om2), RF_ZERO)
+    return None
+
+
+def _target_conditions(n: int, m: int, i: int, j: int, k: int, mps):
+    """Yield (la, eta, target) for the conditions on the atom (i, j, k) at
+    weight m: on a corner pair of the interval, the class bracket is the
+    corner constant if k is the pair's mode and 0 otherwise; on any other
+    pair of distinct classes that agree in size at chart i or chart j, it
+    vanishes (channel vanishing).  Each holds mod t1 + t2."""
+    cm = interval_corner_constant(n, m)
+    tgt: dict = {}
+    for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
+        tgt[(bra, ket)] = tgt[(ket, bra)] = cm if k == kmode else RF_ZERO
+    sizes = {mp: mp.sizes() for mp in mps}
+    for la in mps:
+        for eta in mps:
+            if la == eta:
+                continue
+            target = tgt.get((la, eta))
+            if target is None:
+                sa, se = sizes[la], sizes[eta]
+                if sa[i - 1] != se[i - 1] and sa[j - 1] != se[j - 1]:
+                    continue
+                target = RF_ZERO
+            yield la, eta, target
+
+
 class _AtomTargets:
     """Coefficient matrices N_at of the boundary operator per log atom.
 
     In the unit/omega label basis:
         bracket(w1, w2) = tau * sum_atoms N_at[w1][w2] * atom_series
                           + pairing(w1, w2) * (vacuum scalar series).
-    Entries with a unit part reduce by factorization; pure-omega entries are
-    rational unknowns solved from corner values and channel vanishing, then
+    Every entry follows ``_ansatz_entry``; the free pure-omega entries are
+    rational unknowns solved from the ``_target_conditions``, then
     re-verified symbolically.
     """
 
@@ -358,6 +409,18 @@ class _AtomTargets:
             return RF_ZERO
         return nak_pairing(_unit_word(mu), _unit_word(nu), self.ob)
 
+    def word_pairs(self, m: int) -> list:
+        """[(w1, w2, unit pairing, omega rest of w1, omega rest of w2)] over
+        the label words of weight m, the pairing shared by every atom."""
+        split = {w: _unit_split(w) for w in weighted_partition_basis(m, self.n + 1)}
+        # unit parts come sorted, so two of them pair to nonzero only if equal
+        norms = {mu: self.unit_pair(mu, mu) for mu, _ in split.values()}
+        return [
+            (w1, w2, norms[mu1] if mu1 == mu2 else RF_ZERO, om1, om2)
+            for w1, (mu1, om1) in split.items()
+            for w2, (mu2, om2) in split.items()
+        ]
+
     def label_class_vectors(self, m: int) -> dict:
         """Fixed-point classes re-labelled in the unit/omega basis."""
         out = {}
@@ -371,69 +434,40 @@ class _AtomTargets:
         for mm in range(1, m):
             self.solve(mm)
         n = self.n
-        words = weighted_partition_basis(m, n + 1)
         atoms = self.atoms(m)
         gammas: dict = {}  # unknown (ch, k, word pair in sorted order) -> index
-        # the unit pairing and omega-label rests of each word pair, shared
-        # by every atom
-        split = {w: _unit_split(w) for w in words}
-        wpairs = [
-            (w1, w2, self.unit_pair(split[w1][0], split[w2][0]), split[w1][1], split[w2][1])
-            for w1 in words
-            for w2 in words
-        ]
+        wpairs = self.word_pairs(m)
         # affine form of each entry: known constant + optional single unknown
         aff: dict = {}
         for (ch, k, _mat) in atoms:
+            lower = {mm: self.solved[mm].get((ch, k), {}) for mm in range(1, m)}
             for w1, w2, up, om1, om2 in wpairs:
-                m2 = om1.weight
-                if up.is_zero or m2 == 0:
-                    aff[(ch, k, w1, w2)] = (RF_ZERO, {})
-                elif m2 < m:
-                    sub = self.solved[m2].get((ch, k), {})
-                    val = sub.get((om1, om2), RF_ZERO)
-                    aff[(ch, k, w1, w2)] = (up * val, {})
-                else:
-                    gk = (ch, k, *sorted((w1, w2)))
-                    if gk not in gammas:
-                        gammas[gk] = len(gammas)
-                    aff[(ch, k, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
+                val = _ansatz_entry(m, up, om1, om2, lower)
+                if val is not None:
+                    aff[(ch, k, w1, w2)] = (val, {})
+                    continue
+                gk = (ch, k, *sorted((w1, w2)))
+                if gk not in gammas:
+                    gammas[gk] = len(gammas)
+                aff[(ch, k, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
 
         jl = self.label_class_vectors(m)
-        mps = list(jl.keys())
         conds = []
-        cm = interval_corner_constant(n, m)
         for (ch, k, _mat) in atoms:
-            i, j = ch
-            tgt: dict = {}
-            for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
-                tgt[(bra, ket)] = tgt[(ket, bra)] = cm if k == kmode else RF_ZERO
-            for la in mps:
-                for eta in mps:
-                    if la == eta:
-                        continue
-                    pair = (la, eta)
-                    if pair in tgt:
-                        target = tgt[pair]
-                    else:
-                        sa, se = la.sizes(), eta.sizes()
-                        if sa[i - 1] == se[i - 1] or sa[j - 1] == se[j - 1]:
-                            target = RF_ZERO  # channel vanishing
-                        else:
+            for la, eta, target in _target_conditions(n, m, *ch, k, jl):
+                gc: dict = {}
+                const = RF_ZERO
+                for w1, c1 in jl[la].items():
+                    for w2, c2 in jl[eta].items():
+                        cst, gd = aff[(ch, k, w1, w2)]
+                        if cst.is_zero and not gd:
                             continue
-                    gc: dict = {}
-                    const = RF_ZERO
-                    for w1, c1 in jl[la].items():
-                        for w2, c2 in jl[eta].items():
-                            cst, gd = aff[(ch, k, w1, w2)]
-                            if cst.is_zero and not gd:
-                                continue
-                            f = c1 * c2
-                            if not cst.is_zero:
-                                const = const + f * cst
-                            for gk2, gcf in gd.items():
-                                gc[gk2] = gc.get(gk2, RF_ZERO) + f * gcf
-                    conds.append(((ch, k, la, eta), gc, const, target))
+                        f = c1 * c2
+                        if not cst.is_zero:
+                            const = const + f * cst
+                        for gk2, gcf in gd.items():
+                            gc[gk2] = gc.get(gk2, RF_ZERO) + f * gcf
+                conds.append(((ch, k, la, eta), gc, const, target))
 
         # solve the rational-unknown system per atom via exact sampling,
         # then verify every condition symbolically
@@ -524,24 +558,20 @@ def _solve_label_system(rows: list, ncols: int, meta: list, m: int) -> tuple:
 
 class _TowerFailure(Exception):
     def __init__(self, level: int, kind: str, witnesses: list):
-        super().__init__(f"embedding solve failed at weight {level}: {kind}")
+        super().__init__(f"embedding failed at weight {level}: {kind}")
         self.level = level
         self.kind = kind
         self.witnesses = witnesses
 
 
-def _point_to_label_matrix(geom: SurfaceGeometry, words) -> list:
-    """Columns: point-label words written in unit/omega-label coordinates
-    (the inverse of the label-to-point change of basis)."""
-    ob = unit_omega_basis(geom)
-    fb = fixed_point_basis(geom)
+def _label_change_matrix(words, src, dst) -> list:
+    """Columns: the words, read with the labels of basis ``src``, written in
+    word coordinates with the labels of basis ``dst``."""
     widx = {w: i for i, w in enumerate(words)}
-    nw = len(words)
-    out = [[RF_ZERO] * nw for _ in range(nw)]
-    for b, wpt in enumerate(words):
-        conv = convert_labels({wpt: RF_ONE}, fb, ob)
-        for wl, c in conv.items():
-            out[widx[wl]][b] = c
+    out = [[RF_ZERO] * len(words) for _ in words]
+    for b, w in enumerate(words):
+        for w2, c in convert_labels({w: RF_ONE}, src, dst).items():
+            out[widx[w2]][b] = c
     return out
 
 
@@ -561,7 +591,6 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
 
     Returns (solution dict, nullspace basis, residual tags).
     """
-    geom = targets.geom
     states = weight_basis(n, m)
     sidx = {s: i for i, s in enumerate(states)}
     words = weighted_partition_basis(m, n + 1)
@@ -584,7 +613,7 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
             blocks[(lab, jj)] = (wi, top[jj])
 
     # M = diag(G)^-1 Lhinv^T N Lhinv, with G the point-word norms
-    Lhinv = _point_to_label_matrix(geom, words)
+    Lhinv = _label_change_matrix(words, targets.fb, targets.ob)
     fb = targets.fb
     G = [nak_pairing(w, w, fb) for w in words]
     left = [[x / g for x in col] for col, g in zip(zip(*Lhinv), G)]
@@ -685,16 +714,11 @@ def _transport_matrix(n: int, m: int, modes: dict):
 
 
 def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
-                      diagonal_only=False) -> tuple:
-    """Level-by-level solve; raises _TowerFailure with structured witnesses.
-
-    Returns (modes, transports, inverses), the last two as the chosen modes'
-    ``Dictionary.transport`` and ``transport_inverse`` would compute them.
-    """
+                      diagonal_only=False) -> dict:
+    """Level-by-level solve of the modes {k: U_k}; raises _TowerFailure with
+    structured witnesses."""
     n = geom.n
     modes: dict = {}
-    transports: dict = {}
-    inverses: dict = {}
     for m in range(1, m_max + 1):
         targets.solve(m)
         sol, nulls, residuals = _solve_mode_level(
@@ -733,10 +757,9 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
             Um = _materialize_mode(n, sol, nulls, cand)
             trial = dict(modes)
             trial[m] = Um
-            tr = _transport_matrix(n, m, trial)
             try:
-                transports[m], inverses[m] = tr, inverse(tr[0])
-            except ValueError:
+                inverse(_transport_matrix(n, m, trial)[0])
+            except SingularMatrixError:
                 continue
             chosen = Um
             break
@@ -756,7 +779,144 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
                 ],
             )
         modes[m] = chosen
-    return modes, transports, inverses
+    return modes
+
+
+# ---------------------------------------------------------------------------
+# the closed-form embedding, verified against the stage A and B equations
+# ---------------------------------------------------------------------------
+
+
+def _mode_progression_ratio(geom: SurfaceGeometry) -> RatFn:
+    return RatFn.const(QQ(-1, geom.n + 1)) / T2
+
+
+def _closed_form_mode(geom: SurfaceGeometry, k: int) -> list:
+    """U_k = rho^(k-1) U_1 with rho = -1/((n+1) t2) and, for N = n + 1 and
+    1-based i, j: U_1[i][j] = 1 for j < i, (N - i)/N (t1 + t2)/t2 for j = i,
+    and (n t2 - t1)/(N t2) for j > i."""
+    npts = geom.n + 1
+    diag = RatFn(TAU) / T2
+    upper = (RatFn(T2) * QQ(geom.n) - T1) / (RatFn(T2) * QQ(npts))
+    f = _mode_progression_ratio(geom) ** (k - 1)
+    return [
+        [f * (RF_ONE if j < i else diag * QQ(npts - i, npts) if j == i else upper)
+         for j in range(1, npts + 1)]
+        for i in range(1, npts + 1)
+    ]
+
+
+def _label_atom_matrices(targets: _AtomTargets, m: int, T: list, Tinv: list) -> dict:
+    """{(ch, k): {(w1, w2): RatFn}}: the label-basis atom matrices N that the
+    transport T (lattice states by point-label words) implies at weight m.
+
+    The intertwiner T M = K T of each omega-plus term K gives its word matrix
+    M = T^-1 K T, and ``_solve_mode_level``'s M = diag(G)^-1 Lhinv^T N Lhinv
+    gives N = X^T diag(G) M X, with X = Lhinv^-1 the label words in
+    point-word coordinates and G the point-word norms.  So N = A K B with
+    A = X^T diag(G) T^-1 and B = T X, built once per weight; each N is one
+    fraction-free product around K's sparse integral entries (``_sandwich``).
+    Zero entries are left out, as in ``_AtomTargets.solve``.
+    """
+    words = weighted_partition_basis(m, targets.n + 1)
+    X = _label_change_matrix(words, targets.ob, targets.fb)
+    G = [nak_pairing(w, w, targets.fb) for w in words]
+    A = matmul([[x * g for x, g in zip(col, G)] for col in zip(*X)], Tinv)
+    B = matmul(T, X)
+    out = {}
+    for (ch, k, K) in targets.atoms(m):
+        N = _sandwich(A, K, B)
+        out[(ch, k)] = {
+            (w1, w2): v
+            for w1, row in zip(words, N)
+            for w2, v in zip(words, row)
+            if v
+        }
+    return out
+
+
+def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
+    """None if the atom matrices ``labels[m]`` solve the weight-m label-target
+    system of ``_AtomTargets.solve``, else (kind, witnesses).
+
+    First every entry must follow ``_ansatz_entry`` (kind "ansatz-structure"),
+    with ``labels`` at the lower weights for the factorized entries.  Then the
+    class brackets J^T N J, with J the fixed-point classes in label
+    coordinates, must meet every ``_target_conditions`` target mod t1 + t2
+    (kind "target-conditions").
+    """
+    n = targets.n
+    wpairs = targets.word_pairs(m)
+    wits = []
+    for (ch, k), N in labels[m].items():
+        lower = {mm: labels[mm].get((ch, k), {}) for mm in range(1, m)}
+        for w1, w2, up, om1, om2 in wpairs:
+            got = N.get((w1, w2), RF_ZERO)
+            want = _ansatz_entry(m, up, om1, om2, lower)
+            if want is None:
+                ok = got.is_const and got == N.get((w2, w1), RF_ZERO)
+            else:
+                ok = got == want
+            if not ok:
+                wits.append({"atom": (*ch, k), "entry": (repr(w1), repr(w2)), "value": str(got),
+                             "expected": "symmetric rational constant" if want is None
+                             else str(want)})
+    if wits:
+        return "ansatz-structure", wits[:5]
+    jl = targets.label_class_vectors(m)
+    words = weighted_partition_basis(m, n + 1)
+    mps = list(jl)
+    J = [[jl[mp].get(w, RF_ZERO) for mp in mps] for w in words]
+    Jt = [list(col) for col in zip(*J)]
+    pidx = {mp: i for i, mp in enumerate(mps)}
+    for (ch, k), Nd in labels[m].items():
+        N = [[Nd.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
+        P = matmul(matmul(Jt, N), J)
+        for la, eta, target in _target_conditions(n, m, *ch, k, mps):
+            got = P[pidx[la]][pidx[eta]]
+            try:
+                ok = reduce_tau(got - target).is_zero
+            except ExactDivisionError:  # a pole along t1 + t2 = 0
+                ok = False
+            if not ok:
+                wits.append({"atom": (*ch, k), "bra": repr(la), "ket": repr(eta),
+                             "value": str(got), "target": str(target)})
+    if wits:
+        return "target-conditions", wits[:5]
+    return None
+
+
+def _closed_form_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets) -> tuple:
+    """(modes, transports, inverses, labels) for the closed-form modes at the
+    levels k <= m_max, each level verified before the next.
+
+    Per weight m the transport must be invertible (kind "singular-transport");
+    then the label atom matrices it implies (``_label_atom_matrices``) must
+    solve the label-target system (``_label_atom_failure``).  Those are the
+    equations ``_solve_mode_tower`` solves, so the modes are a solution of
+    them.  ``labels[m]`` has the form of ``_AtomTargets.solve(m)``.  Raises
+    _TowerFailure at the first level that fails.
+    """
+    n = geom.n
+    modes = {k: _closed_form_mode(geom, k) for k in range(1, m_max + 1)}
+    transports: dict = {}
+    inverses: dict = {}
+    labels: dict = {}
+    for m in range(1, m_max + 1):
+        tr = transports[m] = _transport_matrix(n, m, modes)
+        try:
+            inverses[m] = inverse(tr[0])
+        except SingularMatrixError:
+            raise _TowerFailure(m, "singular-transport", [{
+                "detail": "the closed-form modes give a singular creation-word "
+                "basis change",
+                "mode": [[str(v) for v in row] for row in modes[m]],
+            }]) from None
+        labels[m] = _label_atom_matrices(targets, m, tr[0], inverses[m])
+        failure = _label_atom_failure(targets, m, labels)
+        if failure is not None:
+            raise _TowerFailure(m, *failure)
+    return modes, transports, inverses, labels
 
 
 # ---------------------------------------------------------------------------
@@ -765,7 +925,7 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
 
 
 class CalibrationError(Exception):
-    """The constraint system rejected every ansatz; carries the full report."""
+    """The embedding failed a calibration check; carries the full report."""
 
     def __init__(self, report: dict):
         super().__init__(report.get("summary", "calibration failed"))
@@ -777,10 +937,12 @@ class Dictionary:
 
     ``modes[k][i][j]`` is the coefficient of the color-j lattice mode in the
     image of the weight-k creation operator on the i-th point class, for the
-    solved levels k <= m_max.  Higher modes follow the verified geometric
-    progression with ratio ``rho``.  ``normalizations`` holds the squared
-    norms of the fixed-point classes (their tangent Euler classes), verified
-    against the pairing during calibration.
+    levels k <= m_max.  ``calibrate`` builds them in closed form, U_k =
+    rho^(k-1) U_1 (``_closed_form_mode``), and verifies them up to m_max.
+    ``mode_matrix`` extends them past m_max by the same formula, with ratio
+    ``rho``; those levels are not verified.  ``normalizations`` holds the
+    squared norms of the fixed-point classes (their tangent Euler classes),
+    verified against the pairing during calibration.
 
     Every matrix derived from the modes is built once, through ``cached``, and
     kept in the one table ``_memo``, keyed ``(kind, *args)`` on hashable
@@ -818,11 +980,6 @@ class Dictionary:
             raise ValueError("mode index must be positive")
         if k in self.modes:
             return self.modes[k]
-        if self.mode_rule != "geometric":
-            raise RuntimeError(
-                f"mode {k} exceeds the solved range {self.m_max} and the solved "
-                "modes did not certify a generation rule"
-            )
         top = self.modes[self.m_max]
         f = self.rho ** (k - self.m_max)
         return [[f * v for v in row] for row in top]
@@ -878,24 +1035,6 @@ class Dictionary:
     def engine(self, m: int, window: Window | None = None):
         window = window or DEFAULT_WINDOW
         return self.cached(("engine", m, window), lambda: BracketEngine(self, m, window))
-
-
-def _mode_progression_ratio(geom: SurfaceGeometry) -> RatFn:
-    return RatFn.const(QQ(-1, geom.n + 1)) / T2
-
-
-def _check_geometric_progression(geom: SurfaceGeometry, modes: dict):
-    """Certify modes[k] == rho^{k-1} modes[1] on the solved levels."""
-    rho = _mode_progression_ratio(geom)
-    base = modes[1]
-    npts = geom.n + 1
-    for k in sorted(modes):
-        f = rho ** (k - 1)
-        for i in range(npts):
-            for j in range(npts):
-                if modes[k][i][j] != f * base[i][j]:
-                    return None
-    return rho
 
 
 def _lattice_commutator(n: int, ii: int, jj: int, k: int, st0) -> dict:
@@ -1019,108 +1158,114 @@ def _localization_matrix_check(geom: SurfaceGeometry) -> dict:
     return {"ok": not failures, "checked": checked, "witnesses": failures}
 
 
-def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
-    """Solve the Heisenberg embedding subject to, in order: (a) the Heisenberg
-    relation with the surface pairing; (b) weight-one agreement between the
-    word pairing and the transported lattice pairing (invertible basis change
-    matching surface localization); (c) the two corner evaluations mod
-    (t1+t2)^2 at weights 1 and 2, on ``DEFAULT_WINDOW``.
+def _failed_attempt(kind: str, exc: _TowerFailure) -> dict:
+    """The report of an ansatz whose tower failed at level ``exc.level``."""
+    return {
+        "ansatz": kind,
+        "status": "failed",
+        "violated_constraint": (
+            "(b) invertible weight-one basis change"
+            if exc.kind == "singular-transport"
+            else "(c) corner/channel target equations"
+        ),
+        "level": exc.level,
+        "kind": exc.kind,
+        "witnesses": exc.witnesses,
+    }
 
-    The diagonal ansatz is attempted first; its structured failure is part of
-    the returned report.  Raises CalibrationError if every ansatz fails.
+
+def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
+    """The Heisenberg embedding up to weight ``m_max``, built from its closed
+    form (``_closed_form_mode``) and verified exactly.
+
+    The modes must solve, level by level, the equations the constraint
+    solver ``_solve_mode_tower`` solves (``_closed_form_tower``).  Then they
+    must satisfy, in order: (a) the Heisenberg relation with the surface
+    pairing; (b) weight-one agreement between the word pairing and the
+    transported lattice pairing (invertible basis change matching surface
+    localization); (c) the two corner evaluations mod (t1+t2)^2 at weights 1
+    and 2, on ``DEFAULT_WINDOW``.
+
+    The diagonal ansatz is first solved for with the constraint solver; its
+    structured failure is part of the returned report.  Raises
+    CalibrationError, with every attempt's report, if the closed form fails
+    any check.
     """
     if isinstance(m_max, bool) or not isinstance(m_max, int):
         raise TypeError(f"m_max must be an int, not {type(m_max).__name__}")
     if m_max < 2:
         raise ValueError("calibration needs m_max >= 2")
     targets = _AtomTargets(geom)
-    for m in range(1, m_max + 1):
-        targets.solve(m)
-    attempt_reports = []
-    for kind in ("diagonal", "color-mixing"):
-        try:
-            modes, transports, inverses = _solve_mode_tower(
-                geom, m_max, targets, diagonal_only=(kind == "diagonal")
-            )
-        except _TowerFailure as exc:
-            attempt_reports.append(
-                {
-                    "ansatz": kind,
-                    "status": "failed",
-                    "violated_constraint": (
-                        "(b) invertible weight-one basis change"
-                        if exc.kind == "singular-transport"
-                        else "(c) corner/channel target equations"
-                    ),
-                    "level": exc.level,
-                    "kind": exc.kind,
-                    "witnesses": exc.witnesses,
-                }
-            )
-            continue
-        rho = _check_geometric_progression(geom, modes)
-        norm_check = _norm_agreement_check(geom, m_max)
-        dic = Dictionary(
-            geom,
-            m_max,
-            kind,
-            modes,
-            rho if rho is not None else _mode_progression_ratio(geom),
-            "geometric" if rho is not None else "unverified",
-            dict(norm_check["norms"]),
-            {},
-        )
-        dic._memo.update({("transport", m): tr for m, tr in transports.items()})
-        dic._memo.update({("transport_inverse", m): ti for m, ti in inverses.items()})
-        heis = _heisenberg_operator_check(dic)
-        loc = _localization_matrix_check(geom)
-        corner2 = corner_evaluation_check(dic, 2)
-        corner1 = corner_evaluation_check(dic, 1)
-        constraints = [
-            {"id": "(a) heisenberg-with-surface-pairing", **heis},
-            {
-                "id": "(b) weight-one basis change / pairing agreement",
-                "ok": loc["ok"] and norm_check["ok"],
-                "checked": loc["checked"] + norm_check["checked"],
-                "witnesses": loc["witnesses"] + norm_check["witnesses"],
-            },
-            {"id": "(c) corner evaluations mod tau^2",
-             "ok": corner2["ok"] and corner1["ok"],
-             "checked": corner2["checked"] + corner1["checked"],
-             "witnesses": corner2["witnesses"] + corner1["witnesses"]},
-        ]
-        ok = all(c["ok"] for c in constraints)
-        attempt_reports.append(
-            {
-                "ansatz": kind,
-                "status": "ok" if ok else "failed",
-                "constraints": constraints,
-                "mode_rule": dic.mode_rule,
-                "progression_ratio": str(dic.rho),
-            }
-        )
-        if ok:
-            dic.report = {
-                "ansatz": kind,
-                "m_max": m_max,
-                "attempts": attempt_reports,
-                "modes": {
-                    k: [[str(v) for v in row] for row in modes[k]] for k in modes
-                },
-                "conventions": {
-                    "pairing": "annihilate-then-read-vacuum with sign (-1)^m and "
-                    "1/part scaling per mode",
-                    "heisenberg": "[P_k(a), P_l(b)] = -k delta_{k+l} <a,b>",
-                    "annihilation": "V_k = -diag(euler) (U_k^T)^{-1}",
-                },
-            }
-            return dic
-    raise CalibrationError(
+    attempts = []
+    # no diagonal U_1 gives an invertible transport at n <= 4, so this
+    # attempt fails at level 1 and only its report is kept
+    try:
+        _solve_mode_tower(geom, m_max, targets, diagonal_only=True)
+        attempts.append({"ansatz": "diagonal", "status": "solved, not used"})
+    except _TowerFailure as exc:
+        attempts.append(_failed_attempt("diagonal", exc))
+    kind = "color-mixing"
+    try:
+        modes, transports, inverses, _ = _closed_form_tower(geom, m_max, targets)
+    except _TowerFailure as exc:
+        attempts.append(_failed_attempt(kind, exc))
+        raise CalibrationError({
+            "summary": f"the closed-form embedding fails its {exc.kind} check "
+            f"at weight {exc.level}",
+            "attempts": attempts,
+        }) from None
+    norm_check = _norm_agreement_check(geom, m_max)
+    dic = Dictionary(geom, m_max, kind, modes, _mode_progression_ratio(geom), "geometric",
+                     dict(norm_check["norms"]), {})
+    dic._memo.update({("transport", m): tr for m, tr in transports.items()})
+    dic._memo.update({("transport_inverse", m): ti for m, ti in inverses.items()})
+    heis = _heisenberg_operator_check(dic)
+    loc = _localization_matrix_check(geom)
+    corner2 = corner_evaluation_check(dic, 2)
+    corner1 = corner_evaluation_check(dic, 1)
+    constraints = [
+        {"id": "(a) heisenberg-with-surface-pairing", **heis},
         {
-            "summary": "no ansatz satisfied the calibration constraints",
-            "attempts": attempt_reports,
+            "id": "(b) weight-one basis change / pairing agreement",
+            "ok": loc["ok"] and norm_check["ok"],
+            "checked": loc["checked"] + norm_check["checked"],
+            "witnesses": loc["witnesses"] + norm_check["witnesses"],
+        },
+        {"id": "(c) corner evaluations mod tau^2",
+         "ok": corner2["ok"] and corner1["ok"],
+         "checked": corner2["checked"] + corner1["checked"],
+         "witnesses": corner2["witnesses"] + corner1["witnesses"]},
+    ]
+    ok = all(c["ok"] for c in constraints)
+    attempts.append(
+        {
+            "ansatz": kind,
+            "status": "ok" if ok else "failed",
+            "constraints": constraints,
+            "mode_rule": dic.mode_rule,
+            "progression_ratio": str(dic.rho),
         }
     )
+    if not ok:
+        raise CalibrationError({
+            "summary": "the closed-form embedding fails the calibration constraints",
+            "attempts": attempts,
+        })
+    dic.report = {
+        "ansatz": kind,
+        "m_max": m_max,
+        "attempts": attempts,
+        "modes": {
+            k: [[str(v) for v in row] for row in modes[k]] for k in modes
+        },
+        "conventions": {
+            "pairing": "annihilate-then-read-vacuum with sign (-1)^m and "
+            "1/part scaling per mode",
+            "heisenberg": "[P_k(a), P_l(b)] = -k delta_{k+l} <a,b>",
+            "annihilation": "V_k = -diag(euler) (U_k^T)^{-1}",
+        },
+    }
+    return dic
 
 
 _calibrate_cache: dict = {}

@@ -1606,6 +1606,40 @@ def matmul(A: list, B: list) -> list:
     return out
 
 
+def _sandwich(A: list, K: dict, B: list) -> list:
+    """The product A . K . B of RatFn matrices A and B around a sparse rational
+    matrix K = {(r, c): QQ}, fraction-free like ``matmul``.  With K = K' / L
+    for integers K' and L, row a of A over its common denominator d_a and
+    column b of B over e_b, entry (a, b) is
+    sum_c (sum_r K'[r, c] A'[a][r]) B'[c][b] / (d_a e_b L), summed over
+    integer polynomials and normalised once."""
+    L = 1
+    for k in K.values():
+        if k.__class__ is not int:
+            L = _ilcm(L, k.denominator)
+    Kint = [(r, c, int(k * L)) for (r, c), k in K.items()]
+    cols = []
+    for col in zip(*B):
+        nums, e = _common_denominator(col)
+        cols.append(([(c, list(p.items())) for c, p in enumerate(nums) if p], e * L))
+    out = []
+    for Ar in A:
+        nums, d = _common_denominator(Ar)
+        acc: dict = {}  # c -> row a of A'.K', as {exponent: int}
+        for r, c, k in Kint:
+            if nums[r]:
+                p = acc.setdefault(c, {})
+                for ex, v in nums[r].items():
+                    p[ex] = p.get(ex, 0) + k * v
+        ak = {c: terms for c, p in acc.items() if (terms := [t for t in p.items() if t[1]])}
+        row = []
+        for bterms, e in cols:
+            num = _dot((ak[c], bt) for c, bt in bterms if c in ak)
+            row.append(RatFn(num, d * e) if num else RF_ZERO)
+        out.append(row)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rational reconstruction in q
 # ---------------------------------------------------------------------------

@@ -14,7 +14,10 @@ Dictionary's memo table (each entry built once, under its own kind, and the
 transports seeded by calibrate), the tangent Euler classes at weights one and
 two, the creation-word state vectors against the e_act loop they replaced,
 and the refusal of a non-int m_max and of a geometry and dictionary of
-different ranks.
+different ranks.  The closed-form Heisenberg embedding against the constraint
+solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
+the label atom matrices; and calibrate's typed refusal of a perturbed closed
+form, of a non-constant or off-target top-weight label entry, and of n = 0.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
 reads False at m = 2 (an open defect, ROADMAP item 2).
@@ -30,6 +33,7 @@ import andt.dictionary as dictionary
 import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
+    CalibrationError,
     _AtomTargets,
     _arm_leg_product,
     _atom_class_matrix,
@@ -37,6 +41,8 @@ from andt.dictionary import (
     _atom_value,
     _classical_restriction,
     _classical_state_matrix,
+    _closed_form_mode,
+    _closed_form_tower,
     _divisor_atoms,
     _heisenberg_operator_check,
     _power_to_monomial_inverse,
@@ -506,7 +512,7 @@ def _mode_level_snapshot():
         targets = _AtomTargets(geom)
         targets.solve(max(ms))
         for m in ms:
-            known = _solve_mode_tower(geom, m - 1, targets)[0] if m > 1 else {}
+            known = _solve_mode_tower(geom, m - 1, targets) if m > 1 else {}
             for diag in (True, False):
                 sol, nulls, residuals = _solve_mode_level(
                     n, m, known, targets, diagonal_only=diag
@@ -524,6 +530,111 @@ def test_mode_level_reproduces_the_frozen_solution():
     # blocks replaced: same unknown order, pivots, nullspace and residual tags
     path = Path(__file__).parent / "data" / "mode_level_oracle.json"
     assert _mode_level_snapshot() == json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3)])
+def test_closed_form_tower_is_the_solved_tower(n, m):
+    # the constraint solver is the oracle: its colour-mixing tower is the
+    # closed form at every level, and the label atom matrices the closed form
+    # implies are the ones it solves for, atom by atom
+    geom = SurfaceGeometry(n)
+    solver = _AtomTargets(geom)
+    solved = _solve_mode_tower(geom, m, solver)
+    assert solved == {k: _closed_form_mode(geom, k) for k in range(1, m + 1)}
+    labels = _closed_form_tower(geom, m, _AtomTargets(geom))[3]
+    assert labels.keys() == solver.solved.keys()
+    for mm, atoms in labels.items():
+        assert atoms.keys() == solver.solved[mm].keys()
+        for atom, N in atoms.items():
+            assert N == solver.solved[mm][atom], (mm, atom)
+    assert any(labels[m].values())
+
+
+def test_modes_past_the_calibrated_range_follow_the_closed_form(dic):
+    for k in (3, 4):
+        assert dic.mode_matrix(k) == _closed_form_mode(dic.geom, k)
+
+
+def _refused_attempt(geom: SurfaceGeometry, kind: str, level: int) -> dict:
+    """The failed colour-mixing attempt of ``calibrate(geom, 2)``, which must
+    raise CalibrationError for the check ``kind`` at weight ``level``."""
+    with pytest.raises(CalibrationError) as info:
+        calibrate(geom, 2)
+    report = info.value.report
+    assert report["summary"] == (
+        f"the closed-form embedding fails its {kind} check at weight {level}")
+    attempt = report["attempts"][-1]
+    assert (attempt["ansatz"], attempt["status"]) == ("color-mixing", "failed")
+    assert (attempt["kind"], attempt["level"]) == (kind, level)
+    assert attempt["witnesses"]
+    return attempt
+
+
+def test_calibrate_refuses_a_perturbed_closed_form_entry(monkeypatch):
+    closed = dictionary._closed_form_mode
+
+    def perturbed(geom, k):
+        U = closed(geom, k)
+        if k == 2:
+            U[0][1] = U[0][1] * 3
+        return U
+
+    monkeypatch.setattr(dictionary, "_closed_form_mode", perturbed)
+    attempt = _refused_attempt(SurfaceGeometry(1), "ansatz-structure", 2)
+    assert attempt["violated_constraint"] == "(c) corner/channel target equations"
+    # an entry the ansatz pins to zero is not zero
+    assert attempt["witnesses"][0]["expected"] == "0"
+    assert attempt["witnesses"][0]["value"] != "0"
+
+
+def _label_atom_matrices_with(monkeypatch, bend):
+    """Patch the label atom matrices at weight 2: bend(labels) edits them in
+    place."""
+    derive = dictionary._label_atom_matrices
+
+    def patched(targets, m, T, Tinv):
+        labels = derive(targets, m, T, Tinv)
+        if m == 2:
+            bend(labels)
+        return labels
+
+    monkeypatch.setattr(dictionary, "_label_atom_matrices", patched)
+
+
+def _pure_omega_entry(labels: dict) -> tuple:
+    """(atom, word pair) of the first nonzero pure-omega entry."""
+    return next(
+        (atom, pair) for atom, N in labels.items() for pair in N
+        if all(lab != 0 for w in pair for _, lab in w.pairs)
+    )
+
+
+def test_calibrate_refuses_a_non_constant_top_weight_entry(monkeypatch):
+    def bend(labels):
+        atom, pair = _pure_omega_entry(labels)
+        labels[atom][pair] = labels[atom][pair] + RatFn(exact.T1) / exact.T2
+
+    _label_atom_matrices_with(monkeypatch, bend)
+    attempt = _refused_attempt(SurfaceGeometry(1), "ansatz-structure", 2)
+    assert [w["expected"] for w in attempt["witnesses"]] == ["symmetric rational constant"]
+
+
+def test_calibrate_refuses_a_top_weight_constant_off_its_targets(monkeypatch):
+    def bend(labels):
+        atom, (w1, w2) = _pure_omega_entry(labels)
+        N = labels[atom]
+        N[(w1, w2)] = N[(w2, w1)] = N[(w1, w2)] * 2  # still symmetric and constant
+
+    _label_atom_matrices_with(monkeypatch, bend)
+    attempt = _refused_attempt(SurfaceGeometry(1), "target-conditions", 2)
+    assert all(w["value"] != w["target"] for w in attempt["witnesses"])
+
+
+def test_calibrate_refuses_rank_zero_with_a_singular_transport():
+    # n = 0 has no interval atoms; the closed form gives U_1 = [[0]]
+    attempt = _refused_attempt(SurfaceGeometry(0), "singular-transport", 1)
+    assert attempt["violated_constraint"] == "(b) invertible weight-one basis change"
+    assert attempt["witnesses"][0]["mode"] == [["0"]]
 
 
 def _lattice_state_divisor(dic, m, which, t1, t2, q0, svals):

@@ -1017,6 +1017,39 @@ def test_ratfn_matmul_matches_naive_product(AB):
     assert all(_is_canonical(x) for row in got for x in row)
 
 
+@st.composite
+def _sandwiches(draw):
+    """(A, K, B): RatFn matrices around a sparse rational K with integral and
+    fractional entries, as {(r, c): QQ}."""
+    nr, ns, nc = draw(st.tuples(*[st.integers(1, 4)] * 3))
+    cells = st.tuples(st.integers(0, ns - 1), st.integers(0, ns - 1))
+    kvals = st.one_of(st.builds(QQ, st.integers(-3, 3)), qcoeffs).filter(bool)
+    K = draw(st.dictionaries(cells, kvals, max_size=2 * ns))
+    return draw(_matmul_matrices(nr, ns)), K, draw(_matmul_matrices(ns, nc))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_sandwiches())
+def test_sandwich_matches_naive_product(AKB):
+    A, K, B = AKB
+    ns = len(B)
+    Kd = [[RatFn.const(K.get((r, c), 0)) for c in range(ns)] for r in range(ns)]
+    got = exact_mod._sandwich(A, K, B)
+    assert got == _naive_matmul(_naive_matmul(A, Kd), B)
+    assert all(_is_canonical(x) for row in got for x in row)
+
+
+def test_sandwich_stores_integral_coefficients_as_int():
+    # K's entries are QQ (as wedge.normal_pair_matrix gives them); numerators
+    # scaled by an integral QQ would store Fraction coefficients, which the
+    # modular coprimality certificate in poly_gcd cannot read
+    A = [[RatFn(T1 + 2 * T2, T1 + 3 * T3)]]
+    B = [[RatFn(T2 + T3, T1 - T3)]]
+    got = exact_mod._sandwich(A, {(0, 0): QQ(1)}, B)
+    assert got == [[A[0][0] * B[0][0]]]
+    assert stored_form(got[0][0].num) and stored_form(got[0][0].den)
+
+
 def test_singular_matrix_error_is_value_and_zero_division_error():
     singular = [[RatFn(T1), RatFn(T2)], [RatFn(T1 * T3), RatFn(T2 * T3)]]
     for exc in (SingularMatrixError, ValueError, ZeroDivisionError):
