@@ -42,7 +42,6 @@ from .exact import (
     T1,
     T2,
     TAU,
-    TPoly,
     Window,
     WindowError,
     _common_denominator,
@@ -359,28 +358,30 @@ def _ansatz_entry(m: int, up: RatFn, om1: WeightedPartition, om2: WeightedPartit
     return None
 
 
+def _channel_pairs(n: int, m: int, i: int, j: int, mps):
+    """Yield (la, eta, mode) over the ordered pairs of distinct classes in
+    ``mps`` that the interval (i, j) constrains: a corner pair of the interval,
+    either way round, with its mode (``_corner_pairs``), and any other pair
+    that agrees in size at chart i or chart j, with mode None (channel
+    vanishing)."""
+    corner = _corner_pairs(n, m, i, j)
+    modes = {**corner, **{(ket, bra): k for (bra, ket), k in corner.items()}}
+    sizes = {mp: mp.sizes() for mp in mps}
+    for la, eta in itertools.permutations(mps, 2):
+        mode = modes.get((la, eta))
+        sa, se = sizes[la], sizes[eta]
+        if mode is not None or sa[i - 1] == se[i - 1] or sa[j - 1] == se[j - 1]:
+            yield la, eta, mode
+
+
 def _target_conditions(n: int, m: int, i: int, j: int, k: int, mps):
     """Yield (la, eta, target) for the conditions on the atom (i, j, k) at
-    weight m: on a corner pair of the interval, the class bracket is the
-    corner constant if k is the pair's mode and 0 otherwise; on any other
-    pair of distinct classes that agree in size at chart i or chart j, it
-    vanishes (channel vanishing).  Each holds mod t1 + t2."""
+    weight m, over ``_channel_pairs``: on a corner pair the class bracket is
+    the corner constant if k is the pair's mode and 0 otherwise; on a channel
+    pair it vanishes.  Each holds mod t1 + t2."""
     cm = interval_corner_constant(n, m)
-    tgt: dict = {}
-    for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
-        tgt[(bra, ket)] = tgt[(ket, bra)] = cm if k == kmode else RF_ZERO
-    sizes = {mp: mp.sizes() for mp in mps}
-    for la in mps:
-        for eta in mps:
-            if la == eta:
-                continue
-            target = tgt.get((la, eta))
-            if target is None:
-                sa, se = sizes[la], sizes[eta]
-                if sa[i - 1] != se[i - 1] and sa[j - 1] != se[j - 1]:
-                    continue
-                target = RF_ZERO
-            yield la, eta, target
+    for la, eta, mode in _channel_pairs(n, m, i, j, mps):
+        yield la, eta, cm if mode == k else RF_ZERO
 
 
 class _AtomTargets:
@@ -1059,6 +1060,9 @@ def _heisenberg_operator_check(dic: Dictionary, m_check: int = 2, kmax: int = 2)
     once per (a, b) and integer coefficient vector.  Every state reached
     through a nonzero V U is checked, and each failing (k, a, b, state) is
     one witness.
+
+    It holds for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1} gives
+    k (V_k U_k^T)[a][b] = -k delta_ab euler_a: it checks the lattice side only.
     """
     n = dic.n
     cols = range(n + 1)
@@ -1181,10 +1185,17 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     The modes must solve, level by level, the equations the constraint
     solver ``_solve_mode_tower`` solves (``_closed_form_tower``).  Then they
     must satisfy, in order: (a) the Heisenberg relation with the surface
-    pairing; (b) weight-one agreement between the word pairing and the
-    transported lattice pairing (invertible basis change matching surface
-    localization); (c) the two corner evaluations mod (t1+t2)^2 at weights 1
-    and 2, on ``DEFAULT_WINDOW``.
+    pairing, which holds for any invertible U_k given
+    V_k = -diag(euler) (U_k^T)^{-1} (``_heisenberg_operator_check``); (b)
+    weight-one agreement between the word pairing and the transported lattice
+    pairing (invertible basis change matching surface localization); (c) the
+    two corner evaluations mod (t1+t2)^2 at weights 1 and 2, on
+    ``DEFAULT_WINDOW``.
+
+    The modes are fixed only up to the gauge U_k -> c^k U_k, which rescales
+    the weight-k Nakajima mode against the Cartan currents e_ii(-k) of
+    gl(n+1)^: c = 2 and c = -3/5 pass every check here at n = 1, 2.  The
+    closed form is the solver's pick, which fixes c at level 1.
 
     The diagonal ansatz is first solved for with the constraint solver; its
     structured failure is part of the returned report.  Raises
@@ -1298,86 +1309,60 @@ class BracketEngine:
     """Matrix elements of the boundary operator between creation words:
     B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
 
-    Every coefficient of Theta is (t1 + t2) * c with c rational (the log atoms
-    of ``theta_logatoms`` carry rational weights times t1 + t2).  Writing row
-    wi of T^{-1} over its common denominator as a_{wi,r} / d_{wi}, column wj
-    of T as b_{c,wj} / e_{wj}, and the rationals at one (q, s) monomial over
-    their common denominator L as c'_{rc} / L, the coefficient of B at that
-    monomial is
-
-        G[wi] (t1 + t2) sum_{r,c} c'_{rc} a_{wi,r} b_{c,wj} / (d_{wi} e_{wj} L),
-
-    so the sum is taken over integer polynomials with no gcd, and each output
-    coefficient is normalised once.  The q-floor of an entry is the least
-    q-floor of the Theta entries (r, c) with T^{-1}[wi][r] and T[c][wj]
-    nonzero.
+    Theta is read atom by atom, as ``theta_logatoms`` gives it: Theta =
+    (t1 + t2) sum_a K_a log(1 - (-q)^k s_i...s_{j-1}) over the log atoms
+    a = (k, i, j), each K_a a sparse rational state matrix.  So B is
+    sum_a W_a L_a, with L_a the atom's series on the window and the word
+    matrix W_a = (t1 + t2) G . T^{-1} . K_a . T one fraction-free product
+    (``exact._sandwich``); each entry is one fold of W_a[wi][wj] L_a over the
+    atoms (``exact._fold_products``).  The q-floor of an entry is the least
+    q-floor of the expanded Theta entries (r, c) with T^{-1}[wi][r] and
+    T[c][wj] nonzero; an entry with no such (r, c) is None.
     """
 
     def __init__(self, dic: Dictionary, m: int, window: Window):
-        self.dic = dic
         self.n = dic.n
-        self.m = m
         self.window = window
-        self.basis = fixed_point_basis(dic.geom)
-        self.T, self.states, self.words = dic.transport(m)
-        self.widx = {w: i for i, w in enumerate(self.words)}
+        self.T, _states, words = dic.transport(m)
+        self.widx = {w: i for i, w in enumerate(words)}
         self.Tinv = dic.transport_inverse(m)
+        basis = fixed_point_basis(dic.geom)
+        self.G = [nak_pairing(w, w, basis) for w in words]
         # the vacuum atoms with k > qmax only touch q-degrees above the window
-        th = theta_logatoms(self.n, m, max(1, window.qmax))
-        self.th = {key: atom.expand(window) for key, atom in th.items()}
-        self.G = [nak_pairing(w, w, self.basis) for w in self.words]
+        self.theta = theta_logatoms(self.n, m, max(1, window.qmax))
         self._B = None
 
     def bracket_matrix(self) -> list:
         if self._B is not None:
             return self._B
-        nw = len(self.words)
-        rats = {
-            key: [(mon, _tau_multiple(v)) for mon, v in ser.data.items()]
-            for key, ser in self.th.items()
-        }
-        lcms: dict = {}
-        for terms in rats.values():
-            for mon, c in terms:
-                lcms[mon] = math.lcm(lcms.get(mon, 1), c.denominator)
-        ints = {
-            key: [(mon, int(c * lcms[mon])) for mon, c in terms]
-            for key, terms in rats.items()
-        }
-        rows = [_common_denominator(row) for row in self.Tinv]
-        cols = [_common_denominator(col) for col in zip(*self.T)]
-        B = [[None] * nw for _ in range(nw)]
-        for wi, (a, d) in enumerate(rows):
-            num = self.G[wi].num * TAU
-            for wj, (b, e) in enumerate(cols):
-                acc: dict = {}
-                qfloor = None
-                for (r, c), terms in ints.items():
-                    if not a[r] or not b[c]:
-                        continue
-                    qf = self.th[(r, c)].qfloor
-                    qfloor = qf if qfloor is None else min(qfloor, qf)
-                    prod = list((a[r] * b[c]).items())
-                    for mon, k in terms:
-                        p = acc.setdefault(mon, {})
-                        for ex, v in prod:
-                            p[ex] = p.get(ex, 0) + k * v
-                if qfloor is None:
-                    continue
-                den = self.G[wi].den * d * e
-                data = {}
-                for mon, p in acc.items():
-                    poly = TPoly(p)
-                    if poly:
-                        data[mon] = RatFn(num * poly, den * lcms[mon])
-                B[wi][wj] = QSSeries(self.n, self.window, qfloor, data)
+        n, window, T = self.n, self.window, self.T
+        K: dict = {}  # atom -> K_a
+        for rc, entry in self.theta.items():
+            for a, v in entry.atoms.items():
+                K.setdefault(a, {})[rc] = _tau_multiple(v)
+        L = {a: log_atom_expand(n, window, *a) for a in K}
+        # a Theta entry's floor as ``LogAtomSum.expand`` gives it: the least
+        # floor of its nonempty atom series, else its last atom's floor
+        by_entry = {rc: [L[a] for a in sorted(e.atoms)] for rc, e in self.theta.items()}
+        floors = [(r, c, min((s.qfloor for s in ss if s.data), default=ss[-1].qfloor))
+                  for (r, c), ss in by_entry.items()]
+        A = [[TAU * g * x for x in row] for g, row in zip(self.G, self.Tinv)]
+        W = [(_sandwich(A, Ka, T), L[a]) for a, Ka in K.items()]
+        B = [[None] * len(T[0]) for _ in self.Tinv]
+        for wi, row in enumerate(self.Tinv):
+            for wj in range(len(T[0])):
+                qfs = [qf for r, c, qf in floors if row[r] and T[c][wj]]
+                if qfs:
+                    terms = [(w[wi][wj], s) for w, s in W if w[wi][wj]]
+                    B[wi][wj] = _fold_products(n, window, terms)
+                    B[wi][wj].qfloor = min(qfs)
         self._B = B
         return B
 
     def bracket(self, bra_vec: dict, ket_vec: dict) -> QSSeries:
         """Bilinear in point-label word coordinates.
 
-        Fraction-free like ``bracket_matrix``: the bra coefficients are put
+        Fraction-free, like ``exact._sandwich``: the bra coefficients are put
         over one common denominator d, the ket coefficients over e, and at
         each (q, s) monomial the B coefficients that meet there over L, so
         the coefficient there is sum cb' ck' B' / (d e L), summed over
@@ -1523,8 +1508,8 @@ def tau_linearity_check(dic: Dictionary, m: int, window: Window | None = None) -
 
 
 def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
-    """For distinct fixed-point classes agreeing in size at either endpoint of
-    an interval, the interval channel vanishes mod (t1+t2)^2."""
+    """On each channel pair of an interval (``_channel_pairs``: distinct classes
+    of equal size at either endpoint), the channel vanishes mod (t1+t2)^2."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     engine = dic.engine(m, window)
@@ -1536,25 +1521,15 @@ def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> di
     brackets: dict = {}
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
-            corner = _corner_pairs(n, m, i, j)
-            skip = set(corner) | {(b, a) for (a, b) in corner}
-            for la in mps:
-                for eta in mps:
-                    if la == eta or (la, eta) in skip:
-                        continue
-                    sa, se = la.sizes(), eta.sizes()
-                    if sa[i - 1] != se[i - 1] and sa[j - 1] != se[j - 1]:
-                        continue
-                    key = (la, eta)
-                    ser = brackets.get(key)
-                    if ser is None:
-                        ser = engine.bracket(fpv[la], fpv[eta])
-                        brackets[key] = ser
-                    checked += 1
-                    if not _mod_tau2_zero(interval_channel(ser, i, j)):
-                        failures.append(
-                            {"interval": (i, j), "bra": repr(la), "ket": repr(eta)}
-                        )
+            for la, eta, mode in _channel_pairs(n, m, i, j, mps):
+                if mode is not None:
+                    continue
+                ser = brackets.get((la, eta))
+                if ser is None:
+                    ser = brackets[(la, eta)] = engine.bracket(fpv[la], fpv[eta])
+                checked += 1
+                if not _mod_tau2_zero(interval_channel(ser, i, j)):
+                    failures.append({"interval": (i, j), "bra": repr(la), "ket": repr(eta)})
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
 
 
@@ -1777,7 +1752,7 @@ def _atom_class_matrix(dic: Dictionary, m: int, tag, K) -> list:
     def build():
         if tag[0] == "interval":
             D, Dinv, _ = dic.fixed_point_state_matrix(m)
-            return matmul(matmul(Dinv, _dense(K, len(D))), D)
+            return _sandwich(Dinv, K, D)
         # word-level conjugation: the transports cancel
         C, Cinv, _ = dic.class_word_matrix(m)
         return matmul(matmul(Cinv, _dense(K, len(C))), C)

@@ -1348,15 +1348,6 @@ def macmahon_power(c, window: Window, nvars: int = 0) -> QSSeries:
 
 # Matrices are lists of rows over one field type F, QQ or RatFn.  The kernel
 # uses only what both provide: F(0), F(1), bool(x), 1 / x, *, + and -.
-#
-# Fraction-free invariant of matmul over RatFn: no RatFn is multiplied or
-# added inside the product.  Each row i of A is written over one integral
-# common denominator, a_ik / d_i, and each column j of B over another,
-# b_kj / e_j (_common_denominator), so every a_ik and b_kj has integer
-# coefficients.  The entry sum_k a_ik b_kj is accumulated in Z[t1, t2, t3]
-# with no gcd, and normalised once, as RatFn(sum, d_i e_j), only where it is
-# nonzero.  Canonical forms are unique, so the result is the same as the
-# entry-by-entry RatFn sum.
 
 
 class SingularMatrixError(ZeroDivisionError, ValueError):
@@ -1504,7 +1495,13 @@ def _common_denominator(fns) -> tuple:
 
 def _dot(pairs) -> TPoly:
     """sum p * q over pairs of polynomials given as lists of terms, with no
-    gcd and no coefficient normalisation (the coefficients are integers)."""
+    gcd and no coefficient normalisation.
+
+    Every coefficient it receives must be stored as ``int``, never as an
+    integral ``QQ``: the result is a trusted TPoly, and ``poly_gcd``'s modular
+    certificate cannot read a ``Fraction`` coefficient.  Callers convert
+    first (``_common_denominator`` clears denominators, ``_sandwich`` scales K
+    to integers)."""
     acc: dict = {}
     for ps, qs in pairs:
         for (e1, e2, e3), u in ps:
@@ -1572,47 +1569,35 @@ def _fold_products(nvars: int, window: Window, pairs) -> QSSeries:
 
 
 def matmul(A: list, B: list) -> list:
-    """The product A . B; zero entries of either factor are skipped.
-
-    Over RatFn the product is fraction-free (see the comment above).
-    """
+    """The product A . B; zero entries of either factor are skipped.  Over
+    RatFn it is ``_sandwich`` around the identity."""
     if not A:
         return []
-    if A[0][0].__class__ is not RatFn:
-        zero = type(A[0][0])(0)
-        out = []
-        for Ar in A:
-            row = [zero] * len(B[0])
-            for f, Bm in zip(Ar, B):
-                if f:
-                    for c, b in enumerate(Bm):
-                        if b:
-                            row[c] = row[c] + f * b
-            out.append(row)
-        return out
-    cols = []
-    for col in zip(*B):
-        nums, e = _common_denominator(col)
-        cols.append(([(k, list(p.items())) for k, p in enumerate(nums) if p], e))
+    if A[0][0].__class__ is RatFn:
+        return _sandwich(A, {(k, k): 1 for k in range(len(B))}, B)
+    zero = type(A[0][0])(0)
     out = []
     for Ar in A:
-        nums, d = _common_denominator(Ar)
-        a = {k: list(p.items()) for k, p in enumerate(nums) if p}
-        row = []
-        for bterms, e in cols:
-            num = _dot((a[k], bt) for k, bt in bterms if k in a)
-            row.append(RatFn(num, d * e) if num else RF_ZERO)
+        row = [zero] * len(B[0])
+        for f, Bm in zip(Ar, B):
+            if f:
+                for c, b in enumerate(Bm):
+                    if b:
+                        row[c] = row[c] + f * b
         out.append(row)
     return out
 
 
 def _sandwich(A: list, K: dict, B: list) -> list:
     """The product A . K . B of RatFn matrices A and B around a sparse rational
-    matrix K = {(r, c): QQ}, fraction-free like ``matmul``.  With K = K' / L
-    for integers K' and L, row a of A over its common denominator d_a and
-    column b of B over e_b, entry (a, b) is
-    sum_c (sum_r K'[r, c] A'[a][r]) B'[c][b] / (d_a e_b L), summed over
-    integer polynomials and normalised once."""
+    matrix K = {(r, c): int or QQ}: the one dense RatFn product, fraction-free.
+
+    No RatFn is multiplied or added inside it.  With K = K' / L for integers
+    K' and L, row a of A over one integral common denominator d_a and column
+    b of B over e_b (``_common_denominator``), entry (a, b) is
+    sum_c (sum_r K'[r, c] A'[a][r]) B'[c][b] / (d_a e_b L), summed in
+    Z[t1, t2, t3] with no gcd and normalised once, only where it is nonzero.
+    Canonical forms are unique, so it equals the entry-by-entry RatFn sum."""
     L = 1
     for k in K.values():
         if k.__class__ is not int:

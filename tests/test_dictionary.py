@@ -257,6 +257,9 @@ def dic2():
         pytest.param(1, 1, DEFAULT_WINDOW, id="1-1"),
         pytest.param(1, 2, DEFAULT_WINDOW, id="1-2"),
         pytest.param(2, 1, DEFAULT_WINDOW, id="2-1"),
+        # the largest engine the operators benchmark builds; its entries' floors
+        # are the Theta entries' floors, not the (tighter) atoms' floors
+        pytest.param(2, 2, DEFAULT_WINDOW, id="2-2"),
         # qmax above DEFAULT_WINDOW's: the q^4 s and q^5 s vacuum terms count
         pytest.param(1, 1, Window(-3, 5, 2), id="1-1-qmax5"),
     ],

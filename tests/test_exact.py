@@ -1039,15 +1039,27 @@ def test_sandwich_matches_naive_product(AKB):
     assert all(_is_canonical(x) for row in got for x in row)
 
 
-def test_sandwich_stores_integral_coefficients_as_int():
-    # K's entries are QQ (as wedge.normal_pair_matrix gives them); numerators
-    # scaled by an integral QQ would store Fraction coefficients, which the
-    # modular coprimality certificate in poly_gcd cannot read
-    A = [[RatFn(T1 + 2 * T2, T1 + 3 * T3)]]
-    B = [[RatFn(T2 + T3, T1 - T3)]]
-    got = exact_mod._sandwich(A, {(0, 0): QQ(1)}, B)
-    assert got == [[A[0][0] * B[0][0]]]
-    assert stored_form(got[0][0].num) and stored_form(got[0][0].den)
+def _unit_series(c):
+    return QSSeries(1, Window(0, 0, 0), 0, {(0, (0,)): c})
+
+
+@pytest.mark.parametrize("product", [
+    pytest.param(lambda a, b: exact_mod._sandwich([[a]], {(0, 0): QQ(1)}, [[b]])[0][0],
+                 id="sandwich"),
+    pytest.param(lambda a, b: matmul([[a * QQ(1)]], [[b]])[0][0], id="matmul"),
+    pytest.param(lambda a, b: exact_mod._fold_products(
+        1, Window(0, 0, 0), [(QQ(1), _unit_series(a * b))]).coeff(0, (0,)), id="fold_products"),
+])
+def test_sandwich_stores_integral_coefficients_as_int(product):
+    # every dense fraction-free product ends in exact._dot, which stores what
+    # it is given; an integral QQ input (K's entries come as QQ from
+    # wedge.normal_pair_matrix) must still leave int coefficients, which the
+    # modular coprimality certificate in poly_gcd can read
+    a = RatFn(T1 + 2 * T2, T1 + 3 * T3)
+    b = RatFn(T2 + T3, T1 - T3)
+    got = product(a, b)
+    assert got == a * b
+    assert stored_form(got.num) and stored_form(got.den)
 
 
 def test_singular_matrix_error_is_value_and_zero_division_error():
