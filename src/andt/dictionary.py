@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 
 from .exact import (
     ExactDivisionError,
-    ONE,
     QQ,
     QRational,
     QSSeries,
@@ -50,6 +49,7 @@ from .exact import (
     _fold_products,
     _numerators,
     _sandwich,
+    expand_logatoms,
     independent_rows,
     inverse,
     log_atom_expand,
@@ -1049,7 +1049,7 @@ def _lattice_commutator(n: int, ii: int, jj: int, k: int, st0) -> dict:
     return vec
 
 
-def _heisenberg_operator_check(dic: Dictionary, m_check: int = 2, kmax: int = 2) -> dict:
+def heisenberg_embedding_check(dic: Dictionary, m_check: int = 2, kmax: int = 3) -> dict:
     """Verify the commutation relation of the embedded modes on low-weight
     lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a.
 
@@ -1063,6 +1063,8 @@ def _heisenberg_operator_check(dic: Dictionary, m_check: int = 2, kmax: int = 2)
 
     It holds for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1} gives
     k (V_k U_k^T)[a][b] = -k delta_ab euler_a: it checks the lattice side only.
+    States run over weights 0..m_check and modes over k = 1..kmax;
+    ``calibrate`` runs it with kmax = 2.
     """
     n = dic.n
     cols = range(n + 1)
@@ -1186,11 +1188,11 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     solver ``_solve_mode_tower`` solves (``_closed_form_tower``).  Then they
     must satisfy, in order: (a) the Heisenberg relation with the surface
     pairing, which holds for any invertible U_k given
-    V_k = -diag(euler) (U_k^T)^{-1} (``_heisenberg_operator_check``); (b)
-    weight-one agreement between the word pairing and the transported lattice
-    pairing (invertible basis change matching surface localization); (c) the
-    two corner evaluations mod (t1+t2)^2 at weights 1 and 2, on
-    ``DEFAULT_WINDOW``.
+    V_k = -diag(euler) (U_k^T)^{-1} (``heisenberg_embedding_check`` with
+    k <= 2); (b) weight-one agreement between the word pairing and the
+    transported lattice pairing (invertible basis change matching surface
+    localization); (c) the two corner evaluations mod (t1+t2)^2 at weights 1
+    and 2, on ``DEFAULT_WINDOW``.
 
     The modes are fixed only up to the gauge U_k -> c^k U_k, which rescales
     the weight-k Nakajima mode against the Cartan currents e_ii(-k) of
@@ -1230,7 +1232,7 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
                      dict(norm_check["norms"]), {})
     dic._memo.update({("transport", m): tr for m, tr in transports.items()})
     dic._memo.update({("transport_inverse", m): ti for m, ti in inverses.items()})
-    heis = _heisenberg_operator_check(dic)
+    heis = heisenberg_embedding_check(dic, kmax=2)
     loc = _localization_matrix_check(geom)
     corner2 = corner_evaluation_check(dic, 2)
     corner1 = corner_evaluation_check(dic, 1)
@@ -1297,27 +1299,19 @@ def calibrated_dictionary(n: int, m_max: int = 2) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 
-def _tau_multiple(v: RatFn):
-    """The rational c with v == (t1 + t2) * c; ValueError if there is none."""
-    c = QQ(v.num.leading()[1])
-    if v.den != ONE or v.num != TAU * c:
-        raise ValueError(f"{v} is not a rational multiple of t1 + t2")
-    return c
-
-
 class BracketEngine:
     """Matrix elements of the boundary operator between creation words:
     B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
 
     Theta is read atom by atom, as ``theta_logatoms`` gives it: Theta =
     (t1 + t2) sum_a K_a log(1 - (-q)^k s_i...s_{j-1}) over the log atoms
-    a = (k, i, j), each K_a a sparse rational state matrix.  So B is
+    a = (k, i, j), each K_a a sparse integer state matrix.  So B is
     sum_a W_a L_a, with L_a the atom's series on the window and the word
     matrix W_a = (t1 + t2) G . T^{-1} . K_a . T one fraction-free product
-    (``exact._sandwich``); each entry is one fold of W_a[wi][wj] L_a over the
-    atoms (``exact._fold_products``).  The q-floor of an entry is the least
-    q-floor of the expanded Theta entries (r, c) with T^{-1}[wi][r] and
-    T[c][wj] nonzero; an entry with no such (r, c) is None.
+    (``exact._sandwich``).  Distinct atoms share no (q, s) monomial, so an
+    entry is the disjoint union of the series W_a[wi][wj] L_a, and its
+    q-floor is the least q-floor of the nonempty L_a with W_a[wi][wj]
+    nonzero; an entry that no such atom reaches is None.
     """
 
     def __init__(self, dic: Dictionary, m: int, window: Window):
@@ -1336,26 +1330,19 @@ class BracketEngine:
         if self._B is not None:
             return self._B
         n, window, T = self.n, self.window, self.T
-        K: dict = {}  # atom -> K_a
-        for rc, entry in self.theta.items():
-            for a, v in entry.atoms.items():
-                K.setdefault(a, {})[rc] = _tau_multiple(v)
-        L = {a: log_atom_expand(n, window, *a) for a in K}
-        # a Theta entry's floor as ``LogAtomSum.expand`` gives it: the least
-        # floor of its nonempty atom series, else its last atom's floor
-        by_entry = {rc: [L[a] for a in sorted(e.atoms)] for rc, e in self.theta.items()}
-        floors = [(r, c, min((s.qfloor for s in ss if s.data), default=ss[-1].qfloor))
-                  for (r, c), ss in by_entry.items()]
         A = [[TAU * g * x for x in row] for g, row in zip(self.G, self.Tinv)]
-        W = [(_sandwich(A, Ka, T), L[a]) for a, Ka in K.items()]
+        W = []
+        for a, Ka in self.theta.items():
+            L = log_atom_expand(n, window, *a)
+            if L.data:
+                W.append((_sandwich(A, Ka, T), L))
         B = [[None] * len(T[0]) for _ in self.Tinv]
-        for wi, row in enumerate(self.Tinv):
-            for wj in range(len(T[0])):
-                qfs = [qf for r, c, qf in floors if row[r] and T[c][wj]]
-                if qfs:
-                    terms = [(w[wi][wj], s) for w, s in W if w[wi][wj]]
-                    B[wi][wj] = _fold_products(n, window, terms)
-                    B[wi][wj].qfloor = min(qfs)
+        for wi, row in enumerate(B):
+            for wj in range(len(row)):
+                terms = [(w[wi][wj], L) for w, L in W if w[wi][wj]]
+                if terms:
+                    row[wj] = ser = QSSeries(n, window, min(L.qfloor for _, L in terms))
+                    ser.data = {key: x * c for x, L in terms for key, c in L.data.items()}
         self._B = B
         return B
 
@@ -1399,13 +1386,18 @@ class BracketEngine:
 
 def _vacuum_scalar_series(n: int, window: Window, kmax: int) -> QSSeries:
     """tau * sum over intervals of sum_{k=1..kmax} k log(1-(-q)^k s-interval)."""
-    return theta_vacuum_logatoms(n, kmax).expand(window)
+    return expand_logatoms(n, theta_vacuum_logatoms(n, kmax), window)
 
 
-def _coerce_word(x) -> WeightedPartition:
-    if isinstance(x, WeightedPartition):
-        return x
-    return WeightedPartition(tuple(x))
+def _coerce_word(x, geom: SurfaceGeometry) -> WeightedPartition:
+    """A word as a WeightedPartition whose labels index the n + 1 classes of
+    a basis: point classes, or the unit and omega classes."""
+    w = x if isinstance(x, WeightedPartition) else WeightedPartition(tuple(x))
+    bad = [l for _p, l in w.pairs if l > geom.n]
+    if bad:
+        raise ValueError(f"word label {bad[0]} is outside 0..{geom.n}: labels index "
+                         f"the {geom.npoints} point classes or unit/omega classes")
+    return w
 
 
 def interval_channel(series: QSSeries, i: int, j: int) -> QSSeries:
@@ -1577,11 +1569,6 @@ def corner_evaluation_check(dic: Dictionary, m: int,
                             {"interval": (i, j), "bra": repr(x), "ket": repr(y)}
                         )
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
-
-
-def heisenberg_embedding_check(dic: Dictionary, m_check: int = 2, kmax: int = 3) -> dict:
-    """Public wrapper for the embedded-mode commutation check."""
-    return _heisenberg_operator_check(dic, m_check=m_check, kmax=kmax)
 
 
 # ---------------------------------------------------------------------------
@@ -1769,7 +1756,12 @@ def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
 
 
 def _require_solved(dic: Dictionary, m: int) -> None:
-    """Refuse a weight whose modes the dictionary would only extrapolate."""
+    """Refuse a weight that is not a positive int, or whose modes the
+    dictionary would only extrapolate."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"weight m must be an int, not {type(m).__name__} {m!r}")
+    if m < 1:
+        raise ValueError(f"weight m = {m} must be at least 1")
     if m > dic.m_max:
         raise ValueError(f"weight m = {m} exceeds the calibrated range m_max = {dic.m_max}")
 
@@ -1916,10 +1908,8 @@ def cap(mu, geom: SurfaceGeometry, window: Window | None = None) -> QSSeries:
     pair: q^m times the product over charts of delta_{all parts 1} / m_i!.
     The labels of ``mu`` index point classes."""
     window = window or DEFAULT_WINDOW
-    w = _coerce_word(mu)
+    w = _coerce_word(mu, geom)
     m = w.weight
-    if any(not 0 <= l < geom.npoints for (_p, l) in w.pairs):
-        raise ValueError("cap labels must be point classes")
     counts: dict = {}
     for (p, l) in w.pairs:
         if p != 1:
@@ -1937,8 +1927,8 @@ def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None) -> QSSerie
     """Two-relative-insertion series: q^m times the geometric pairing of
     unit/omega-labelled words."""
     window = window or DEFAULT_WINDOW
-    w1 = _coerce_word(mu)
-    w2 = _coerce_word(nu)
+    w1 = _coerce_word(mu, geom)
+    w2 = _coerce_word(nu, geom)
     if w1.weight != w2.weight:
         raise ValueError("mismatched total sizes")
     m = w1.weight
@@ -1972,8 +1962,8 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
     if dic is not None:
         _require_same_rank(geom, dic)
     window = window or DEFAULT_WINDOW
-    w1 = _coerce_word(mu)
-    w2 = _coerce_word(nu)
+    w1 = _coerce_word(mu, geom)
+    w2 = _coerce_word(nu, geom)
     if w1.weight != w2.weight:
         raise ValueError("mismatched total sizes")
     m = w1.weight

@@ -42,7 +42,6 @@ __all__ = [
     "RatFn",
     "Window",
     "QSSeries",
-    "LogAtomSum",
     "T1",
     "T2",
     "T3",
@@ -54,6 +53,7 @@ __all__ = [
     "poly_gcd",
     "log_atom_expand",
     "theta_vacuum_logatoms",
+    "expand_logatoms",
     "macmahon_power",
     "series_exp",
     "rational_reconstruct_q",
@@ -1207,97 +1207,30 @@ def log_atom_expand(nvars: int, window: Window, k: int, i: int, j: int) -> QSSer
     return QSSeries(nvars, window, qfloor, data)
 
 
-class LogAtomSum:
-    """Finite sum of coeff * log(1 - (-q)^k s_i...s_{j-1}) plus a remainder series."""
-
-    __slots__ = ("nvars", "atoms", "remainder")
-
-    def __init__(self, nvars: int, atoms: Mapping | None = None, remainder: QSSeries | None = None):
-        self.nvars = nvars
-        self.atoms: dict = {}
-        if atoms:
-            for (k, i, j), c in atoms.items():
-                _interval_skey(nvars, i, j)  # validates
-                c = _as_ratfn(c)
-                if not c.is_zero:
-                    key = (k, i, j)
-                    cur = self.atoms.get(key)
-                    tot = c if cur is None else cur + c
-                    if tot.is_zero:
-                        self.atoms.pop(key, None)
-                    else:
-                        self.atoms[key] = tot
-        self.remainder = remainder
-
-    def __add__(self, other: "LogAtomSum") -> "LogAtomSum":
-        if self.nvars != other.nvars:
-            raise ValueError("mixed s-variable counts")
-        atoms = dict(self.atoms)
-        for k, c in other.atoms.items():
-            cur = atoms.get(k)
-            tot = c if cur is None else cur + c
-            if tot.is_zero:
-                atoms.pop(k, None)
-            else:
-                atoms[k] = tot
-        rem = self.remainder
-        if other.remainder is not None:
-            rem = other.remainder if rem is None else rem + other.remainder
-        out = LogAtomSum(self.nvars)
-        out.atoms = atoms
-        out.remainder = rem
-        return out
-
-    def scale(self, c) -> "LogAtomSum":
-        c = _as_ratfn(c)
-        out = LogAtomSum(self.nvars)
-        if not c.is_zero:
-            out.atoms = {k: v * c for k, v in self.atoms.items()}
-            out.remainder = None if self.remainder is None else self.remainder.scale(c)
-        return out
-
-    def expand(self, window: Window) -> QSSeries:
-        tot = QSSeries.zero(self.nvars, window)
-        for (k, i, j), c in sorted(self.atoms.items()):
-            tot = tot + log_atom_expand(self.nvars, window, k, i, j).scale(c)
-        if self.remainder is not None:
-            tot = tot + self.remainder.restrict(window.intersect(self.remainder.window))
-        return tot
-
-    def __eq__(self, other):
-        if not isinstance(other, LogAtomSum):
-            return NotImplemented
-        return (
-            self.nvars == other.nvars
-            and self.atoms == other.atoms
-            and self.remainder == other.remainder
-        )
-
-    def __str__(self):
-        parts = [
-            f"({c})*log(1-(-q)^{k}*s[{i}:{j}])" for (k, i, j), c in sorted(self.atoms.items())
-        ]
-        if self.remainder is not None and not self.remainder.is_zero:
-            parts.append(f"[{self.remainder}]")
-        return " + ".join(parts) if parts else "0"
-
-    __repr__ = __str__
-
-
-def theta_vacuum_logatoms(nvars: int, kmax: int) -> LogAtomSum:
-    """tau * sum_{i<j} sum_{k=1..kmax} k log(1 - (-q)^k s_i...s_{j-1}).
-
-    The scalar vacuum part of the boundary operator, over the nvars + 1
-    points.  Its expansion is exact on any window with qmax <= kmax, since the
-    dropped atoms only touch q-degrees above kmax.
+def theta_vacuum_logatoms(nvars: int, kmax: int) -> dict:
+    """The scalar vacuum part of the boundary operator over the nvars + 1
+    points, as atoms with tau factored out: {(k, i, j): k} over i < j and
+    k = 1..kmax, for tau * sum_{i<j} sum_k k log(1 - (-q)^k s_i...s_{j-1})
+    (``expand_logatoms``).  Its expansion is exact on any window with
+    qmax <= kmax, since the dropped atoms only touch q-degrees above kmax.
     """
-    tau = RatFn(TAU)
-    return LogAtomSum(nvars, {
-        (k, i, j): tau * QQ(k)
+    return {
+        (k, i, j): k
         for i in range(1, nvars + 2)
         for j in range(i + 1, nvars + 2)
         for k in range(1, kmax + 1)
-    })
+    }
+
+
+def expand_logatoms(nvars: int, weights: Mapping, window: Window) -> QSSeries:
+    """tau * sum_a w_a log(1 - (-q)^k s_i...s_{j-1}) on ``window``, for the
+    rational weights {a = (k, i, j): w_a}: the running sum of the scaled atom
+    series (``log_atom_expand``), atoms in sorted order."""
+    tau = RatFn(TAU)
+    tot = QSSeries.zero(nvars, window)
+    for (k, i, j), w in sorted(weights.items()):
+        tot = tot + log_atom_expand(nvars, window, k, i, j).scale(tau * QQ(w))
+    return tot
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,7 @@ from .exact import (
     TAU,
     Window,
     _interval_skey,
+    expand_logatoms,
     theta_vacuum_logatoms,
 )
 from .partitions import INF, LegDiagram, Partition, SliceChain
@@ -564,7 +565,8 @@ def vacuum_series(geom: SurfaceGeometry, i: int, j: int, window: Window) -> QSSe
 
 def theta_vacuum_series(geom: SurfaceGeometry, window: Window) -> QSSeries:
     """(t1+t2) * sum over segments of sum_{k>=1} k log(1-(-q)^k s_i...s_{j-1})."""
-    return theta_vacuum_logatoms(geom.npoints - 1, window.qmax).expand(window)
+    n = geom.npoints - 1
+    return expand_logatoms(n, theta_vacuum_logatoms(n, window.qmax), window)
 
 
 def rigidify_check(geom: SurfaceGeometry, window: Window) -> dict:

@@ -12,15 +12,16 @@ diagonal zero mode is the charge operator.  Energy is
     m(state) = sum_{occupied K >= 0} level(K) - sum_{unoccupied K < 0} level(K),
 
 so e_ij(k) lowers energy by k and positive modes annihilate the vacuum.
-The q-s interaction data of the main operator is produced here as exact
-log-atom sums; window expansion lives in ``exact``.
+The boundary operator is produced here as exact log atoms with tau = t1 + t2
+factored out: one integer state matrix per atom log(1 - (-q)^k s_i...s_{j-1})
+(``theta_logatoms``).  Window expansion lives in ``exact``.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import QQ, LogAtomSum, RatFn, TAU, theta_vacuum_logatoms
+from .exact import QQ, theta_vacuum_logatoms
 from .partitions import MultiPartition, Partition, enumerate_multipartitions
 
 __all__ = [
@@ -33,7 +34,6 @@ __all__ = [
     "apply_current",
     "normal_pair_matrix",
     "operator_matrix",
-    "omega_plus_logatoms",
     "theta_logatoms",
 ]
 
@@ -314,30 +314,24 @@ def omega_plus_terms(n: int, m: int) -> list:
     return out
 
 
-def omega_plus_logatoms(n: int, m: int) -> dict:
-    """{(row, col): LogAtomSum} entries of the off-diagonal interaction operator.
-
-    Entry = sum over i<j, k of (pair-matrix entry) * log(1 - (-q)^k s_i..s_{j-1}).
-    Exact: the matrix of the k mode vanishes for |k| > m, so the k-sum is finite.
-    """
-    entries: dict = {}
-    for (i, j, k, mat) in omega_plus_terms(n, m):
-        for (r, c), coeff in mat.items():
-            cur = entries.get((r, c))
-            add = LogAtomSum(n, {(k, i, j): RatFn.const(coeff)})
-            entries[(r, c)] = add if cur is None else cur + add
-    return {key: v for key, v in entries.items() if v.atoms or v.remainder}
-
-
 def theta_logatoms(n: int, m: int, kmax: int) -> dict:
-    """Entries of the boundary operator: (t1+t2) * interaction + vacuum * Id,
-    with the vacuum series ``theta_vacuum_logatoms(n, kmax)``."""
-    tau = RatFn(TAU)
-    entries = {
-        key: atom.scale(tau) for key, atom in omega_plus_logatoms(n, m).items()
-    }
-    ftot = theta_vacuum_logatoms(n, kmax)
-    for r in range(len(weight_basis(n, m))):
-        cur = entries.get((r, r))
-        entries[(r, r)] = ftot if cur is None else cur + ftot
-    return entries
+    """The boundary operator on the weight-m basis as log atoms with tau
+    factored out: {a = (k, i, j): K_a}, for
+    Theta = tau * sum_a K_a log(1 - (-q)^k s_i...s_{j-1}).
+
+    K_a is the integer matrix {(row, col): int} of the pair :e_ji(k) e_ij(-k):
+    (``omega_plus_terms``, every |k| <= m) plus k * Id for each vacuum atom
+    with 1 <= k <= kmax (``theta_vacuum_logatoms``).  Zero entries and empty
+    atoms are dropped.
+    """
+    atoms = {(k, i, j): {rc: int(v) for rc, v in mat.items()}
+             for (i, j, k, mat) in omega_plus_terms(n, m)}
+    size = len(weight_basis(n, m))
+    for a, k in theta_vacuum_logatoms(n, kmax).items():
+        K = atoms.setdefault(a, {})
+        for r in range(size):
+            if v := K.get((r, r), 0) + k:
+                K[(r, r)] = v
+            else:
+                del K[(r, r)]
+    return {a: K for a, K in atoms.items() if K}

@@ -44,7 +44,6 @@ from andt.dictionary import (
     _closed_form_mode,
     _closed_form_tower,
     _divisor_atoms,
-    _heisenberg_operator_check,
     _power_to_monomial_inverse,
     _solve_label_system,
     _solve_mode_level,
@@ -217,33 +216,36 @@ def test_solvers_are_the_exact_kernel():
 
 
 def _two_stage_bracket_matrix(d, m, window):
-    """Reference: B = G . T^{-1} . Theta . T, with Theta expanded here from
-    theta_logatoms(n, m, window.qmax) and the product taken at each (q, s)
-    monomial with exact.matmul, Theta . T first.  The q-floor of an entry is
-    the least q-floor of the Theta entries (r, c) with T^{-1}[wi][r] and
-    T[c][wj] nonzero; an entry with no such (r, c) is None."""
+    """Reference: B = G . T^{-1} . Theta . T, atom by atom from
+    theta_logatoms(n, m, window.qmax): P_a = T^{-1} . K_a . T with
+    exact.matmul, then tau G[wi] P_a[wi][wj] times each coefficient of the
+    atom's series, summed per (q, s) monomial.  The q-floor of an entry is
+    the least q-floor of the nonempty atom series with P_a[wi][wj] nonzero;
+    an entry with no such atom is None."""
     T, states, words = d.transport(m)
     Tinv = d.transport_inverse(m)
     G = [nak_pairing(w, w, fixed_point_basis(d.geom)) for w in words]
-    th = {key: a.expand(window) for key, a in theta_logatoms(d.n, m, window.qmax).items()}
+    tau = RatFn(exact.TAU)
     ns, nw = len(states), len(words)
     data = [[{} for _ in range(nw)] for _ in range(nw)]
-    for mon in {mon for ser in th.values() for mon in ser.data}:
-        Th = [[RF_ZERO] * ns for _ in range(ns)]
-        for (r, c), ser in th.items():
-            Th[r][c] = ser.coeff(*mon)
-        P = matmul(Tinv, matmul(Th, T))
+    floors = [[[] for _ in range(nw)] for _ in range(nw)]
+    for a, K in theta_logatoms(d.n, m, window.qmax).items():
+        L = exact.log_atom_expand(d.n, window, *a)
+        if not L.data:
+            continue
+        Kd = [[RF_ZERO] * ns for _ in range(ns)]
+        for (r, c), v in K.items():
+            Kd[r][c] = RatFn.const(v)
+        P = matmul(Tinv, matmul(Kd, T))
         for wi in range(nw):
             for wj in range(nw):
                 if P[wi][wj]:
-                    data[wi][wj][mon] = G[wi] * P[wi][wj]
-    B = [[None] * nw for _ in range(nw)]
-    for wi in range(nw):
-        for wj in range(nw):
-            floors = [ser.qfloor for (r, c), ser in th.items() if Tinv[wi][r] and T[c][wj]]
-            if floors:
-                B[wi][wj] = QSSeries(d.n, window, min(floors), data[wi][wj])
-    return B
+                    floors[wi][wj].append(L.qfloor)
+                    f, cell = tau * G[wi] * P[wi][wj], data[wi][wj]
+                    for mon, c in L.data.items():
+                        cell[mon] = cell.get(mon, RF_ZERO) + f * c
+    return [[QSSeries(d.n, window, min(fl), data[wi][wj]) if fl else None
+             for wj, fl in enumerate(row)] for wi, row in enumerate(floors)]
 
 
 @pytest.fixture(scope="module")
@@ -252,21 +254,22 @@ def dic2():
 
 
 @pytest.mark.parametrize(
-    "n, m, window",
+    "n, m, window, floors",
     [
-        pytest.param(1, 1, DEFAULT_WINDOW, id="1-1"),
-        pytest.param(1, 2, DEFAULT_WINDOW, id="1-2"),
-        pytest.param(2, 1, DEFAULT_WINDOW, id="2-1"),
-        # the largest engine the operators benchmark builds; its entries' floors
-        # are the Theta entries' floors, not the (tighter) atoms' floors
-        pytest.param(2, 2, DEFAULT_WINDOW, id="2-2"),
+        pytest.param(1, 1, DEFAULT_WINDOW, {0}, id="1-1"),
+        pytest.param(1, 2, DEFAULT_WINDOW, {-3}, id="1-2"),
+        pytest.param(2, 1, DEFAULT_WINDOW, {0}, id="2-1"),
+        # the largest engine the operators benchmark builds; the entries that
+        # no k <= -2 atom reaches have the floor -1 of the k = -1 atoms
+        pytest.param(2, 2, DEFAULT_WINDOW, {-3, -1}, id="2-2"),
         # qmax above DEFAULT_WINDOW's: the q^4 s and q^5 s vacuum terms count
-        pytest.param(1, 1, Window(-3, 5, 2), id="1-1-qmax5"),
+        pytest.param(1, 1, Window(-3, 5, 2), {0}, id="1-1-qmax5"),
     ],
 )
-def test_bracket_matrix_matches_two_stage_product(n, m, window, dic, dic2):
+def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, dic, dic2):
     d = {1: dic, 2: dic2}[n]
     got, want = d.engine(m, window).bracket_matrix(), _two_stage_bracket_matrix(d, m, window)
+    assert {x.qfloor for row in got for x in row if x is not None} == floors
     assert [[x is None for x in row] for row in got] == [[x is None for x in row] for row in want]
     pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr) if y is not None]
     assert pairs
@@ -377,7 +380,7 @@ def _reference_heisenberg(dic, m_check, kmax):
 
 
 def _assert_heisenberg_matches_reference(d, kmax):
-    report = _heisenberg_operator_check(d, kmax=kmax)
+    report = heisenberg_embedding_check(d, kmax=kmax)
     ok, checked, failing = _reference_heisenberg(d, 2, kmax)
     assert (report["ok"], report["checked"]) == (ok, checked)
     assert report["witnesses"] == [
@@ -860,6 +863,53 @@ def test_weight_above_the_calibrated_range_is_refused(call, dic):
     with pytest.raises(ValueError, match="m = 3 exceeds the calibrated range m_max = 2"):
         call(d, weighted_partition_basis(3, 2))
     assert not d._memo  # refused before any extrapolated mode is used
+
+
+_WEIGHT_TAKERS = [
+    pytest.param(lambda d, m: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
+                 id="m_divisor"),
+    pytest.param(lambda d, m: divisor_pair_commutes(d, m, 1), id="divisor_pair_commutes"),
+    pytest.param(lambda d, m: spectrum_probe(m, d.geom, 1, d), id="spectrum_probe"),
+    pytest.param(lambda d, m: dictionary.vanishing_check(d, m), id="vanishing_check"),
+    pytest.param(lambda d, m: dictionary.corner_evaluation_check(d, m),
+                 id="corner_evaluation_check"),
+    pytest.param(lambda d, m: dictionary.factorization_check(d, m), id="factorization_check"),
+    pytest.param(lambda d, m: dictionary.tau_linearity_check(d, m), id="tau_linearity_check"),
+]
+
+
+@pytest.mark.parametrize("m, error, match", [
+    (0, ValueError, "m = 0 must be at least 1"),
+    (-1, ValueError, "m = -1 must be at least 1"),
+    (2.0, TypeError, "m must be an int, not float 2.0"),
+    (True, TypeError, "m must be an int, not bool True"),
+])
+@pytest.mark.parametrize("call", _WEIGHT_TAKERS)
+def test_a_weight_that_is_not_a_positive_int_is_refused(call, m, error, match, dic):
+    d = copy.copy(dic)
+    d._memo = {}
+    with pytest.raises(error, match=match):
+        call(d, m)
+    assert not d._memo
+
+
+def test_three_point_refuses_weight_zero_words(dic):
+    empty = WeightedPartition(())
+    with pytest.raises(ValueError, match="m = 0 must be at least 1"):
+        three_point(empty, "D", empty, geom=dic.geom, dic=dic)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda g, w: cap(w, g), id="cap"),
+    pytest.param(lambda g, w: tube(w, w, g), id="tube"),
+    pytest.param(lambda g, w: three_point(w, "ones", w, geom=g), id="three_point"),
+])
+def test_word_labels_outside_the_basis_are_refused(call):
+    geom = SurfaceGeometry(1)
+    with pytest.raises(ValueError, match=r"word label 2 is outside 0\.\.1"):
+        call(geom, ((1, 2),))
+    with pytest.raises(ValueError, match=r"word label 3 is outside 0\.\.1"):
+        call(geom, WeightedPartition(((1, 0), (1, 3))))
 
 
 @pytest.mark.parametrize("call", [

@@ -18,7 +18,6 @@ from andt.exact import (
     RatFn,
     Window,
     QSSeries,
-    LogAtomSum,
     QRational,
     SingularMatrixError,
     T1,
@@ -30,6 +29,7 @@ from andt.exact import (
     RF_ZERO,
     poly_gcd,
     log_atom_expand,
+    expand_logatoms,
     macmahon_power,
     series_exp,
     rational_reconstruct_q,
@@ -700,17 +700,28 @@ def test_log_atom_expansion_hand_values():
     assert k0.coeff(0, (3,)) == RatFn.const(QQ(-1, 3))
 
 
-def test_log_atom_sum_expand_and_cancel():
+def test_expand_logatoms_is_tau_times_the_weighted_atom_sum():
     w = Window(-4, 4, 2)
-    one = LogAtomSum(2, {(1, 1, 3): RF_ONE})
-    minus = one.scale(RatFn.const(-1))
-    tot = one + minus
-    assert not tot.atoms
-    assert tot.expand(w).is_zero
-    mixed = one + LogAtomSum(2, {(2, 1, 2): RatFn(TAU)})
-    e = mixed.expand(w)
-    assert e.coeff(1, (1, 1)) == RF_ONE
-    assert e.coeff(2, (1, 0)) == RatFn(-TAU)
+    tau = RatFn(TAU)
+    weights = {(1, 1, 3): 1, (2, 1, 2): QQ(-1, 2)}
+    e = expand_logatoms(2, weights, w)
+    assert e.coeff(1, (1, 1)) == tau  # log(1 - (-q) s1 s2)
+    assert e.coeff(2, (1, 0)) == tau * QQ(1, 2)  # -1/2 log(1 - q^2 s1)
+    assert e.coeff(4, (2, 0)) == tau * QQ(1, 4)
+    one = expand_logatoms(2, {(1, 1, 3): 1}, w)
+    assert (e - one).data == expand_logatoms(2, {(2, 1, 2): QQ(-1, 2)}, w).data
+    assert expand_logatoms(2, {}, w).is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(-8, 8), st.integers(0, 8), st.integers(0, 4))
+def test_distinct_interval_atoms_share_no_monomial(nvars, qmin, width, smax):
+    # the bracket engine sums an entry's atom series as a disjoint union
+    w = Window(qmin, qmin + width, smax)
+    atoms = [(k, i, j) for k in range(-4, 5)
+             for i in range(1, nvars + 2) for j in range(i + 1, nvars + 2)]
+    keys = [set(log_atom_expand(nvars, w, *a).data) for a in atoms]
+    assert sum(map(len, keys)) == len(set().union(*keys))
 
 
 # -- exp / MacMahon -------------------------------------------------------------

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import andt.vertex as vertex
 from andt.dictionary import _vacuum_scalar_series
-from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window, _interval_skey
+from andt.exact import QQ, RatFn, T1, T2, T3, TAU, Window, _interval_skey, expand_logatoms
 from andt.partitions import INF, LegDiagram, Partition, SliceChain, partitions_of
 from andt.surface import SurfaceGeometry
 from andt.wedge import theta_logatoms
@@ -445,7 +445,8 @@ def test_one_vacuum_series_in_vertex_dictionary_and_wedge(n):
     kmax = max(1, w.qmax)
     via_vertex = theta_vacuum_series(SurfaceGeometry(n), w)
     via_dictionary = _vacuum_scalar_series(n, w, kmax)
-    via_wedge = theta_logatoms(n, 0, kmax)[(0, 0)].expand(w)
+    weight_zero = theta_logatoms(n, 0, kmax)  # one state: Theta is 1 x 1
+    via_wedge = expand_logatoms(n, {a: K[(0, 0)] for a, K in weight_zero.items()}, w)
     assert via_vertex.data == via_dictionary.data == via_wedge.data
     assert bool(via_vertex.data) == (n > 0)
 

@@ -10,7 +10,9 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from andt.exact import QQ, TAU, RatFn, Window, log_atom_expand, theta_vacuum_logatoms
+from andt.exact import (
+    QQ, TAU, RatFn, Window, expand_logatoms, log_atom_expand, theta_vacuum_logatoms,
+)
 from andt.partitions import enumerate_multipartitions
 from andt.wedge import (
     WedgeState,
@@ -18,7 +20,6 @@ from andt.wedge import (
     apply_ops,
     e_act,
     normal_pair_matrix,
-    omega_plus_logatoms,
     operator_matrix,
     state_from_multipartition,
     theta_logatoms,
@@ -281,17 +282,19 @@ def test_normal_pair_vanishes_beyond_energy():
 
 
 def test_interaction_matrix_weight_one():
-    from andt.exact import RF_ONE
-
     # two states, all four entries carry log(1 - s_1); k = +-1 modes vanish
     assert normal_pair_matrix(1, 1, 1, 2, 1) == {}
     assert normal_pair_matrix(1, 1, 1, 2, -1) == {}
     t0 = normal_pair_matrix(1, 1, 1, 2, 0)
     assert t0 == {(r, c): QQ(1) for r in range(2) for c in range(2)}
-    atoms = omega_plus_logatoms(1, 1)
-    assert set(atoms) == {(r, c) for r in range(2) for c in range(2)}
-    for entry in atoms.values():
-        assert entry.atoms == {(0, 1, 2): RF_ONE}
+    # with no vacuum atom (kmax = 0) Theta / tau is that one atom, integer-valued
+    atoms = theta_logatoms(1, 1, 0)
+    assert atoms == {(0, 1, 2): {(r, c): 1 for r in range(2) for c in range(2)}}
+    assert all(type(v) is int for K in atoms.values() for v in K.values())
+    # the vacuum atoms add k on the diagonal
+    atoms = theta_logatoms(1, 1, 2)
+    assert atoms.pop((0, 1, 2)) == {(r, c): 1 for r in range(2) for c in range(2)}
+    assert atoms == {(k, 1, 2): {(0, 0): k, (1, 1): k} for k in (1, 2)}
 
 
 def test_normal_pair_symmetric_on_basis():
@@ -307,7 +310,7 @@ def test_normal_pair_symmetric_on_basis():
 
 def test_fiber_expansion_low_coefficients():
     w = Window(qmin=0, qmax=4, smax=2)
-    f = theta_vacuum_logatoms(1, 4).expand(w)
+    f = expand_logatoms(1, theta_vacuum_logatoms(1, 4), w)
     tau = RatFn(TAU)
     assert f.coeff(1, (1,)) == tau * QQ(1)
     assert f.coeff(2, (1,)) == tau * QQ(-2)
@@ -316,13 +319,13 @@ def test_fiber_expansion_low_coefficients():
 
 
 def test_theta_vacuum_is_fiber_series():
-    # weight 0: single diagonal entry tau * sum_{i<j} F(q, s_i..s_{j-1})
+    # weight 0: the vacuum atoms alone, tau * sum_{i<j} F(q, s_i..s_{j-1})
     for n in (1, 2):
-        entries = theta_logatoms(n, 0, 6)
-        assert set(entries) == {(0, 0)}
-        entry = entries[(0, 0)]
+        atoms = theta_logatoms(n, 0, 6)
+        assert atoms == {a: {(0, 0): k} for a, k in theta_vacuum_logatoms(n, 6).items()}
         w = Window(qmin=-6, qmax=6, smax=2)
-        series = entry.expand(w)
+        series = expand_logatoms(n, {a: K[(0, 0)] for a, K in atoms.items()}, w)
+        assert series.data
         for coeff in series.data.values():
             assert coeff.valuation_t1pt2() >= 1
 
