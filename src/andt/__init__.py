@@ -11,7 +11,8 @@ Subpackage map:
 - ``wedge``        charged-fermion (infinite wedge) model and loop-matrix operators
 - ``vertex``       box-counting vertex/edge calculus and minimal curve configurations
 - ``dictionary``   transport between the bosonic and fermionic models, operator suite
-- ``cli``          command line tool (planned, ROADMAP item 9; not written yet)
+- ``cli``          command line tool (planned in the ROADMAP item "The ``andt``
+                   command-line tool and one report type"; not written yet)
 """
 
 __version__ = "0.1.0"

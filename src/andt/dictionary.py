@@ -374,25 +374,27 @@ def _channel_pairs(n: int, m: int, i: int, j: int, mps):
             yield la, eta, mode
 
 
-def _target_conditions(n: int, m: int, i: int, j: int, k: int, mps):
-    """Yield (la, eta, target) for the conditions on the atom (i, j, k) at
-    weight m, over ``_channel_pairs``: on a corner pair the class bracket is
-    the corner constant if k is the pair's mode and 0 otherwise; on a channel
-    pair it vanishes.  Each holds mod t1 + t2."""
+def _target_conditions(n: int, m: int, a: tuple, mps):
+    """Yield (la, eta, target) for the conditions on the atom a = (k, i, j)
+    at weight m, over ``_channel_pairs``: on a corner pair the class bracket
+    is the corner constant if k is the pair's mode and 0 otherwise; on a
+    channel pair it vanishes.  Each holds mod t1 + t2."""
+    k, i, j = a
     cm = interval_corner_constant(n, m)
     for la, eta, mode in _channel_pairs(n, m, i, j, mps):
         yield la, eta, cm if mode == k else RF_ZERO
 
 
 class _AtomTargets:
-    """Coefficient matrices N_at of the boundary operator per log atom.
+    """Coefficient matrices N_a of the boundary operator per log atom
+    a = (k, i, j) of ``omega_plus_terms``.
 
     In the unit/omega label basis:
-        bracket(w1, w2) = tau * sum_atoms N_at[w1][w2] * atom_series
+        bracket(w1, w2) = tau * sum_a N_a[w1][w2] * atom_series
                           + pairing(w1, w2) * (vacuum scalar series).
     Every entry follows ``_ansatz_entry``; the free pure-omega entries are
     rational unknowns solved from the ``_target_conditions``, then
-    re-verified symbolically.
+    re-verified symbolically (``_label_atom_failure``).
     """
 
     def __init__(self, geom: SurfaceGeometry):
@@ -401,9 +403,6 @@ class _AtomTargets:
         self.ob = unit_omega_basis(geom)
         self.fb = fixed_point_basis(geom)
         self.solved: dict = {}
-
-    def atoms(self, m: int) -> list:
-        return [((i, j), k, mat) for (i, j, k, mat) in omega_plus_terms(self.n, m)]
 
     def unit_pair(self, mu, nu) -> RatFn:
         if sorted(mu) != sorted(nu):
@@ -435,32 +434,32 @@ class _AtomTargets:
         for mm in range(1, m):
             self.solve(mm)
         n = self.n
-        atoms = self.atoms(m)
-        gammas: dict = {}  # unknown (ch, k, word pair in sorted order) -> index
+        atoms = omega_plus_terms(n, m)
+        gammas: dict = {}  # unknown (atom, word pair in sorted order) -> index
         wpairs = self.word_pairs(m)
         # affine form of each entry: known constant + optional single unknown
         aff: dict = {}
-        for (ch, k, _mat) in atoms:
-            lower = {mm: self.solved[mm].get((ch, k), {}) for mm in range(1, m)}
+        for a in atoms:
+            lower = {mm: self.solved[mm].get(a, {}) for mm in range(1, m)}
             for w1, w2, up, om1, om2 in wpairs:
                 val = _ansatz_entry(m, up, om1, om2, lower)
                 if val is not None:
-                    aff[(ch, k, w1, w2)] = (val, {})
+                    aff[(a, w1, w2)] = (val, {})
                     continue
-                gk = (ch, k, *sorted((w1, w2)))
+                gk = (a, *sorted((w1, w2)))
                 if gk not in gammas:
                     gammas[gk] = len(gammas)
-                aff[(ch, k, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
+                aff[(a, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
 
         jl = self.label_class_vectors(m)
-        conds = []
-        for (ch, k, _mat) in atoms:
-            for la, eta, target in _target_conditions(n, m, *ch, k, jl):
+        by_atom: dict = {}  # atom -> its conditions
+        for a in atoms:
+            for la, eta, target in _target_conditions(n, m, a, jl):
                 gc: dict = {}
                 const = RF_ZERO
                 for w1, c1 in jl[la].items():
                     for w2, c2 in jl[eta].items():
-                        cst, gd = aff[(ch, k, w1, w2)]
+                        cst, gd = aff[(a, w1, w2)]
                         if cst.is_zero and not gd:
                             continue
                         f = c1 * c2
@@ -468,15 +467,10 @@ class _AtomTargets:
                             const = const + f * cst
                         for gk2, gcf in gd.items():
                             gc[gk2] = gc.get(gk2, RF_ZERO) + f * gcf
-                conds.append(((ch, k, la, eta), gc, const, target))
+                by_atom.setdefault(a, []).append(((a, la, eta), gc, const, target))
 
-        # solve the rational-unknown system per atom via exact sampling,
-        # then verify every condition symbolically
-        ng = len(gammas)
-        sol = [QQ(0)] * ng
-        by_atom: dict = {}
-        for cond in conds:
-            by_atom.setdefault(cond[0][:2], []).append(cond)
+        # solve the rational-unknown system per atom via exact sampling
+        sol = [QQ(0)] * len(gammas)
         for agroup in by_atom.values():
             acols = sorted({gammas[gk2] for (_, gc, _, _) in agroup for gk2 in gc})
             cidx = {c: i for i, c in enumerate(acols)}
@@ -496,24 +490,20 @@ class _AtomTargets:
             for col, val in enumerate(vals):
                 sol[acols[col]] = val
 
-        gvals = {gk2: sol[idx] for gk2, idx in gammas.items()}
-        for (desc, gc, const, target) in conds:
-            tot = const - target
-            for gk2, v in gc.items():
-                tot = tot + v * RatFn.const(gvals[gk2])
-            if not reduce_tau(tot).is_zero:
-                raise RuntimeError(f"symbolic re-verification failed for {desc}")
-
+        gvals = {gk2: RatFn.const(sol[idx]) for gk2, idx in gammas.items()}
         out: dict = {}
-        for (ch, k, _mat) in atoms:
+        for a in atoms:
             mat: dict = {}
             for w1, w2, *_ in wpairs:
-                val, gd = aff[(ch, k, w1, w2)]
+                val, gd = aff[(a, w1, w2)]
                 for gk2, gcf in gd.items():
-                    val = val + gcf * RatFn.const(gvals[gk2])
+                    val = val + gcf * gvals[gk2]
                 if not val.is_zero:
                     mat[(w1, w2)] = val
-            out[(ch, k)] = mat
+            out[a] = mat
+        failure = _label_atom_failure(self, m, {**self.solved, m: out})
+        if failure is not None:
+            raise RuntimeError(f"symbolic re-verification failed at weight {m}: {failure}")
         self.solved[m] = out
         return out
 
@@ -619,8 +609,8 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
     G = [nak_pairing(w, w, fb) for w in words]
     left = [[x / g for x in col] for col, g in zip(zip(*Lhinv), G)]
     eqs = []
-    for (i, j, k, kmat) in omega_plus_terms(n, m):
-        Nlab = targets.solved[m].get(((i, j), k), {})
+    for (k, i, j), kmat in omega_plus_terms(n, m).items():
+        Nlab = targets.solved[m].get((k, i, j), {})
         N = [[Nlab.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
         M = matmul(matmul(left, N), Lhinv)
         E0 = matmul(T0, M)
@@ -808,8 +798,9 @@ def _closed_form_mode(geom: SurfaceGeometry, k: int) -> list:
 
 
 def _label_atom_matrices(targets: _AtomTargets, m: int, T: list, Tinv: list) -> dict:
-    """{(ch, k): {(w1, w2): RatFn}}: the label-basis atom matrices N that the
-    transport T (lattice states by point-label words) implies at weight m.
+    """{a: {(w1, w2): RatFn}}: the label-basis matrices N of the atoms
+    a = (k, i, j) that the transport T (lattice states by point-label words)
+    implies at weight m.
 
     The intertwiner T M = K T of each omega-plus term K gives its word matrix
     M = T^-1 K T, and ``_solve_mode_level``'s M = diag(G)^-1 Lhinv^T N Lhinv
@@ -825,9 +816,9 @@ def _label_atom_matrices(targets: _AtomTargets, m: int, T: list, Tinv: list) -> 
     A = matmul([[x * g for x, g in zip(col, G)] for col in zip(*X)], Tinv)
     B = matmul(T, X)
     out = {}
-    for (ch, k, K) in targets.atoms(m):
+    for a, K in omega_plus_terms(targets.n, m).items():
         N = _sandwich(A, K, B)
-        out[(ch, k)] = {
+        out[a] = {
             (w1, w2): v
             for w1, row in zip(words, N)
             for w2, v in zip(words, row)
@@ -849,8 +840,8 @@ def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
     n = targets.n
     wpairs = targets.word_pairs(m)
     wits = []
-    for (ch, k), N in labels[m].items():
-        lower = {mm: labels[mm].get((ch, k), {}) for mm in range(1, m)}
+    for a, N in labels[m].items():
+        lower = {mm: labels[mm].get(a, {}) for mm in range(1, m)}
         for w1, w2, up, om1, om2 in wpairs:
             got = N.get((w1, w2), RF_ZERO)
             want = _ansatz_entry(m, up, om1, om2, lower)
@@ -859,7 +850,7 @@ def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
             else:
                 ok = got == want
             if not ok:
-                wits.append({"atom": (*ch, k), "entry": (repr(w1), repr(w2)), "value": str(got),
+                wits.append({"atom": (*a[1:], a[0]), "entry": (repr(w1), repr(w2)), "value": str(got),
                              "expected": "symmetric rational constant" if want is None
                              else str(want)})
     if wits:
@@ -870,17 +861,17 @@ def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
     J = [[jl[mp].get(w, RF_ZERO) for mp in mps] for w in words]
     Jt = [list(col) for col in zip(*J)]
     pidx = {mp: i for i, mp in enumerate(mps)}
-    for (ch, k), Nd in labels[m].items():
+    for a, Nd in labels[m].items():
         N = [[Nd.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
         P = matmul(matmul(Jt, N), J)
-        for la, eta, target in _target_conditions(n, m, *ch, k, mps):
+        for la, eta, target in _target_conditions(n, m, a, mps):
             got = P[pidx[la]][pidx[eta]]
             try:
                 ok = reduce_tau(got - target).is_zero
             except ExactDivisionError:  # a pole along t1 + t2 = 0
                 ok = False
             if not ok:
-                wits.append({"atom": (*ch, k), "bra": repr(la), "ket": repr(eta),
+                wits.append({"atom": (*a[1:], a[0]), "bra": repr(la), "ket": repr(eta),
                              "value": str(got), "target": str(target)})
     if wits:
         return "target-conditions", wits[:5]
@@ -950,8 +941,9 @@ class Dictionary:
     arguments only.  The kinds are ``annihilation`` (k), ``transport`` and
     ``transport_inverse`` (m; ``calibrate`` seeds both for m <= m_max),
     ``class_word`` and ``fixed_point_state`` (m), ``engine`` (m, window),
-    ``divisor`` (selector, m, window), ``atom_class`` and ``atom_state``
-    (m, atom tag), and ``classical_state`` (m, selector).
+    ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
+    integer lattice-state matrix, ``_atoms``), ``atom_class`` and
+    ``atom_state`` (m, atom tag), and ``classical_state`` (m, selector).
     """
 
     def __init__(self, geom: SurfaceGeometry, m_max: int, ansatz: str, modes: dict,
@@ -1049,7 +1041,7 @@ def _lattice_commutator(n: int, ii: int, jj: int, k: int, st0) -> dict:
     return vec
 
 
-def heisenberg_embedding_check(dic: Dictionary, m_check: int = 2, kmax: int = 3) -> dict:
+def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     """Verify the commutation relation of the embedded modes on low-weight
     lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a.
 
@@ -1063,7 +1055,7 @@ def heisenberg_embedding_check(dic: Dictionary, m_check: int = 2, kmax: int = 3)
 
     It holds for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1} gives
     k (V_k U_k^T)[a][b] = -k delta_ab euler_a: it checks the lattice side only.
-    States run over weights 0..m_check and modes over k = 1..kmax;
+    States run over weights 0..2 and modes over k = 1..kmax;
     ``calibrate`` runs it with kmax = 2.
     """
     n = dic.n
@@ -1080,7 +1072,7 @@ def heisenberg_embedding_check(dic: Dictionary, m_check: int = 2, kmax: int = 3)
         }
         expects = {a: RatFn.const(QQ(-k)) * dic.point_euler(a + 1) for a in cols}
         combos: dict = {}
-        for m in range(0, m_check + 1):
+        for m in range(3):
             for st0 in weight_basis(n, m):
                 comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0)
                         for ii in cols for jj in cols}
@@ -1627,9 +1619,10 @@ def _classical_restriction(which, mp: MultiPartition, geom: SurfaceGeometry) -> 
     the curve-class divisors restrict to size times the point restriction.
     No test pins the signs or the box-weight convention yet: there is no
     weight-one cup-product oracle, and the assembled operators do not
-    commute exactly.  ROADMAP item 2 (a) suspects the "D" branch swaps the
-    box weights (wl*c + wr*r is expected); the fix waits for the operators
-    baselines to be re-recorded.
+    commute exactly.  The ROADMAP item "Land the commuting divisor family"
+    (defect (a)) suspects the "D" branch swaps the box weights (wl*c + wr*r
+    is expected); the fix waits for the operators baselines to be
+    re-recorded.
     """
     if which == "D":
         tot = RF_ZERO
@@ -1676,40 +1669,48 @@ def classical_divisor(which, m: int, geom: SurfaceGeometry,
     return OperatorMatrix(geom.n, m, "fixed-point-class", mps, window, entries)
 
 
+def _atoms(dic: Dictionary, m: int) -> dict:
+    """{tag: {(r, c): int}}: every divisor atom at weight m as an integer
+    lattice-state matrix (memoized).  First the interaction atoms
+    (k, i, j) of ``omega_plus_terms``, then each dressing mode ("mode", k) of
+    ``omega0_mode_matrices``, transported once into lattice states as
+    T . M_k . T^-1, which is sum_a e_aa(-k) e_aa(k).  Raises ArithmeticError
+    if a transported entry is not an integer."""
+    def build():
+        atoms = omega_plus_terms(dic.n, m)
+        T, Tinv = dic.transport(m)[0], dic.transport_inverse(m)
+        for k, M in omega0_mode_matrices(dic.geom, m, fixed_point_basis(dic.geom)).items():
+            K = atoms[("mode", k)] = {}
+            for r, row in enumerate(matmul(matmul(T, _dense(M, len(T))), Tinv)):
+                for c, v in enumerate(row):
+                    x = v.const_value() if v.is_const else None
+                    if x is None or x.denominator != 1:
+                        raise ArithmeticError(f"dressing mode {k} at weight {m}: entry "
+                                              f"({r}, {c}) of T M T^-1 is {v}, not an integer")
+                    if x:
+                        K[(r, c)] = int(x)
+        return atoms
+    return dic.cached(("atoms", m), build)
+
+
 def _divisor_atoms(dic: Dictionary, m: int, which) -> list:
-    """[(tag, operator data)] for the atoms in the quantum part of ``which``:
-    for the doubled-point divisor every interaction atom and, from weight
-    two, every dressing mode; for the i-th curve divisor the interaction
-    atoms whose interval [i0, j0) contains i.  Interaction atoms carry sparse
-    integer lattice-state matrices; dressing modes carry sparse rational word
-    matrices."""
-    atoms = [
-        (("interval", i, j, k), kmat)
-        for (i, j, k, kmat) in omega_plus_terms(dic.n, m)
-        if which == "D" or i <= which[1] < j
-    ]
-    if which == "D" and m >= 2:
-        fb = fixed_point_basis(dic.geom)
-        atoms.extend(
-            (("mode", k), mat)
-            for k, mat in sorted(omega0_mode_matrices(dic.geom, m, fb).items())
-        )
-    return atoms
+    """The tags of the atoms in the quantum part of ``which``, in ``_atoms``
+    order: for the doubled-point divisor every interaction atom and every
+    dressing mode; for the i-th curve divisor the interaction atoms
+    (k, i0, j0) whose interval [i0, j0) contains i."""
+    return [a for a in _atoms(dic, m)
+            if which == "D" or (a[0] != "mode" and a[1] <= which[1] < a[2])]
 
 
 def _atom_series(dic: Dictionary, tag, which, window: Window):
     """tau-scaled derivative series of one log atom, or None if it vanishes."""
     n = dic.n
-    if tag[0] == "interval":
-        _w, i, j, k = tag
-        ser = log_atom_expand(n, window, k, i, j)
-        d = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
-    else:
-        _w, k = tag
-        ser = log_atom_expand(n, window, k, 0, 1) - log_atom_expand(
-            n, window, 1, 0, 1
-        )
+    if tag[0] == "mode":
+        ser = log_atom_expand(n, window, tag[1], 0, 1) - log_atom_expand(n, window, 1, 0, 1)
         d = ser.q_log_derivative()
+    else:
+        ser = log_atom_expand(n, window, *tag)
+        d = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
     d = d.scale(RatFn(TAU))
     return None if d.is_zero else d
 
@@ -1722,27 +1723,18 @@ def _dense(K: dict, size: int) -> list:
     return rows
 
 
-def _atom_state_matrix(dic: Dictionary, m: int, tag, K) -> list:
+def _atom_state_matrix(dic: Dictionary, m: int, tag) -> list:
     """Constant lattice-state matrix of one atom, as dense rows (memoized)."""
-    def build():
-        T = dic.transport(m)[0]
-        rows = _dense(K, len(T))
-        if tag[0] == "mode":
-            rows = matmul(matmul(T, rows), dic.transport_inverse(m))
-        return rows
-    return dic.cached(("atom_state", m, tag), build)
+    return dic.cached(("atom_state", m, tag),
+                      lambda: _dense(_atoms(dic, m)[tag], len(dic.transport(m)[0])))
 
 
-def _atom_class_matrix(dic: Dictionary, m: int, tag, K) -> list:
+def _atom_class_matrix(dic: Dictionary, m: int, tag) -> list:
     """Constant matrix of one atom in the fixed-point class basis (memoized;
     window-independent, shared across the divisor family)."""
     def build():
-        if tag[0] == "interval":
-            D, Dinv, _ = dic.fixed_point_state_matrix(m)
-            return _sandwich(Dinv, K, D)
-        # word-level conjugation: the transports cancel
-        C, Cinv, _ = dic.class_word_matrix(m)
-        return matmul(matmul(Cinv, _dense(K, len(C))), C)
+        D, Dinv, _ = dic.fixed_point_state_matrix(m)
+        return _sandwich(Dinv, _atoms(dic, m)[tag], D)
     return dic.cached(("atom_class", m, tag), build)
 
 
@@ -1784,11 +1776,11 @@ def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
         classical = classical_divisor(which, m, geom, window)
         mps = classical.index
         entries = dict(classical.entries)
-        for tag, K in _divisor_atoms(dic, m, which):
+        for tag in _divisor_atoms(dic, m, which):
             ser = _atom_series(dic, tag, which, window)
             if ser is None:
                 continue
-            A = _atom_class_matrix(dic, m, tag, K)
+            A = _atom_class_matrix(dic, m, tag)
             for r in range(len(mps)):
                 for c in range(len(mps)):
                     v = A[r][c]
@@ -1844,10 +1836,10 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
 
     def series_atoms(which):
         out = []
-        for tag, K in _divisor_atoms(dic, m, which):
+        for tag in _divisor_atoms(dic, m, which):
             ser = _atom_series(dic, tag, which, wide)
             if ser is not None:
-                out.append((ser, _atom_state_matrix(dic, m, tag, K)))
+                out.append((ser, _atom_state_matrix(dic, m, tag)))
         return out
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
@@ -2124,8 +2116,8 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
 
 def _atom_value(tag, q0, svals, kind):
     """Exact value of the derivative of one log atom at the specialization."""
-    if tag[0] == "interval":
-        _w, i, j, k = tag
+    if tag[0] != "mode":
+        k, i, j = tag
         x = (-q0) ** k
         for t in range(i, j):
             x *= svals[t - 1]
@@ -2134,7 +2126,7 @@ def _atom_value(tag, q0, svals, kind):
         if kind == "q":
             return QQ(-k) * x / (1 - x)
         return -x / (1 - x)
-    _w, k = tag
+    k = tag[1]
     xq = (-q0) ** k
     x1 = -q0
     if xq == 1 or x1 == 1:
@@ -2152,11 +2144,11 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
     tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
     corr = [[QQ(0)] * nd for _ in range(nd)]
-    for tag, K in _divisor_atoms(dic, m, which):
+    for tag in _divisor_atoms(dic, m, which):
         val = tau0 * _atom_value(tag, q0, svals, kind)
         if val == 0:
             continue
-        A = _atom_class_matrix(dic, m, tag, K)
+        A = _atom_class_matrix(dic, m, tag)
         for r in range(nd):
             for c in range(nd):
                 if not A[r][c].is_zero:

@@ -1433,8 +1433,8 @@ def _dot(pairs) -> TPoly:
     Every coefficient it receives must be stored as ``int``, never as an
     integral ``QQ``: the result is a trusted TPoly, and ``poly_gcd``'s modular
     certificate cannot read a ``Fraction`` coefficient.  Callers convert
-    first (``_common_denominator`` clears denominators, ``_sandwich`` scales K
-    to integers)."""
+    first (``_common_denominator`` clears denominators; ``_sandwich`` takes
+    integer K only)."""
     acc: dict = {}
     for ps, qs in pairs:
         for (e1, e2, e3), u in ps:
@@ -1522,29 +1522,28 @@ def matmul(A: list, B: list) -> list:
 
 
 def _sandwich(A: list, K: dict, B: list) -> list:
-    """The product A . K . B of RatFn matrices A and B around a sparse rational
-    matrix K = {(r, c): int or QQ}: the one dense RatFn product, fraction-free.
+    """The product A . K . B of RatFn matrices A and B around a sparse integer
+    matrix K = {(r, c): int}: the one dense RatFn product, fraction-free.
 
-    No RatFn is multiplied or added inside it.  With K = K' / L for integers
-    K' and L, row a of A over one integral common denominator d_a and column
-    b of B over e_b (``_common_denominator``), entry (a, b) is
-    sum_c (sum_r K'[r, c] A'[a][r]) B'[c][b] / (d_a e_b L), summed in
+    No RatFn is multiplied or added inside it.  With row a of A over one
+    integral common denominator d_a and column b of B over e_b
+    (``_common_denominator``), entry (a, b) is
+    sum_c (sum_r K[r, c] A'[a][r]) B'[c][b] / (d_a e_b), summed in
     Z[t1, t2, t3] with no gcd and normalised once, only where it is nonzero.
-    Canonical forms are unique, so it equals the entry-by-entry RatFn sum."""
-    L = 1
-    for k in K.values():
+    Canonical forms are unique, so it equals the entry-by-entry RatFn sum.
+    Raises TypeError for an entry of K that is not an ``int``."""
+    for rc, k in K.items():
         if k.__class__ is not int:
-            L = _ilcm(L, k.denominator)
-    Kint = [(r, c, int(k * L)) for (r, c), k in K.items()]
+            raise TypeError(f"K{list(rc)} = {k!r} is not an int")
     cols = []
     for col in zip(*B):
         nums, e = _common_denominator(col)
-        cols.append(([(c, list(p.items())) for c, p in enumerate(nums) if p], e * L))
+        cols.append(([(c, list(p.items())) for c, p in enumerate(nums) if p], e))
     out = []
     for Ar in A:
         nums, d = _common_denominator(Ar)
-        acc: dict = {}  # c -> row a of A'.K', as {exponent: int}
-        for r, c, k in Kint:
+        acc: dict = {}  # c -> row a of A'.K, as {exponent: int}
+        for (r, c), k in K.items():
             if nums[r]:
                 p = acc.setdefault(c, {})
                 for ex, v in nums[r].items():

@@ -131,9 +131,6 @@ class SurfaceGeometry:
             tot = tot + ak * bk / RatFn(self.euler_point(k))
         return tot
 
-    def cup(self, a: CohClass, b: CohClass) -> CohClass:
-        return tuple(x * y for x, y in zip(a, b))
-
     def point_in_unit_omega_basis(self, i: int):
         """[p_i] written as c0 * 1 + sum_j cj * omega_j.
 

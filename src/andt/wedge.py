@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Mapping, Sequence
 
-from .exact import QQ, theta_vacuum_logatoms
+from .exact import theta_vacuum_logatoms
 from .partitions import MultiPartition, Partition, enumerate_multipartitions
 
 __all__ = [
@@ -280,7 +280,7 @@ def operator_matrix(n: int, m: int, apply_fn) -> dict:
     index = {s: r for r, s in enumerate(basis)}
     out: dict = {}
     for col, s in enumerate(basis):
-        img = apply_fn({s: QQ(1)})
+        img = apply_fn({s: 1})
         for s2, coeff in img.items():
             row = index.get(s2)
             if row is None:
@@ -302,16 +302,17 @@ def normal_pair_matrix(n: int, m: int, i: int, j: int, k: int):
     return {key: val for key, val in mat.items() if val}
 
 
-def omega_plus_terms(n: int, m: int) -> list:
-    """[(i, j, k, matrix)] over i<j and |k| <= m with nonzero matrix."""
-    out = []
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            for k in range(-m, m + 1):
-                mat = normal_pair_matrix(n, m, i, j, k)
-                if mat:
-                    out.append((i, j, k, mat))
-    return out
+def omega_plus_terms(n: int, m: int) -> dict:
+    """{a = (k, i, j): integer matrix of :e_ji(k) e_ij(-k):} over i < j and
+    |k| <= m, in i, j, k order, nonzero matrices only.  The matrices are the
+    cached ``normal_pair_matrix`` objects: copy one before changing it."""
+    return {
+        (k, i, j): mat
+        for i in range(1, n + 2)
+        for j in range(i + 1, n + 2)
+        for k in range(-m, m + 1)
+        if (mat := normal_pair_matrix(n, m, i, j, k))
+    }
 
 
 def theta_logatoms(n: int, m: int, kmax: int) -> dict:
@@ -324,8 +325,7 @@ def theta_logatoms(n: int, m: int, kmax: int) -> dict:
     with 1 <= k <= kmax (``theta_vacuum_logatoms``).  Zero entries and empty
     atoms are dropped.
     """
-    atoms = {(k, i, j): {rc: int(v) for rc, v in mat.items()}
-             for (i, j, k, mat) in omega_plus_terms(n, m)}
+    atoms = {a: dict(K) for a, K in omega_plus_terms(n, m).items()}
     size = len(weight_basis(n, m))
     for a, k in theta_vacuum_logatoms(n, kmax).items():
         K = atoms.setdefault(a, {})

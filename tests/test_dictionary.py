@@ -20,7 +20,8 @@ the label atom matrices; and calibrate's typed refusal of a perturbed closed
 form, of a non-constant or off-target top-weight label entry, and of n = 0.
 
 The divisor-family commutation flag of ``spectrum_probe`` is not asserted: it
-reads False at m = 2 (an open defect, ROADMAP item 2).
+reads False at m = 2 (an open defect, the ROADMAP item "Land the commuting
+divisor family").
 """
 import copy
 import json
@@ -39,6 +40,7 @@ from andt.dictionary import (
     _atom_class_matrix,
     _atom_state_matrix,
     _atom_value,
+    _atoms,
     _classical_restriction,
     _classical_state_matrix,
     _closed_form_mode,
@@ -412,9 +414,9 @@ def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
 
 def _memoized_accessors(d, m):
     """{kind: a call of the accessor that memoizes under that kind}."""
-    atoms = dict(_divisor_atoms(d, m, "D"))
-    itag = next(t for t in atoms if t[0] == "interval")
-    mtag = next(t for t in atoms if t[0] == "mode")
+    tags = _divisor_atoms(d, m, "D")
+    itag = next(t for t in tags if t[0] != "mode")
+    mtag = next(t for t in tags if t[0] == "mode")
     return {
         "annihilation": lambda: d.annihilation_matrix(m),
         "transport": lambda: d.transport(m),
@@ -423,8 +425,9 @@ def _memoized_accessors(d, m):
         "fixed_point_state": lambda: d.fixed_point_state_matrix(m),
         "engine": lambda: d.engine(m),
         "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
-        "atom_class": lambda: _atom_class_matrix(d, m, itag, atoms[itag]),
-        "atom_state": lambda: _atom_state_matrix(d, m, mtag, atoms[mtag]),
+        "atoms": lambda: _atoms(d, m),
+        "atom_class": lambda: _atom_class_matrix(d, m, itag),
+        "atom_state": lambda: _atom_state_matrix(d, m, mtag),
         "classical_state": lambda: _classical_state_matrix(d, m, "D"),
     }
 
@@ -439,6 +442,32 @@ def test_memo_builds_each_entry_once_under_its_own_kind(dic):
     assert {key[0] for key in d._memo} == set(calls)
     assert len({id(v) for v in d._memo.values()}) == len(d._memo)
     assert all(any(v is first[k] for v in d._memo.values()) for k in calls)
+
+
+def test_dressing_modes_are_built_once_per_dictionary_and_weight(dic, monkeypatch):
+    # M_D, the spectrum probe and the commutation check all read the dressing
+    # modes from the one atom table
+    d = copy.copy(dic)
+    d._memo = {}
+    built = []
+    real = dictionary.omega0_mode_matrices
+    monkeypatch.setattr(dictionary, "omega0_mode_matrices",
+                        lambda geom, m, basis: built.append(m) or real(geom, m, basis))
+    dictionary.m_divisor("D", 2, DEFAULT_WINDOW, d.geom, d)
+    dictionary.m_divisor("D", 2, Window(-6, 6, 2), d.geom, d)
+    spectrum_probe(2, d.geom, 1, d)
+    divisor_pair_commutes(d, 2, 1)
+    assert built == [2]
+
+
+def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatch):
+    d = copy.copy(dic)
+    d._memo = {}
+    real = dictionary.omega0_mode_matrices
+    monkeypatch.setattr(dictionary, "omega0_mode_matrices", lambda geom, m, basis: {
+        k: {rc: v * QQ(1, 2) for rc, v in M.items()} for k, M in real(geom, m, basis).items()})
+    with pytest.raises(ArithmeticError, match="dressing mode 2 at weight 2"):
+        _atoms(d, 2)
 
 
 def test_calibrate_seeds_the_transport_inverses(monkeypatch):
@@ -661,10 +690,10 @@ def _lattice_state_divisor(dic, m, which, t1, t2, q0, svals):
     corr = [[QQ(0)] * nd for _ in range(nd)]
     tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
-    for (i, j, k, kmat) in omega_plus_terms(dic.n, m):
+    for (k, i, j), kmat in omega_plus_terms(dic.n, m).items():
         if which != "D" and not i <= which[1] < j:
             continue
-        val = tau0 * _atom_value(("interval", i, j, k), q0, svals, kind)
+        val = tau0 * _atom_value((k, i, j), q0, svals, kind)
         for (r, c), v in kmat.items():
             corr[r][c] += val * v
     if which == "D" and m >= 2:
@@ -746,6 +775,9 @@ def test_omega0_modes_transport_to_the_lattice_dressing_modes(n, m, dic, dic2, d
         want = [[RatFn.const(lattice.get((r, c), 0)) for c in range(nw)] for r in range(nw)]
         assert any(v for row in want for v in row)
         assert matmul(matmul(T, M), d.transport_inverse(m)) == want, k
+        # the atom table holds the same matrix, transported once, with int entries
+        assert _atoms(d, m)[("mode", k)] == lattice, k
+        assert all(type(v) is int for v in _atoms(d, m)[("mode", k)].values())
 
 
 def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
@@ -759,10 +791,10 @@ def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
 
     def series_atoms(which):
         out = []
-        for tag, K in dictionary._divisor_atoms(d, m, which):
+        for tag in dictionary._divisor_atoms(d, m, which):
             ser = dictionary._atom_series(d, tag, which, wide)
             if ser is not None:
-                out.append((ser, dictionary._atom_state_matrix(d, m, tag, K)))
+                out.append((ser, dictionary._atom_state_matrix(d, m, tag)))
         return out
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
@@ -805,7 +837,7 @@ def test_divisor_pair_commutes_matches_the_series_grid(n, i, dic, dic2):
     d = {1: dic, 2: dic2}[n]
     got = divisor_pair_commutes(d, 2, i)
     assert got == _commutation_reference(d, 2, i)
-    assert got["witnesses"]  # still fails at m = 2 (ROADMAP item 2)
+    assert got["witnesses"]  # still fails at m = 2 ("Land the commuting divisor family")
 
 
 def _left_fold(nvars, window, pairs):
@@ -838,7 +870,8 @@ def test_three_point_matches_the_series_fold(n, dic, dic2, monkeypatch):
 
 
 @pytest.mark.xfail(strict=True, raises=exact.WindowError,
-                   reason="sums of products drop coefficients below their window (ROADMAP item 1)")
+                   reason="sums of products drop coefficients below their window "
+                          "(ROADMAP: 'Land the commuting divisor family')")
 def test_three_point_at_weight_three(dic13):
     words = weighted_partition_basis(3, 2)
     three_point(words[0], "D", words[1], geom=dic13.geom, dic=dic13)

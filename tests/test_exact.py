@@ -1030,12 +1030,10 @@ def test_ratfn_matmul_matches_naive_product(AB):
 
 @st.composite
 def _sandwiches(draw):
-    """(A, K, B): RatFn matrices around a sparse rational K with integral and
-    fractional entries, as {(r, c): QQ}."""
+    """(A, K, B): RatFn matrices around a sparse integer K, as {(r, c): int}."""
     nr, ns, nc = draw(st.tuples(*[st.integers(1, 4)] * 3))
     cells = st.tuples(st.integers(0, ns - 1), st.integers(0, ns - 1))
-    kvals = st.one_of(st.builds(QQ, st.integers(-3, 3)), qcoeffs).filter(bool)
-    K = draw(st.dictionaries(cells, kvals, max_size=2 * ns))
+    K = draw(st.dictionaries(cells, st.integers(-3, 3).filter(bool), max_size=2 * ns))
     return draw(_matmul_matrices(nr, ns)), K, draw(_matmul_matrices(ns, nc))
 
 
@@ -1055,7 +1053,7 @@ def _unit_series(c):
 
 
 @pytest.mark.parametrize("product", [
-    pytest.param(lambda a, b: exact_mod._sandwich([[a]], {(0, 0): QQ(1)}, [[b]])[0][0],
+    pytest.param(lambda a, b: exact_mod._sandwich([[a]], {(0, 0): 1}, [[b]])[0][0],
                  id="sandwich"),
     pytest.param(lambda a, b: matmul([[a * QQ(1)]], [[b]])[0][0], id="matmul"),
     pytest.param(lambda a, b: exact_mod._fold_products(
@@ -1063,14 +1061,20 @@ def _unit_series(c):
 ])
 def test_sandwich_stores_integral_coefficients_as_int(product):
     # every dense fraction-free product ends in exact._dot, which stores what
-    # it is given; an integral QQ input (K's entries come as QQ from
-    # wedge.normal_pair_matrix) must still leave int coefficients, which the
-    # modular coprimality certificate in poly_gcd can read
+    # it is given; an integral QQ input must still leave int coefficients,
+    # which the modular coprimality certificate in poly_gcd can read
     a = RatFn(T1 + 2 * T2, T1 + 3 * T3)
     b = RatFn(T2 + T3, T1 - T3)
     got = product(a, b)
     assert got == a * b
     assert stored_form(got.num) and stored_form(got.den)
+
+
+def test_sandwich_refuses_a_k_entry_that_is_not_an_int():
+    # K is an integer matrix; an integral QQ is refused, not scaled
+    a = RatFn(T1 + 2 * T2, T1 + 3 * T3)
+    with pytest.raises(TypeError):
+        exact_mod._sandwich([[a]], {(0, 0): QQ(1)}, [[a]])
 
 
 def test_singular_matrix_error_is_value_and_zero_division_error():

@@ -306,6 +306,7 @@ def test_normal_pair_symmetric_on_basis():
                     assert mat == {
                         (c, r): v for (r, c), v in mat.items()
                     }, (n, m, i, j, k)
+                    assert all(type(v) is int for v in mat.values()), (n, m, i, j, k)
 
 
 def test_fiber_expansion_low_coefficients():
