@@ -403,6 +403,8 @@ class _AtomTargets:
         self.ob = unit_omega_basis(geom)
         self.fb = fixed_point_basis(geom)
         self.solved: dict = {}
+        self._word_pairs: dict = {}  # m -> word_pairs(m)
+        self._class_vectors: dict = {}  # m -> label_class_vectors(m)
 
     def unit_pair(self, mu, nu) -> RatFn:
         if sorted(mu) != sorted(nu):
@@ -411,22 +413,28 @@ class _AtomTargets:
 
     def word_pairs(self, m: int) -> list:
         """[(w1, w2, unit pairing, omega rest of w1, omega rest of w2)] over
-        the label words of weight m, the pairing shared by every atom."""
-        split = {w: _unit_split(w) for w in weighted_partition_basis(m, self.n + 1)}
-        # unit parts come sorted, so two of them pair to nonzero only if equal
-        norms = {mu: self.unit_pair(mu, mu) for mu, _ in split.values()}
-        return [
-            (w1, w2, norms[mu1] if mu1 == mu2 else RF_ZERO, om1, om2)
-            for w1, (mu1, om1) in split.items()
-            for w2, (mu2, om2) in split.items()
-        ]
+        the label words of weight m, the pairing shared by every atom; built
+        once per weight."""
+        if m not in self._word_pairs:
+            split = {w: _unit_split(w) for w in weighted_partition_basis(m, self.n + 1)}
+            # unit parts come sorted, so two of them pair to nonzero only if equal
+            norms = {mu: self.unit_pair(mu, mu) for mu, _ in split.values()}
+            self._word_pairs[m] = [
+                (w1, w2, norms[mu1] if mu1 == mu2 else RF_ZERO, om1, om2)
+                for w1, (mu1, om1) in split.items()
+                for w2, (mu2, om2) in split.items()
+            ]
+        return self._word_pairs[m]
 
     def label_class_vectors(self, m: int) -> dict:
-        """Fixed-point classes re-labelled in the unit/omega basis."""
-        out = {}
-        for mp, vec in fixed_point_vectors(self.geom, m).items():
-            out[mp] = convert_labels(vec, self.fb, self.ob)
-        return out
+        """Fixed-point classes re-labelled in the unit/omega basis; built once
+        per weight."""
+        if m not in self._class_vectors:
+            self._class_vectors[m] = {
+                mp: convert_labels(vec, self.fb, self.ob)
+                for mp, vec in fixed_point_vectors(self.geom, m).items()
+            }
+        return self._class_vectors[m]
 
     def solve(self, m: int) -> dict:
         if m in self.solved:
@@ -1046,18 +1054,23 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a.
 
     P_k(a) = sum_ii V[a][ii] e_ii(k) and P_{-k}(b) = sum_jj U[b][jj] e_jj(-k),
-    so on st0 the commutator is sum V[a][ii] U[b][jj] C_ii,jj with
-    C_ii,jj = [e_ii(k), e_jj(-k)] st0 an integer vector.  Each C is computed
-    once per state, each product V U once per k, and the RatFn combination
-    once per (a, b) and integer coefficient vector.  Every state reached
-    through a nonzero V U is checked, and each failing (k, a, b, state) is
-    one witness.
+    so the coefficient of state s in the commutator on st0 is
+    (V C_s U^T)[a][b], with C_s[ii][jj] the integer coefficient of s in
+    [e_ii(k), e_jj(-k)] st0 (``_lattice_commutator``).  Each product is one
+    ``_sandwich``, made once per k and distinct C_s.  For each (a, b) every
+    state reached through a nonzero V[a][ii] U[b][jj] is checked, and each
+    failing (k, a, b, state) is one witness.
 
     It holds for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1} gives
     k (V_k U_k^T)[a][b] = -k delta_ab euler_a: it checks the lattice side only.
     States run over weights 0..2 and modes over k = 1..kmax;
-    ``calibrate`` runs it with kmax = 2.
+    ``calibrate`` runs it with kmax = 2.  Raises TypeError for a bool or
+    non-int kmax and ValueError for kmax < 1.
     """
+    if isinstance(kmax, bool) or not isinstance(kmax, int):
+        raise TypeError(f"kmax must be an int, not {type(kmax).__name__} {kmax!r}")
+    if kmax < 1:
+        raise ValueError(f"kmax = {kmax} must be at least 1")
     n = dic.n
     cols = range(n + 1)
     failures = []
@@ -1065,39 +1078,30 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     for k in range(1, kmax + 1):
         U = dic.mode_matrix(k)
         V = dic.annihilation_matrix(k)
-        prods = {
-            (a, b): [((ii, jj), V[a][ii] * U[b][jj])
-                     for ii in cols if V[a][ii] for jj in cols if U[b][jj]]
-            for a in cols for b in cols
-        }
-        expects = {a: RatFn.const(QQ(-k)) * dic.point_euler(a + 1) for a in cols}
-        combos: dict = {}
+        Ut = [list(col) for col in zip(*U)]
+        products: dict = {}  # C_s, as its nonzero items -> V C_s U^T
         for m in range(3):
             for st0 in weight_basis(n, m):
                 comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0)
                         for ii in cols for jj in cols}
-                for (a, b), terms in prods.items():
-                    reached = {st0}
-                    for pair, _ in terms:
-                        reached.update(comm[pair])
-                    bad = False
-                    for s in reached:
-                        coeffs = tuple(comm[pair].get(s, 0) for pair, _ in terms)
-                        key = (a, b, coeffs)
-                        got = combos.get(key)
-                        if got is None:
-                            got = RF_ZERO
-                            for (_, f), c in zip(terms, coeffs):
-                                if c:
-                                    got = got + f * c
-                            combos[key] = got
-                        checked += 1
-                        want = expects[a] if s == st0 and a == b else RF_ZERO
-                        bad = bad or got != want
-                    if bad:
-                        failures.append(
-                            {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)}
-                        )
+                prod = {}
+                for s in {st0}.union(*comm.values()):
+                    C = {pair: c for pair, vec in comm.items() if (c := vec.get(s))}
+                    key = tuple(C.items())
+                    if key not in products:
+                        products[key] = _sandwich(V, C, Ut)
+                    prod[s] = products[key]
+                for a in cols:
+                    want = RatFn.const(QQ(-k)) * dic.point_euler(a + 1)
+                    for b in cols:
+                        reached = {st0}.union(*(comm[(ii, jj)] for ii in cols if V[a][ii]
+                                                for jj in cols if U[b][jj]))
+                        checked += len(reached)
+                        if any(prod[s][a][b] != (want if s == st0 and a == b else RF_ZERO)
+                               for s in reached):
+                            failures.append(
+                                {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)}
+                            )
         if failures:
             break
     return {"ok": not failures, "checked": checked, "witnesses": failures[:3]}
@@ -1764,13 +1768,14 @@ def _require_same_rank(geom: SurfaceGeometry, dic: Dictionary) -> None:
         raise ValueError(f"geometry has rank n = {geom.n} but the dictionary has n = {dic.n}")
 
 
-def m_divisor(which, m: int, window: Window, geom: SurfaceGeometry,
+def m_divisor(which, m: int, window: Window | None, geom: SurfaceGeometry,
               dic: Dictionary) -> DivisorOp:
     """Divisor operator: classical multiplication plus the derivative of the
     dressing/interaction data, assembled in the fixed-point class basis."""
     _require_same_rank(geom, dic)
     which = _divisor_key(which)
     _require_solved(dic, m)
+    window = window or DEFAULT_WINDOW
 
     def build():
         classical = classical_divisor(which, m, geom, window)

@@ -1,13 +1,17 @@
 """Charged free-fermion (infinite wedge) model with n+1 colors.
 
-States are semi-infinite wedges indexed by global positions
+States are semi-infinite wedges (Maya diagrams) indexed by global positions
 K = level*(n+1) + (color-1); the vacuum occupies every K < 0.  A state is
 stored per color as (charge, partition): the occupied levels of color j are
 {charge_j + lambda_r - r : r >= 1}.
 
 The elementary loop-matrix operator ``e_ij(k)`` moves one particle of color j
-at level l to color i at level l - k, with the usual fermionic sign; its
-diagonal zero mode is the charge operator.  Energy is
+at level l to color i at level l - k; its diagonal zero mode is the charge
+operator.  The move's sign is (-1)^(occupied K above (j, l)) times
+(-1)^(occupied K above (i, l - k) once (j, l) is empty).  ``e_act`` reads
+each color as its occupied levels from depth = min_j(c_j - len lambda_j) -
+|k| - 1 up: every level below depth is occupied in every color, and no move
+starts or lands there.  Energy is
 
     m(state) = sum_{occupied K >= 0} level(K) - sum_{unoccupied K < 0} level(K),
 
@@ -18,6 +22,7 @@ factored out: one integer state matrix per atom log(1 - (-q)^k s_i...s_{j-1})
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import lru_cache
 from typing import Mapping, Sequence
 
@@ -125,46 +130,18 @@ def _occupied_prefix(c: int, lam: Sequence[int], depth: int) -> list:
     return levels
 
 
-def _is_occupied(c: int, lam: Sequence[int], l: int) -> bool:
-    if l <= c - len(lam) - 1:
-        return True
-    return any(c + p - r == l for r, p in enumerate(lam, start=1))
-
-
-def _count_occupied_above(c: int, lam: Sequence[int], l: int) -> int:
-    """Number of occupied levels strictly greater than l."""
-    cnt = sum(1 for r, p in enumerate(lam, start=1) if c + p - r > l)
-    # rows past the explicit partition sit at levels c - r, r > len(lam)
-    deep = (c - l - 1) - len(lam)
-    return cnt + max(0, deep)
-
-
-def _with_level_removed(c: int, lam: Sequence[int], l: int):
-    depth = min(l, c - len(lam) - 1)
-    levels = _occupied_prefix(c, lam, depth)
-    levels.remove(l)
-    cnew = c - 1
-    parts = tuple(lv - cnew + r for r, lv in enumerate(levels, start=1))
-    return cnew, _strip(parts)
-
-
-def _with_level_added(c: int, lam: Sequence[int], l: int):
-    depth = min(l, c - len(lam) - 1)
-    levels = _occupied_prefix(c, lam, depth)
-    levels.append(l)
-    levels.sort(reverse=True)
-    cnew = c + 1
-    parts = tuple(lv - cnew + r for r, lv in enumerate(levels, start=1))
-    return cnew, _strip(parts)
-
-
-def _strip(parts: tuple) -> tuple:
-    out = list(parts)
-    while out and out[-1] == 0:
-        out.pop()
-    if any(x < 0 for x in out):
-        raise AssertionError("internal: negative partition part")
-    return tuple(out)
+def _state_from_levels(occ: Sequence, depth: int) -> WedgeState:
+    """The state whose color j occupies the levels occ[j - 1] at or above
+    ``depth`` and every level below it."""
+    charges, parts = [], []
+    for levels in occ:
+        c = len(levels) + depth
+        lam = [s - c + r for r, s in enumerate(sorted(levels, reverse=True), start=1)]
+        while lam and not lam[-1]:
+            lam.pop()
+        charges.append(c)
+        parts.append(lam)
+    return WedgeState(charges, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -172,19 +149,9 @@ def _strip(parts: tuple) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _count_above_global(n: int, state: WedgeState, color: int, level: int) -> int:
-    """Occupied positions with global index strictly above that of (color, level)."""
-    cnt = 0
-    for c2 in range(1, n + 2):
-        ch, lam = state.charges[c2 - 1], state.parts[c2 - 1]
-        cnt += _count_occupied_above(ch, lam, level)
-        if c2 > color and _is_occupied(ch, lam, level):
-            cnt += 1
-    return cnt
-
-
 def e_act(n: int, i: int, j: int, k: int, state: WedgeState) -> list:
-    """Apply e_ij(k): returns [(integer coefficient, state)].
+    """Apply e_ij(k): returns [(integer coefficient, state)], in descending
+    source level.
 
     Moves one particle (color j, level l) to (color i, level l-k); the
     diagonal zero mode e_jj(0) is the charge operator.
@@ -195,39 +162,25 @@ def e_act(n: int, i: int, j: int, k: int, state: WedgeState) -> list:
     if i == j and k == 0:
         q = state.charges[j - 1]
         return [(q, state)] if q else []
-    cj, lamj = state.charges[j - 1], state.parts[j - 1]
-    ci, lami = state.charges[i - 1], state.parts[i - 1]
-    # candidate source levels: occupied for color j with free target for color i
-    lo_j = cj - len(lamj) - 1  # levels <= lo_j are all occupied for color j
-    lo_i = ci - len(lami) - 1  # levels <= lo_i are all occupied for color i
-    lmin = min(lo_j, lo_i + k)  # below this both source occupied and target occupied
-    sources = [
-        l
-        for l in _occupied_prefix(cj, lamj, lmin)
-        if not _is_occupied(ci, lami, l - k)
-    ]
+    cp = tuple(zip(state.charges, state.parts))
+    depth = min(c - len(lam) for c, lam in cp) - abs(k) - 1
+    occ = [set(_occupied_prefix(c, lam, depth)) for c, lam in cp]
+    filled = sorted(l * (n + 1) + c for c, levels in enumerate(occ) for l in levels)
+
+    def above(pos):
+        return len(filled) - bisect_right(filled, pos)
+
     out = []
-    for l in sources:
+    for l in sorted(occ[j - 1], reverse=True):
         tgt = l - k
-        sign_rm = (-1) ** (_count_above_global(n, state, j, l) % 2)
-        cj2, lamj2 = _with_level_removed(cj, lamj, l)
-        if i == j:
-            mid_c, mid_lam = cj2, lamj2
-        else:
-            mid_c, mid_lam = ci, lami
-        if _is_occupied(mid_c, mid_lam, tgt):
+        if tgt < depth or tgt in occ[i - 1]:
             continue
-        # occupied-above count for the target, in the intermediate state
-        mid_charges = list(state.charges)
-        mid_parts = list(state.parts)
-        mid_charges[j - 1], mid_parts[j - 1] = cj2, lamj2
-        mid_state = WedgeState(mid_charges, mid_parts)
-        sign_add = (-1) ** (_count_above_global(n, mid_state, i, tgt) % 2)
-        ci2, lami2 = _with_level_added(mid_c, mid_lam, tgt)
-        new_charges = list(mid_charges)
-        new_parts = list(mid_parts)
-        new_charges[i - 1], new_parts[i - 1] = ci2, lami2
-        out.append((sign_rm * sign_add, WedgeState(new_charges, new_parts)))
+        src, dst = l * (n + 1) + j - 1, tgt * (n + 1) + i - 1
+        moved = list(occ)
+        moved[j - 1] = occ[j - 1] - {l}
+        moved[i - 1] = moved[i - 1] | {tgt}
+        sign = (-1) ** ((above(src) + above(dst) - (src > dst)) % 2)
+        out.append((sign, _state_from_levels(moved, depth)))
     return out
 
 

@@ -25,6 +25,7 @@ divisor family").
 """
 import copy
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -399,6 +400,18 @@ def test_heisenberg_check_matches_reference_loop(n, kmax, dic, dic2):
     assert report["checked"] == {(1, 2): 125, (1, 3): 157, (2, 2): 810, (2, 3): 927}[(n, kmax)]
 
 
+@pytest.mark.parametrize("kmax, error, match", [
+    (0, ValueError, "kmax = 0 must be at least 1"),
+    (-1, ValueError, "kmax = -1 must be at least 1"),
+    (2.0, TypeError, "kmax must be an int, not float 2.0"),
+    (True, TypeError, "kmax must be an int, not bool True"),
+])
+def test_heisenberg_check_refuses_a_kmax_that_is_not_a_positive_int(kmax, error, match, dic):
+    # kmax = 0 used to report a pass with nothing checked
+    with pytest.raises(error, match=match):
+        heisenberg_embedding_check(dic, kmax=kmax)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
     bad = copy.copy({1: dic, 2: dic2}[n])
@@ -458,6 +471,35 @@ def test_dressing_modes_are_built_once_per_dictionary_and_weight(dic, monkeypatc
     spectrum_probe(2, d.geom, 1, d)
     divisor_pair_commutes(d, 2, 1)
     assert built == [2]
+
+
+def test_m_divisor_reads_no_window_as_the_default(dic):
+    d = copy.copy(dic)
+    d._memo = {}
+    op = dictionary.m_divisor("D", 2, None, d.geom, d)
+    assert op is dictionary.m_divisor("D", 2, DEFAULT_WINDOW, d.geom, d)
+    assert op.matrix.window == DEFAULT_WINDOW
+    assert [key[3] for key in d._memo if key[0] == "divisor"] == [DEFAULT_WINDOW]
+
+
+def test_label_tables_are_built_once_per_weight(monkeypatch):
+    # the atom solve, its verifier and the closed-form tower share them
+    built = []
+
+    def spy_on(name, caller, weight_arg):
+        real = getattr(dictionary, name)
+
+        def spy(*args):
+            if sys._getframe(1).f_code.co_name == caller:
+                built.append((caller, args[weight_arg]))
+            return real(*args)
+        monkeypatch.setattr(dictionary, name, spy)
+
+    spy_on("weighted_partition_basis", "word_pairs", 0)
+    spy_on("fixed_point_vectors", "label_class_vectors", 1)
+    calibrate(SurfaceGeometry(1), 2)
+    assert sorted(built) == [("label_class_vectors", 1), ("label_class_vectors", 2),
+                             ("word_pairs", 1), ("word_pairs", 2)]
 
 
 def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatch):

@@ -194,6 +194,12 @@ def test_pinned_actions_two_colors():
         if k > 0:
             for a in (1, 2):
                 assert e_act(1, a, a, k, v) == []
+    # several moves are listed in descending source level: 1, then -1
+    s = WedgeState((0, 0), ((2, 1), (1,)))
+    assert e_act(1, 2, 1, 0, s) == [(1, WedgeState((-1, 1), ((1,), (1, 1)))),
+                                    (1, WedgeState((-1, 1), ((3,), ())))]
+    assert e_act(1, 1, 1, 1, s) == [(-1, WedgeState((0, 0), ((1, 1), (1,)))),
+                                    (-1, WedgeState((0, 0), ((2,), (1,))))]
 
 
 def test_charge_operator_eigenvalues():
@@ -223,6 +229,26 @@ def _vec_eq(a, b):
     return all(a.get(s, QQ(0)) == b.get(s, QQ(0)) for s in keys)
 
 
+def _assert_gl_relation(n, i1, j1, i2, j2, k, l, s):
+    """[e_i1j1(k), e_i2j2(l)] = delta_j1i2 e_i1j2(k+l) - delta_j2i1 e_i2j1(k+l)
+    + k delta_k+l,0 delta_j1i2 delta_j2i1 on the state s."""
+    v = {s: QQ(1)}
+    lhs = apply_ops(n, [(i1, j1, k), (i2, j2, l)], v)
+    rhs = apply_ops(n, [(i2, j2, l), (i1, j1, k)], v)
+    for s2, c in rhs.items():
+        lhs[s2] = lhs.get(s2, QQ(0)) - c
+    expect = {}
+    if j1 == i2:
+        for c, s2 in e_act(n, i1, j2, k + l, s):
+            expect[s2] = expect.get(s2, QQ(0)) + c
+    if j2 == i1:
+        for c, s2 in e_act(n, i2, j1, k + l, s):
+            expect[s2] = expect.get(s2, QQ(0)) - c
+    if k + l == 0 and j1 == i2 and j2 == i1:
+        expect[s] = expect.get(s, QQ(0)) + k
+    assert _vec_eq(lhs, expect), (i1, j1, i2, j2, k, l, s)
+
+
 def test_affine_gl_relations_small():
     n = 1
     states = [vacuum(n)] + list(weight_basis(n, 1)) + list(weight_basis(n, 2))
@@ -231,22 +257,20 @@ def test_affine_gl_relations_small():
         for k in range(-2, 3):
             for l in range(-2, 3):
                 for s in states:
-                    v = {s: QQ(1)}
-                    lhs = apply_ops(n, [(i1, j1, k), (i2, j2, l)], v)
-                    rhs = apply_ops(n, [(i2, j2, l), (i1, j1, k)], v)
-                    # commutator [x(k), y(l)]
-                    for s2, c in rhs.items():
-                        lhs[s2] = lhs.get(s2, QQ(0)) - c
-                    expect = {}
-                    if j1 == i2:
-                        for c, s2 in e_act(n, i1, j2, k + l, s):
-                            expect[s2] = expect.get(s2, QQ(0)) + c
-                    if j2 == i1:
-                        for c, s2 in e_act(n, i2, j1, k + l, s):
-                            expect[s2] = expect.get(s2, QQ(0)) - c
-                    if k + l == 0 and j1 == i2 and j2 == i1:
-                        expect[s] = expect.get(s, QQ(0)) + k
-                    assert _vec_eq(lhs, expect), (i1, j1, i2, j2, k, l, s)
+                    _assert_gl_relation(n, i1, j1, i2, j2, k, l, s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=0, max_value=2),
+    k=st.integers(min_value=-2, max_value=2),
+    l=st.integers(min_value=-2, max_value=2),
+)
+def test_affine_gl_relation_on_random_charged_states(data, n, k, l):
+    s = data.draw(random_state_strategy(n))
+    i1, j1, i2, j2 = (data.draw(st.integers(min_value=1, max_value=n + 1)) for _ in range(4))
+    _assert_gl_relation(n, i1, j1, i2, j2, k, l, s)
 
 
 def test_central_term_example():
