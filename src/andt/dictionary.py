@@ -950,8 +950,8 @@ class Dictionary:
     ``transport_inverse`` (m; ``calibrate`` seeds both for m <= m_max),
     ``class_word`` and ``fixed_point_state`` (m), ``engine`` (m, window),
     ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
-    integer lattice-state matrix, ``_atoms``), ``atom_class`` and
-    ``atom_state`` (m, atom tag), and ``classical_state`` (m, selector).
+    integer lattice-state matrix, ``_atoms``), ``atom_class`` (m, atom tag),
+    and ``classical_state`` (m, selector).
     """
 
     def __init__(self, geom: SurfaceGeometry, m_max: int, ansatz: str, modes: dict,
@@ -1295,6 +1295,13 @@ def calibrated_dictionary(n: int, m_max: int = 2) -> Dictionary:
 # ---------------------------------------------------------------------------
 
 
+def _scalar_multiple(K: dict, size: int) -> int | None:
+    """k if the sparse integer matrix K is k Id of the given size, else None."""
+    k = K.get((0, 0))
+    scalar = len(K) == size and all(r == c and v == k for (r, c), v in K.items())
+    return k if scalar else None
+
+
 class BracketEngine:
     """Matrix elements of the boundary operator between creation words:
     B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
@@ -1304,7 +1311,9 @@ class BracketEngine:
     a = (k, i, j), each K_a a sparse integer state matrix.  So B is
     sum_a W_a L_a, with L_a the atom's series on the window and the word
     matrix W_a = (t1 + t2) G . T^{-1} . K_a . T one fraction-free product
-    (``exact._sandwich``).  Distinct atoms share no (q, s) monomial, so an
+    (``exact._sandwich``).  A scalar atom K_a = k Id (a vacuum atom that no
+    pair operator shares) needs no product: W_a = (t1 + t2) k diag(G), as
+    T^{-1} T = Id.  Distinct atoms share no (q, s) monomial, so an
     entry is the disjoint union of the series W_a[wi][wj] L_a, and its
     q-floor is the least q-floor of the nonempty L_a with W_a[wi][wj]
     nonzero; an entry that no such atom reaches is None.
@@ -1331,7 +1340,10 @@ class BracketEngine:
         for a, Ka in self.theta.items():
             L = log_atom_expand(n, window, *a)
             if L.data:
-                W.append((_sandwich(A, Ka, T), L))
+                k = _scalar_multiple(Ka, len(T))
+                W.append((_sandwich(A, Ka, T) if k is None else
+                          [[TAU * g * k if r == c else RF_ZERO for c in range(len(T))]
+                           for r, g in enumerate(self.G)], L))
         B = [[None] * len(T[0]) for _ in self.Tinv]
         for wi, row in enumerate(B):
             for wj in range(len(row)):
@@ -1727,12 +1739,6 @@ def _dense(K: dict, size: int) -> list:
     return rows
 
 
-def _atom_state_matrix(dic: Dictionary, m: int, tag) -> list:
-    """Constant lattice-state matrix of one atom, as dense rows (memoized)."""
-    return dic.cached(("atom_state", m, tag),
-                      lambda: _dense(_atoms(dic, m)[tag], len(dic.transport(m)[0])))
-
-
 def _atom_class_matrix(dic: Dictionary, m: int, tag) -> list:
     """Constant matrix of one atom in the fixed-point class basis (memoized;
     window-independent, shared across the divisor family)."""
@@ -1825,58 +1831,93 @@ def _product_window(window: Window, m: int, factors: int = 2) -> Window:
     return Window(qmin=lo, qmax=hi, smax=window.smax)
 
 
+def _int_commutator(X: dict, Y: dict) -> dict:
+    """{(r, c): nonzero int} of XY - YX for sparse integer matrices."""
+    out: dict = {}
+    for sign, A, B in ((1, X, Y), (-1, Y, X)):
+        brows: dict = {}
+        for (j, c), v in B.items():
+            brows.setdefault(j, []).append((c, sign * v))
+        for (r, j), u in A.items():
+            for c, v in brows.get(j, ()):
+                out[(r, c)] = out.get((r, c), 0) + u * v
+    return {rc: v for rc, v in out.items() if v}
+
+
 def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                           window: Window | None = None) -> dict:
     """Exact commutation of the doubled-point and i-th curve divisor operators
     on the window, evaluated in lattice-state coordinates where the atom
-    matrices are constant.  Each commutator entry is an integer numerator
-    over L_r * G_c, and each entry's sum over the atom series is folded on
-    numerators alone (`exact._fold_numerators`)."""
+    matrices are constant.  Each commutator entry is a numerator over
+    L_r * G_c, the joint denominators of row r and column c of the two
+    classical matrices.  A commutator with a classical matrix sums products
+    of those numerators; an atom-atom commutator [K_a, K_b] is taken in
+    integers (``_int_commutator``) and scaled once per entry by L_r * G_c.
+    Each entry's sum over the atom series is folded on numerators alone
+    (`exact._fold_numerators`)."""
     window = window or DEFAULT_WINDOW
     _require_solved(dic, m)
     wide = _product_window(window, m)
     nd = len(dic.fixed_point_state_matrix(m)[0])
     Dcl = _classical_state_matrix(dic, m, "D")
     Wcl = _classical_state_matrix(dic, m, ("omega", i))
+    atoms = _atoms(dic, m)
 
     def series_atoms(which):
         out = []
         for tag in _divisor_atoms(dic, m, which):
             ser = _atom_series(dic, tag, which, wide)
             if ser is not None:
-                out.append((ser, _atom_state_matrix(dic, m, tag)))
+                out.append((ser, tag))
         return out
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
-    terms = [(ser, Dcl, K) for ser, K in b_atoms] + [(ser, K, Wcl) for ser, K in a_atoms]
-    for ser_a, Ka in a_atoms:
-        for ser_b, Kb in b_atoms:
+    tags = list(dict.fromkeys(tag for _s, tag in a_atoms + b_atoms))
+
+    # row r of Dcl and Wcl over one denominator L_r, column c over one G_c; an
+    # integer atom matrix K leaves both as they are, with numerators K L_r in
+    # row r and K G_c in column c.  Per matrix x, only the nonzero numerators:
+    # R[x][r] = [(j, terms of X[r][j])], C[x][c] = {j: terms of X[j][c]}
+    rows, L = zip(*(_common_denominator(Dcl[r] + Wcl[r]) for r in range(nd)))
+    cols, G = zip(*(_common_denominator([M[j][c] for M in (Dcl, Wcl) for j in range(nd)])
+                    for c in range(nd)))
+    R = {x: [[(j, list(p.items())) for j, p in enumerate(rows[r][k * nd:(k + 1) * nd]) if p]
+             for r in range(nd)] for k, x in enumerate("DW")}
+    C = {x: [{j: list(p.items()) for j, p in enumerate(cols[c][k * nd:(k + 1) * nd]) if p}
+             for c in range(nd)] for k, x in enumerate("DW")}
+    for tag in tags:
+        R[tag], C[tag] = [[] for _ in range(nd)], [{} for _ in range(nd)]
+        for (r, j), k in atoms[tag].items():
+            R[tag][r].append((j, list((L[r] * k).items())))
+            C[tag][j][r] = list((G[j] * k).items())
+
+    def commutator(x, y) -> dict:
+        """{(r, c): nonzero numerator of (XY - YX)[r][c] over L_r * G_c}."""
+        nums = {}
+        for r in range(nd):
+            for c in range(nd):
+                xy = [(p, C[y][c][j]) for j, p in R[x][r] if j in C[y][c]]
+                yx = [(p, C[x][c][j]) for j, p in R[y][r] if j in C[x][c]]
+                if (xy or yx) and (num := _dot(xy) - _dot(yx)):
+                    nums[(r, c)] = num
+        return nums
+
+    terms = [(ser, commutator("D", tag)) for ser, tag in b_atoms]
+    terms += [(ser, commutator(tag, "W")) for ser, tag in a_atoms]
+    LG = {(r, c): L[r] * G[c] for r in range(nd) for c in range(nd)}
+    for ser_a, ta in a_atoms:
+        for ser_b, tb in b_atoms:
             prod = ser_a * ser_b
             if not prod.is_zero:
-                terms.append((prod, Ka, Kb))
+                terms.append((prod, {rc: LG[rc] * k for rc, k
+                                     in _int_commutator(atoms[ta], atoms[tb]).items()}))
 
-    # row r of every matrix over one denominator L_r, column c over one G_c
-    mats = list({id(M): M for M in (Dcl, Wcl, *(K for _s, K in a_atoms + b_atoms))}.values())
-    at = {id(M): k * nd for k, M in enumerate(mats)}
-    rows = [_common_denominator([v for M in mats for v in M[r]])[0] for r in range(nd)]
-    cols = [_common_denominator([M[j][c] for M in mats for j in range(nd)])[0] for c in range(nd)]
-    rows, cols = ([[list(p.items()) for p in v] for v in vs] for vs in (rows, cols))
-
-    def commutator(X, Y) -> dict:
-        """{(r, c): nonzero numerator of (XY - YX)[r][c] over L_r * G_c}."""
-        x, y = at[id(X)], at[id(Y)]
-        nums = {(r, c): _dot((rows[r][x + j], cols[c][y + j]) for j in range(nd))
-                - _dot((rows[r][y + j], cols[c][x + j]) for j in range(nd))
-                for r in range(nd) for c in range(nd)}
-        return {rc: num for rc, num in nums.items() if num}
-
-    const = commutator(Dcl, Wcl)
-    comms = [commutator(X, Y) for _ser, X, Y in terms]
-    sernums, _S = _numerators([ser for ser, _X, _Y in terms])
+    const = commutator("D", "W")
+    sernums, _S = _numerators([ser for ser, _comm in terms])
     totals = {
         (r, c): _fold_numerators(dic.n, wide, [
             (num, list(num.items()), ser, sn)
-            for (ser, _X, _Y), sn, comm in zip(terms, sernums, comms)
+            for (ser, comm), sn in zip(terms, sernums)
             if (num := comm.get((r, c))) is not None
         ])
         for r in range(nd) for c in range(nd)
@@ -2165,6 +2206,21 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
     return full, corr
 
 
+def _charpoly_squarefree(M: list) -> bool:
+    """Whether the characteristic polynomial p of the square rational matrix
+    M has no repeated root, i.e. gcd(p, p') is constant: p from sympy's
+    dense ``DomainMatrix.charpoly`` over QQ, the gcd from its dense ``dup_gcd``.
+    Over a field of characteristic zero that is distinct eigenvalues."""
+    from sympy.polys.densetools import dup_diff
+    from sympy.polys.domains import QQ as SQQ
+    from sympy.polys.euclidtools import dup_gcd
+    from sympy.polys.matrices import DomainMatrix
+
+    rows = [[SQQ(int(v.numerator), int(v.denominator)) for v in row] for row in M]
+    p = DomainMatrix(rows, (len(rows), len(rows)), SQQ).charpoly()
+    return len(dup_gcd(p, dup_diff(p, 1, SQQ), SQQ)) == 1
+
+
 # specializations tried before spectrum_probe gives up
 _PROBE_ATTEMPTS = 8
 
@@ -2172,11 +2228,10 @@ _PROBE_ATTEMPTS = 8
 def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
                    dic: Dictionary | None = None) -> dict:
     """Square-free test of the characteristic polynomial of the quantum part
-    of the doubled-point divisor operator at an exact rational specialization,
-    plus commutation evidence for the divisor family.  Evidence, not proof.
+    of the doubled-point divisor operator at an exact rational specialization
+    (``_charpoly_squarefree``), plus commutation evidence for the divisor
+    family.  Evidence, not proof.
     """
-    import sympy
-
     if dic is None:
         dic = calibrated_dictionary(geom.n, max(2, m))
     _require_same_rank(geom, dic)
@@ -2209,20 +2264,7 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
                 matmul(A, B) == matmul(B, A)
                 for A, B in itertools.combinations(mats.values(), 2)
             )
-            Mq = sympy.Matrix(
-                [
-                    [
-                        sympy.Rational(int(v.numerator), int(v.denominator))
-                        for v in row
-                    ]
-                    for row in corrs["D"]
-                ]
-            )
-            lam = sympy.Symbol("x")
-            charpoly = Mq.charpoly(lam).as_expr()
-            p = sympy.Poly(charpoly, lam)
-            g = sympy.gcd(p, p.diff(lam))
-            squarefree = sympy.degree(g, lam) == 0
+            squarefree = _charpoly_squarefree(corrs["D"])
             report = {
                 "m": m,
                 "n": n,

@@ -484,10 +484,20 @@ ZERO = TPoly()
 #   2. equal parts, or one dividing the other (an evaluation filter in front
 #      of the trial division, see _divides_primitive);
 #   3. a coprimality certificate mod a prime (_coprime_certified);
-#   4. sympy's gcd over ZZ, for what is left.
+#   4. sympy's gcd over ZZ, for what is left: the dense univariate dup_gcd
+#      when a0 and b0 are both binary forms (homogeneous in t1, t2 alone),
+#      the sparse trivariate ring otherwise.
 # Localization weights are ratios of products of linear forms in t1, t2, t3,
 # so the pairs that survive steps 1-2 are almost all coprime; step 3 proves
 # that without sympy.
+#
+# Step 4's dense route is exact.  Setting t2 = 1 is a ring map, and on binary
+# forms not divisible by t2 it keeps the degree: with the monomial content
+# gone, a0 holds a pure t1^d term.  A common factor of two forms is a form,
+# so gcd(a0(t1, 1), b0(t1, 1)) over ZZ is the gcd of a0, b0 with t2 = 1 up to
+# sign, and its homogenisation t2^e g(t1/t2) is that gcd; primitive() fixes
+# the sign.  A form's coefficients, from t1^d down to t2^d, are its dense
+# univariate coefficient list, so nothing is converted on the way.
 #
 # The certificate reduces a0, b0 mod P = 2^61 - 1 and restricts them to the
 # line t = s*alpha + beta, then runs Euclid in F_P[s].  It answers "coprime"
@@ -532,8 +542,36 @@ def _to_sympy(p: TPoly):
     return _sympy_ring().from_dict(dict(p.items()))
 
 
-def _from_sympy(sp) -> TPoly:
-    return TPoly({tuple(e): int(c) for e, c in sp.terms()}, _trusted=True)
+def _from_sympy(terms) -> TPoly:
+    """The TPoly of a sympy gcd given as (exponents, coefficient) pairs;
+    zero coefficients are dropped.  One call per sympy fallback."""
+    return TPoly({tuple(e): int(c) for e, c in terms if c}, _trusted=True)
+
+
+def _binary_form(p: TPoly) -> list | None:
+    """The coefficients of p from t1^d down to t2^d if p is a form of degree
+    d in t1, t2 alone, else None."""
+    d = p.total_degree()
+    out = [0] * (d + 1)
+    for (e1, e2, e3), v in p._d.items():
+        if e3 or e1 + e2 != d:
+            return None
+        out[e2] = v
+    return out
+
+
+def _sympy_gcd(a0: TPoly, b0: TPoly) -> TPoly:
+    """A gcd of integer-primitive a0, b0 with no monomial content, through
+    sympy over ZZ (step 4 above); its sign is not normalised."""
+    fa, fb = _binary_form(a0), _binary_form(b0)
+    if fa is None or fb is None:
+        return _from_sympy(_to_sympy(a0).gcd(_to_sympy(b0)).terms())
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dup_gcd
+
+    g = dup_gcd([ZZ(c) for c in fa], [ZZ(c) for c in fb], ZZ)
+    e = len(g) - 1
+    return _from_sympy(((e - k, k, 0), c) for k, c in enumerate(g))
 
 
 def _eval_at_point(p: TPoly) -> int:
@@ -632,8 +670,7 @@ def poly_gcd(a: TPoly, b: TPoly) -> TPoly:
         return b0.shift_monomial(mg)
     if _coprime_certified(a0, b0):
         return TPoly({mg: 1}, _trusted=True)
-    g = _from_sympy(_to_sympy(a0).gcd(_to_sympy(b0)))
-    return g.primitive().shift_monomial(mg)
+    return _sympy_gcd(a0, b0).primitive().shift_monomial(mg)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,10 @@ a perturbed dictionary; the label-target solver on hand-made systems; the
 mode-level solve against its frozen output (tests/data); and the
 divisor operators at an exact specialization against a lattice-state
 assembly at n = 1, 2; the commutation check and the three-point series
-against the running series sums their numerator folds replaced; the DT/GW
+against the running series sums their numerator folds replaced, and its
+integer atom-atom commutators against the scaled-numerator products they
+replaced; spectrum_probe's dense square-free test against sympy's
+Matrix.charpoly path; the DT/GW
 change of variables q = -e^{iu} against sympy's series, on constant rationals
 and on the rationality certificate of the divisor operator.  Also: the
 Dictionary's memo table (each entry built once, under its own kind, and the
@@ -39,7 +42,6 @@ from andt.dictionary import (
     _AtomTargets,
     _arm_leg_product,
     _atom_class_matrix,
-    _atom_state_matrix,
     _atom_value,
     _atoms,
     _classical_restriction,
@@ -257,21 +259,39 @@ def dic2():
 
 
 @pytest.mark.parametrize(
-    "n, m, window, floors",
+    "n, m, window, floors, scalars",
     [
-        pytest.param(1, 1, DEFAULT_WINDOW, {0}, id="1-1"),
-        pytest.param(1, 2, DEFAULT_WINDOW, {-3}, id="1-2"),
-        pytest.param(2, 1, DEFAULT_WINDOW, {0}, id="2-1"),
+        pytest.param(1, 1, DEFAULT_WINDOW, {0}, 3, id="1-1"),
+        pytest.param(1, 2, DEFAULT_WINDOW, {-3}, 2, id="1-2"),
+        # 9 of the 12 atoms are k Id
+        pytest.param(2, 1, DEFAULT_WINDOW, {0}, 9, id="2-1"),
         # the largest engine the operators benchmark builds; the entries that
         # no k <= -2 atom reaches have the floor -1 of the k = -1 atoms
-        pytest.param(2, 2, DEFAULT_WINDOW, {-3, -1}, id="2-2"),
+        pytest.param(2, 2, DEFAULT_WINDOW, {-3, -1}, 6, id="2-2"),
         # qmax above DEFAULT_WINDOW's: the q^4 s and q^5 s vacuum terms count
-        pytest.param(1, 1, Window(-3, 5, 2), {0}, id="1-1-qmax5"),
+        pytest.param(1, 1, Window(-3, 5, 2), {0}, 5, id="1-1-qmax5"),
     ],
 )
-def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, dic, dic2):
+def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars, dic, dic2,
+                                                  monkeypatch):
     d = {1: dic, 2: dic2}[n]
-    got, want = d.engine(m, window).bracket_matrix(), _two_stage_bracket_matrix(d, m, window)
+    want = _two_stage_bracket_matrix(d, m, window)
+    # a fresh engine, so that bracket_matrix runs under the spy: no scalar
+    # atom k Id reaches the fraction-free product, every other one with a
+    # nonempty series does
+    engine = dictionary.BracketEngine(d, m, window)
+    size = len(engine.T)
+
+    def is_scalar(K):
+        return set(K) == {(r, r) for r in range(size)} and len(set(K.values())) == 1
+
+    assert sum(map(is_scalar, engine.theta.values())) == scalars
+    sandwich, seen = dictionary._sandwich, []
+    monkeypatch.setattr(dictionary, "_sandwich", lambda A, K, B: seen.append(K) or sandwich(A, K, B))
+    got = engine.bracket_matrix()
+    monkeypatch.undo()
+    assert seen == [K for a, K in engine.theta.items()
+                    if not is_scalar(K) and exact.log_atom_expand(n, window, *a).data]
     assert {x.qfloor for row in got for x in row if x is not None} == floors
     assert [[x is None for x in row] for row in got] == [[x is None for x in row] for row in want]
     pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr) if y is not None]
@@ -429,7 +449,6 @@ def _memoized_accessors(d, m):
     """{kind: a call of the accessor that memoizes under that kind}."""
     tags = _divisor_atoms(d, m, "D")
     itag = next(t for t in tags if t[0] != "mode")
-    mtag = next(t for t in tags if t[0] == "mode")
     return {
         "annihilation": lambda: d.annihilation_matrix(m),
         "transport": lambda: d.transport(m),
@@ -440,7 +459,6 @@ def _memoized_accessors(d, m):
         "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
         "atoms": lambda: _atoms(d, m),
         "atom_class": lambda: _atom_class_matrix(d, m, itag),
-        "atom_state": lambda: _atom_state_matrix(d, m, mtag),
         "classical_state": lambda: _classical_state_matrix(d, m, "D"),
     }
 
@@ -781,6 +799,59 @@ def test_spectrum_probe_retries_where_fixed_point_classes_degenerate(dic2):
     assert report["dimension"] == 9
 
 
+def _charpoly_squarefree_via_matrix(M) -> bool:
+    """The square-free test as spectrum_probe ran it through sympy's
+    expression layer: Matrix.charpoly in a Symbol, then gcd(p, p') of a Poly."""
+    Mq = sympy.Matrix([[sympy.Rational(int(v.numerator), int(v.denominator)) for v in row]
+                       for row in M])
+    lam = sympy.Symbol("x")
+    p = sympy.Poly(Mq.charpoly(lam).as_expr(), lam)
+    return sympy.degree(sympy.gcd(p, p.diff(lam)), lam) == 0
+
+
+@pytest.mark.parametrize("n, seeds, retries", [(1, range(50), set()),
+                                              (2, [*range(50), 132], {37, 132})])
+def test_spectrum_probe_matches_the_matrix_charpoly_path(n, seeds, retries, dic, dic2,
+                                                         monkeypatch):
+    # every matrix the dense test sees gets the expression-layer answer too;
+    # seeds 37 and 132 at n = 2 retry.  At m = 2 the quantum part has a repeated
+    # zero eigenvalue, so every report here reads False: the unit case below
+    # covers True
+    d = {1: dic, 2: dic2}[n]
+    dense, seen = dictionary._charpoly_squarefree, []
+
+    def both(M):
+        seen.append((dense(M), _charpoly_squarefree_via_matrix(M)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(dictionary, "_charpoly_squarefree", both)
+    for seed in seeds:
+        del seen[:]
+        report = spectrum_probe(2, d.geom, seed, d)
+        assert len(seen) == 1 and seen[0][0] == seen[0][1]
+        assert report["charpoly_squarefree"] is report["distinct_eigenvalues"] is seen[0][1]
+        assert report["joint_eigenspace_dims"] == ([1] * report["dimension"] if seen[0][1]
+                                                   else None)
+        assert report["attempts"] == (2 if seed in retries else 1)
+
+
+@pytest.mark.parametrize(
+    "M, squarefree",
+    [
+        # a Jordan block: the eigenvalue 2 twice
+        ([[2, 1], [0, 2]], False),
+        ([[QQ(1, 2), 0, 0], [0, QQ(1, 2), 0], [0, 0, 3]], False),
+        # distinct eigenvalues, two of them irrational (x^2 - x - 1)
+        ([[0, 1, 0], [1, 1, 0], [0, 0, QQ(-7, 3)]], True),
+        ([[QQ(5)]], True),
+    ],
+)
+def test_charpoly_squarefree(M, squarefree):
+    M = [[QQ(v) for v in row] for row in M]
+    assert dictionary._charpoly_squarefree(M) is squarefree
+    assert _charpoly_squarefree_via_matrix(M) is squarefree
+
+
 @pytest.fixture(scope="module")
 def dic13():
     return calibrate(SurfaceGeometry(1), 3)
@@ -836,7 +907,7 @@ def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
         for tag in dictionary._divisor_atoms(d, m, which):
             ser = dictionary._atom_series(d, tag, which, wide)
             if ser is not None:
-                out.append((ser, dictionary._atom_state_matrix(d, m, tag)))
+                out.append((ser, dictionary._dense(_atoms(d, m)[tag], nd)))
         return out
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
@@ -880,6 +951,38 @@ def test_divisor_pair_commutes_matches_the_series_grid(n, i, dic, dic2):
     got = divisor_pair_commutes(d, 2, i)
     assert got == _commutation_reference(d, 2, i)
     assert got["witnesses"]  # still fails at m = 2 ("Land the commuting divisor family")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_integer_atom_commutator_is_the_scaled_numerator(n, dic, dic2):
+    # the atom-atom numerator as divisor_pair_commutes took it before: _dot
+    # over atom rows scaled by L_r and columns scaled by G_c; it must equal the
+    # integer commutator times L_r * G_c at every entry of every atom pair
+    d, m, i = {1: dic, 2: dic2}[n], 2, n
+    nd = len(d.fixed_point_state_matrix(m)[0])
+    ta, tb = _divisor_atoms(d, m, "D"), _divisor_atoms(d, m, ("omega", i))
+    tags = list(dict.fromkeys(ta + tb))
+    mats = [_classical_state_matrix(d, m, "D"), _classical_state_matrix(d, m, ("omega", i))]
+    mats += [dictionary._dense(_atoms(d, m)[t], nd) for t in tags]
+    rows, L = zip(*(exact._common_denominator([v for M in mats for v in M[r]])
+                    for r in range(nd)))
+    cols, G = zip(*(exact._common_denominator([M[j][c] for M in mats for j in range(nd)])
+                    for c in range(nd)))
+    rows, cols = ([[list(p.items()) for p in v] for v in vs] for vs in (rows, cols))
+    at = {t: (k + 2) * nd for k, t in enumerate(tags)}
+    nonzero = 0
+    for a in ta:
+        for b in tb:
+            comm = dictionary._int_commutator(_atoms(d, m)[a], _atoms(d, m)[b])
+            assert all(type(v) is int and v for v in comm.values())
+            x, y = at[a], at[b]
+            for r in range(nd):
+                for c in range(nd):
+                    want = (exact._dot((rows[r][x + j], cols[c][y + j]) for j in range(nd))
+                            - exact._dot((rows[r][y + j], cols[c][x + j]) for j in range(nd)))
+                    assert L[r] * G[c] * comm.get((r, c), 0) == want, (a, b, r, c)
+            nonzero += bool(comm)
+    assert nonzero
 
 
 def _left_fold(nvars, window, pairs):

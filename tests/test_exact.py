@@ -290,6 +290,68 @@ def test_poly_gcd_degree_guard_sends_factor_through_alpha_to_sympy(monkeypatch):
     poly_gcd.cache_clear()
 
 
+def _stripped(p: TPoly) -> TPoly:
+    """p without its monomial content, made integer-primitive: what poly_gcd
+    hands to its sympy step."""
+    return p.shift_monomial(tuple(-x for x in p.monomial_content())).primitive()
+
+
+small_binary = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(any)
+large_binary = st.tuples(*[st.integers(-10**12, 10**12)] * 2).filter(any)
+binary_factors = st.lists(
+    st.tuples(st.one_of(small_binary, large_binary), st.integers(1, 3)), max_size=3)
+
+
+def _binary_product(factors, c=1):
+    p = TPoly.const(c)
+    for (x, y), e in factors:
+        p = p * (x * T1 + y * T2) ** e
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(binary_factors, binary_factors, binary_factors, st.integers(1, 10**6),
+       st.integers(1, 10**6))
+def test_dense_binary_gcd_matches_sparse_sympy_gcd(common, only_a, only_b, ca, cb):
+    # products of linear binary forms, with shared, repeated (power up to 3,
+    # and the same form drawn twice) and large-coefficient factors
+    shared = _binary_product(common)
+    a, b = shared * _binary_product(only_a, ca), shared * _binary_product(only_b, cb)
+    a0, b0 = _stripped(a), _stripped(b)
+    assert exact_mod._binary_form(a0) is not None and exact_mod._binary_form(b0) is not None
+    assert exact_mod._sympy_gcd(a0, b0).primitive() == _sympy_gcd_oracle(a0, b0)
+    assert poly_gcd(a, b) == _sympy_gcd_oracle(a, b)
+
+
+@pytest.mark.parametrize(
+    "a, b, g, ring",
+    [
+        # binary forms with a shared factor: the dense route
+        ((T1 + T2) * (T1 + 2 * T2), (T1 + T2) * (T1 - 3 * T2), T1 + T2, False),
+        # a repeated shared factor, and monomial content on one side
+        ((T1 + T2) ** 2 * (T1 + 5 * T2), T2 * (T1 + T2) ** 2 * (T1 - T2), (T1 + T2) ** 2,
+         False),
+        # t3 appears: the sparse trivariate ring
+        ((T1 + T2) * (T1 + T3), (T1 + T2) * (T2 + T3), T1 + T2, True),
+        # in t1, t2 alone but not homogeneous: the ring as well
+        ((T1 + T2) * (T1 + 1), (T1 + T2) * (T2 + 1), T1 + T2, True),
+    ],
+)
+def test_poly_gcd_sympy_step_routes_binary_forms_to_the_dense_gcd(monkeypatch, a, b, g, ring):
+    calls = _count_gcd_paths(monkeypatch)
+    to_sympy = exact_mod._to_sympy
+    ring_calls = []
+    monkeypatch.setattr(exact_mod, "_to_sympy",
+                        lambda p: ring_calls.append(p) or to_sympy(p))
+    poly_gcd.cache_clear()
+    got = poly_gcd(a, b)
+    poly_gcd.cache_clear()
+    assert got == _sympy_gcd_oracle(a, b) == g
+    # one fallback, ending in exactly one _from_sympy on either route
+    assert calls["sympy"] == 1
+    assert len(ring_calls) == (2 if ring else 0)
+
+
 # Linear forms through alpha = _EVAL_POINT: integer combinations of two
 # forms that vanish there.
 _THROUGH_ALPHA = (
