@@ -13,11 +13,18 @@ The constraints come in two stages: the per-atom coefficient matrices of the
 boundary operator in the label basis (unit-padding recursion plus rational
 unknowns fixed by corner values and interval-channel vanishing), and the
 per-mode embedding matrices as an intertwiner condition, linear in the top
-mode.  ``calibrate`` builds the modes U_k = rho^(k-1) U_1 in closed form and
-proves, level by level, that they solve both stages exactly; the constraint
-solver (``_AtomTargets.solve``, ``_solve_mode_tower``) stays as the oracle
-the tests compare against.  A diagonal ansatz is solved for first, and its
-failure is reported as a structured finding.
+mode.  A ``Dictionary`` builds the modes U_k = rho^(k-1) U_1 in closed form,
+and ``calibrate`` proves, level by level, that they solve both stages
+exactly.  The constraint solver (``_AtomTargets.solve``,
+``_solve_mode_tower``) runs only for the diagonal ansatz, which
+``calibrate`` solves for first and whose failure it reports as a
+structured finding, and as the oracle the tests compare the closed form
+against.
+
+What depends on the geometry alone (fixed-point classes, point-word norms,
+label changes, the class-word matrix) is built once per (n, m), in the
+weight's table ``_weight``; what depends on the modes is built once per
+dictionary, in ``Dictionary._memo``.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import math
 import random
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .exact import (
     ExactDivisionError,
@@ -50,7 +58,6 @@ from .exact import (
     _numerators,
     _sandwich,
     expand_logatoms,
-    independent_rows,
     inverse,
     log_atom_expand,
     matmul,
@@ -217,21 +224,17 @@ def _power_to_monomial_inverse(m: int) -> dict:
     }
 
 
-_chart_class_cache: dict = {}
-
-
-def chart_point_classes(geom: SurfaceGeometry, chart: int, m: int) -> dict:
-    """Fixed-point classes supported on one chart, for all partitions of m.
+@lru_cache(maxsize=None)
+def chart_point_classes(n: int, chart: int, m: int) -> dict:
+    """Fixed-point classes of the rank-n surface supported on one chart, for
+    all partitions of m.
 
     Returns {Partition: {WeightedPartition: RatFn}} in point-label creation
     words, orthogonal for the geometric pairing, with the coefficient of the
     all-ones word normalized to 1.  The squared norm is then the tangent
     Euler class of the chart-local fixed point.
     """
-    key = (geom.n, chart, m)
-    hit = _chart_class_cache.get(key)
-    if hit is not None:
-        return hit
+    geom = SurfaceGeometry(n)
     basis = fixed_point_basis(geom)
     sc = RatFn(geom.wR(chart))
     label = chart - 1
@@ -276,38 +279,98 @@ def chart_point_classes(geom: SurfaceGeometry, chart: int, m: int) -> dict:
             raise RuntimeError(f"degenerate leading coefficient for {lam}")
         inv0 = c0.inverse()
         out[lam] = {words[mu]: c * inv0 for mu, c in wvec.items()}
-    _chart_class_cache[key] = out
     return out
 
 
-_fp_vector_cache: dict = {}
+class _Weight:
+    """The matrices at weight m that depend on the rank-n geometry alone, each
+    built on first use; ``_weight`` keeps one table per (n, m).
+
+    ``words`` are the label words of weight m and ``mps`` the fixed points.
+    ``classes`` are the fixed-point classes in point-label words, products of
+    the per-chart classes (``fixed_point_vectors``).  ``G`` holds the
+    point-word norms: the point-basis pairing is diagonal in words.  ``X``
+    has the unit/omega label words as columns in point-word coordinates and
+    ``Xinv`` the point words in label coordinates.  ``C`` has the classes as
+    columns in point-word coordinates, ``Cinv`` is its inverse, and
+    ``J`` = Xinv C has them in label coordinates.  ``word_pairs`` lists
+    (w1, w2, unit pairing, omega rest of w1, omega rest of w2) over the label
+    words, the pairing shared by every atom of ``_AtomTargets.solve``.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        geom = SurfaceGeometry(n)
+        self.ob, self.fb = unit_omega_basis(geom), fixed_point_basis(geom)
+        self.words = weighted_partition_basis(m, n + 1)
+        self.mps = tuple(enumerate_multipartitions(m, n + 1))
+
+    @cached_property
+    def classes(self) -> dict:
+        out: dict = {}
+        for mp in self.mps:
+            vec = {WeightedPartition(()): RF_ONE}
+            for ch0, lam in enumerate(mp):
+                if lam.size == 0:
+                    continue
+                jv = chart_point_classes(self.n, ch0 + 1, lam.size)[lam]
+                nxt: dict = {}
+                for w1, c1 in vec.items():
+                    for w2, c2 in jv.items():
+                        w = WeightedPartition(w1.pairs + w2.pairs)
+                        add = c1 * c2
+                        cur = nxt.get(w)
+                        nxt[w] = add if cur is None else cur + add
+                vec = nxt
+            out[mp] = vec
+        return out
+
+    @cached_property
+    def G(self) -> list:
+        return [nak_pairing(w, w, self.fb) for w in self.words]
+
+    @cached_property
+    def X(self) -> list:
+        return _label_change_matrix(self.words, self.ob, self.fb)
+
+    @cached_property
+    def Xinv(self) -> list:
+        return _label_change_matrix(self.words, self.fb, self.ob)
+
+    @cached_property
+    def C(self) -> list:
+        return [[vec.get(w, RF_ZERO) for vec in self.classes.values()] for w in self.words]
+
+    @cached_property
+    def Cinv(self) -> list:
+        return inverse(self.C)
+
+    @cached_property
+    def J(self) -> list:
+        return matmul(self.Xinv, self.C)
+
+    @cached_property
+    def word_pairs(self) -> list:
+        split = {w: _unit_split(w) for w in self.words}
+        # unit parts come sorted, so two of them pair to nonzero only if equal
+        norms = {mu: nak_pairing(_unit_word(mu), _unit_word(mu), self.ob)
+                 for mu, _ in split.values()}
+        return [
+            (w1, w2, norms[mu1] if mu1 == mu2 else RF_ZERO, om1, om2)
+            for w1, (mu1, om1) in split.items()
+            for w2, (mu2, om2) in split.items()
+        ]
+
+
+@lru_cache(maxsize=None)
+def _weight(n: int, m: int) -> _Weight:
+    return _Weight(n, m)
 
 
 def fixed_point_vectors(geom: SurfaceGeometry, m: int) -> dict:
     """{MultiPartition: {point-label word: RatFn}} for all fixed points of
     total weight m (product of the per-chart classes)."""
-    key = (geom.n, m)
-    hit = _fp_vector_cache.get(key)
-    if hit is not None:
-        return hit
-    out: dict = {}
-    for mp in enumerate_multipartitions(m, geom.npoints):
-        vec = {WeightedPartition(()): RF_ONE}
-        for ch0, lam in enumerate(mp):
-            if lam.size == 0:
-                continue
-            jv = chart_point_classes(geom, ch0 + 1, lam.size)[lam]
-            nxt: dict = {}
-            for w1, c1 in vec.items():
-                for w2, c2 in jv.items():
-                    w = WeightedPartition(w1.pairs + w2.pairs)
-                    add = c1 * c2
-                    cur = nxt.get(w)
-                    nxt[w] = add if cur is None else cur + add
-            vec = nxt
-        out[mp] = vec
-    _fp_vector_cache[key] = out
-    return out
+    return _weight(geom.n, m).classes
 
 
 # ---------------------------------------------------------------------------
@@ -394,47 +457,13 @@ class _AtomTargets:
                           + pairing(w1, w2) * (vacuum scalar series).
     Every entry follows ``_ansatz_entry``; the free pure-omega entries are
     rational unknowns solved from the ``_target_conditions``, then
-    re-verified symbolically (``_label_atom_failure``).
+    re-verified symbolically (``_label_atom_failure``).  The word pairs and
+    the fixed-point classes come from the weight's table (``_weight``).
     """
 
     def __init__(self, geom: SurfaceGeometry):
-        self.geom = geom
         self.n = geom.n
-        self.ob = unit_omega_basis(geom)
-        self.fb = fixed_point_basis(geom)
         self.solved: dict = {}
-        self._word_pairs: dict = {}  # m -> word_pairs(m)
-        self._class_vectors: dict = {}  # m -> label_class_vectors(m)
-
-    def unit_pair(self, mu, nu) -> RatFn:
-        if sorted(mu) != sorted(nu):
-            return RF_ZERO
-        return nak_pairing(_unit_word(mu), _unit_word(nu), self.ob)
-
-    def word_pairs(self, m: int) -> list:
-        """[(w1, w2, unit pairing, omega rest of w1, omega rest of w2)] over
-        the label words of weight m, the pairing shared by every atom; built
-        once per weight."""
-        if m not in self._word_pairs:
-            split = {w: _unit_split(w) for w in weighted_partition_basis(m, self.n + 1)}
-            # unit parts come sorted, so two of them pair to nonzero only if equal
-            norms = {mu: self.unit_pair(mu, mu) for mu, _ in split.values()}
-            self._word_pairs[m] = [
-                (w1, w2, norms[mu1] if mu1 == mu2 else RF_ZERO, om1, om2)
-                for w1, (mu1, om1) in split.items()
-                for w2, (mu2, om2) in split.items()
-            ]
-        return self._word_pairs[m]
-
-    def label_class_vectors(self, m: int) -> dict:
-        """Fixed-point classes re-labelled in the unit/omega basis; built once
-        per weight."""
-        if m not in self._class_vectors:
-            self._class_vectors[m] = {
-                mp: convert_labels(vec, self.fb, self.ob)
-                for mp, vec in fixed_point_vectors(self.geom, m).items()
-            }
-        return self._class_vectors[m]
 
     def solve(self, m: int) -> dict:
         if m in self.solved:
@@ -444,7 +473,8 @@ class _AtomTargets:
         n = self.n
         atoms = omega_plus_terms(n, m)
         gammas: dict = {}  # unknown (atom, word pair in sorted order) -> index
-        wpairs = self.word_pairs(m)
+        wt = _weight(n, m)
+        wpairs = wt.word_pairs
         # affine form of each entry: known constant + optional single unknown
         aff: dict = {}
         for a in atoms:
@@ -459,7 +489,9 @@ class _AtomTargets:
                     gammas[gk] = len(gammas)
                 aff[(a, w1, w2)] = (RF_ZERO, {gk: RF_ONE})
 
-        jl = self.label_class_vectors(m)
+        # the fixed-point classes in label coordinates, nonzero entries only
+        jl = {mp: {w: v for w, v in zip(wt.words, col) if v}
+              for mp, col in zip(wt.mps, zip(*wt.J))}
         by_atom: dict = {}  # atom -> its conditions
         for a in atoms:
             for la, eta, target in _target_conditions(n, m, a, jl):
@@ -509,7 +541,7 @@ class _AtomTargets:
                 if not val.is_zero:
                     mat[(w1, w2)] = val
             out[a] = mat
-        failure = _label_atom_failure(self, m, {**self.solved, m: out})
+        failure = _label_atom_failure(n, m, {**self.solved, m: out})
         if failure is not None:
             raise RuntimeError(f"symbolic re-verification failed at weight {m}: {failure}")
         self.solved[m] = out
@@ -521,30 +553,18 @@ def _solve_label_system(rows: list, ncols: int, meta: list, m: int) -> tuple:
 
     Row t reads rows[t][:ncols] . x = rows[t][ncols].  values[c] is the value
     of unknown c (0 at a free column) and ``free`` lists the free columns.
-    When ``ncols`` rows are independent mod P, only those rows are solved and
-    every row is then checked exactly; otherwise the full ``rref`` decides the
-    pivots.  Raises RuntimeError naming the rows of a contradiction.
+    One ``rref`` of the whole system decides the pivots, and every row past
+    the rank must then read 0 = 0.  Raises RuntimeError naming the rows
+    (their ``meta``) of a contradiction.
     """
-    sel = independent_rows(rows, ncols)
-    if sel is not None and len(sel) == ncols:
-        square = [rows[t] for t in sel]
-        vals = [x for (x,) in solve([r[:ncols] for r in square], [r[ncols:] for r in square])]
-        free: list = []
-        incons = [
-            meta[t] for t, r in enumerate(rows)
-            if sum(a * x for a, x in zip(r, vals) if a) != r[ncols]
-        ]
-    else:
-        reduced, pivots, order = rref(rows, ncols)
-        vals = [QQ(0)] * ncols
-        for rr, col in enumerate(pivots):
-            vals[col] = reduced[rr][ncols]
-        free = [c for c in range(ncols) if c not in pivots]
-        # rows past the rank are zero on the unknowns; a nonzero right-hand
-        # side there is a contradiction
-        incons = [
-            meta[order[t]] for t in range(len(pivots), len(reduced)) if reduced[t][ncols]
-        ]
+    reduced, pivots, order = rref(rows, ncols)
+    vals = [QQ(0)] * ncols
+    for rr, col in enumerate(pivots):
+        vals[col] = reduced[rr][ncols]
+    free = [c for c in range(ncols) if c not in pivots]
+    # rows past the rank are zero on the unknowns; a nonzero right-hand side
+    # there is a contradiction
+    incons = [meta[order[t]] for t in range(len(pivots), len(reduced)) if reduced[t][ncols]]
     if incons:
         raise RuntimeError(f"label-target system inconsistent at weight {m}: {incons[:5]}")
     return vals, free
@@ -592,7 +612,8 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
     """
     states = weight_basis(n, m)
     sidx = {s: i for i, s in enumerate(states)}
-    words = weighted_partition_basis(m, n + 1)
+    wt = _weight(n, m)
+    words = wt.words
     ns, nw = len(states), len(words)
 
     T0 = [[RF_ZERO] * nw for _ in range(ns)]
@@ -611,16 +632,13 @@ def _solve_mode_level(n, m, U_known, targets: _AtomTargets, diagonal_only=False)
         for jj in (lab,) if diagonal_only else range(n + 1):
             blocks[(lab, jj)] = (wi, top[jj])
 
-    # M = diag(G)^-1 Lhinv^T N Lhinv, with G the point-word norms
-    Lhinv = _label_change_matrix(words, targets.fb, targets.ob)
-    fb = targets.fb
-    G = [nak_pairing(w, w, fb) for w in words]
-    left = [[x / g for x in col] for col, g in zip(zip(*Lhinv), G)]
+    # M = diag(G)^-1 Xinv^T N Xinv, with G the point-word norms
+    left = [[x / g for x in col] for col, g in zip(zip(*wt.Xinv), wt.G)]
     eqs = []
     for (k, i, j), kmat in omega_plus_terms(n, m).items():
         Nlab = targets.solved[m].get((k, i, j), {})
         N = [[Nlab.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
-        M = matmul(matmul(left, N), Lhinv)
+        M = matmul(matmul(left, N), wt.Xinv)
         E0 = matmul(T0, M)
         for (r, c2), kv in kmat.items():
             for wcol, x in enumerate(T0[c2]):
@@ -805,52 +823,50 @@ def _closed_form_mode(geom: SurfaceGeometry, k: int) -> list:
     ]
 
 
-def _label_atom_matrices(targets: _AtomTargets, m: int, T: list, Tinv: list) -> dict:
+def _label_atom_matrices(n: int, m: int, T: list, Tinv: list) -> dict:
     """{a: {(w1, w2): RatFn}}: the label-basis matrices N of the atoms
     a = (k, i, j) that the transport T (lattice states by point-label words)
-    implies at weight m.
+    implies at weight m on the rank-n surface.
 
     The intertwiner T M = K T of each omega-plus term K gives its word matrix
-    M = T^-1 K T, and ``_solve_mode_level``'s M = diag(G)^-1 Lhinv^T N Lhinv
-    gives N = X^T diag(G) M X, with X = Lhinv^-1 the label words in
-    point-word coordinates and G the point-word norms.  So N = A K B with
-    A = X^T diag(G) T^-1 and B = T X, built once per weight; each N is one
-    fraction-free product around K's sparse integral entries (``_sandwich``).
-    Zero entries are left out, as in ``_AtomTargets.solve``.
+    M = T^-1 K T, and ``_solve_mode_level``'s M = diag(G)^-1 Xinv^T N Xinv
+    gives N = X^T diag(G) M X, with X = Xinv^-1 the label words in
+    point-word coordinates and G the point-word norms (``_weight``).  So
+    N = A K B with A = X^T diag(G) T^-1 and B = T X, built once per weight;
+    each N is one fraction-free product around K's sparse integral entries
+    (``_sandwich``).  Zero entries are left out, as in ``_AtomTargets.solve``.
     """
-    words = weighted_partition_basis(m, targets.n + 1)
-    X = _label_change_matrix(words, targets.ob, targets.fb)
-    G = [nak_pairing(w, w, targets.fb) for w in words]
-    A = matmul([[x * g for x, g in zip(col, G)] for col in zip(*X)], Tinv)
-    B = matmul(T, X)
+    wt = _weight(n, m)
+    A = matmul([[x * g for x, g in zip(col, wt.G)] for col in zip(*wt.X)], Tinv)
+    B = matmul(T, wt.X)
     out = {}
-    for a, K in omega_plus_terms(targets.n, m).items():
+    for a, K in omega_plus_terms(n, m).items():
         N = _sandwich(A, K, B)
         out[a] = {
             (w1, w2): v
-            for w1, row in zip(words, N)
-            for w2, v in zip(words, row)
+            for w1, row in zip(wt.words, N)
+            for w2, v in zip(wt.words, row)
             if v
         }
     return out
 
 
-def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
+def _label_atom_failure(n: int, m: int, labels: dict):
     """None if the atom matrices ``labels[m]`` solve the weight-m label-target
-    system of ``_AtomTargets.solve``, else (kind, witnesses).
+    system of ``_AtomTargets.solve`` on the rank-n surface, else
+    (kind, witnesses).
 
     First every entry must follow ``_ansatz_entry`` (kind "ansatz-structure"),
     with ``labels`` at the lower weights for the factorized entries.  Then the
     class brackets J^T N J, with J the fixed-point classes in label
-    coordinates, must meet every ``_target_conditions`` target mod t1 + t2
-    (kind "target-conditions").
+    coordinates (``_weight``), must meet every ``_target_conditions`` target
+    mod t1 + t2 (kind "target-conditions").
     """
-    n = targets.n
-    wpairs = targets.word_pairs(m)
+    wt = _weight(n, m)
     wits = []
     for a, N in labels[m].items():
         lower = {mm: labels[mm].get(a, {}) for mm in range(1, m)}
-        for w1, w2, up, om1, om2 in wpairs:
+        for w1, w2, up, om1, om2 in wt.word_pairs:
             got = N.get((w1, w2), RF_ZERO)
             want = _ansatz_entry(m, up, om1, om2, lower)
             if want is None:
@@ -863,16 +879,12 @@ def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
                              else str(want)})
     if wits:
         return "ansatz-structure", wits[:5]
-    jl = targets.label_class_vectors(m)
-    words = weighted_partition_basis(m, n + 1)
-    mps = list(jl)
-    J = [[jl[mp].get(w, RF_ZERO) for mp in mps] for w in words]
-    Jt = [list(col) for col in zip(*J)]
-    pidx = {mp: i for i, mp in enumerate(mps)}
+    Jt = [list(col) for col in zip(*wt.J)]
+    pidx = {mp: i for i, mp in enumerate(wt.mps)}
     for a, Nd in labels[m].items():
-        N = [[Nd.get((w1, w2), RF_ZERO) for w2 in words] for w1 in words]
-        P = matmul(matmul(Jt, N), J)
-        for la, eta, target in _target_conditions(n, m, a, mps):
+        N = [[Nd.get((w1, w2), RF_ZERO) for w2 in wt.words] for w1 in wt.words]
+        P = matmul(matmul(Jt, N), wt.J)
+        for la, eta, target in _target_conditions(n, m, a, wt.mps):
             got = P[pidx[la]][pidx[eta]]
             try:
                 ok = reduce_tau(got - target).is_zero
@@ -886,37 +898,33 @@ def _label_atom_failure(targets: _AtomTargets, m: int, labels: dict):
     return None
 
 
-def _closed_form_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets) -> tuple:
-    """(modes, transports, inverses, labels) for the closed-form modes at the
-    levels k <= m_max, each level verified before the next.
+def _closed_form_tower(dic: Dictionary) -> dict:
+    """{m: label atom matrices} for the closed-form modes of ``dic`` at the
+    weights m <= m_max, each weight verified before the next.
 
-    Per weight m the transport must be invertible (kind "singular-transport");
-    then the label atom matrices it implies (``_label_atom_matrices``) must
-    solve the label-target system (``_label_atom_failure``).  Those are the
-    equations ``_solve_mode_tower`` solves, so the modes are a solution of
-    them.  ``labels[m]`` has the form of ``_AtomTargets.solve(m)``.  Raises
-    _TowerFailure at the first level that fails.
+    Per weight m the transport must be invertible (``dic.transport_inverse``,
+    kind "singular-transport"); then the label atom matrices it implies
+    (``_label_atom_matrices``) must solve the label-target system
+    (``_label_atom_failure``).  Those are the equations ``_solve_mode_tower``
+    solves, so the modes are a solution of them.  Each entry has the form of
+    ``_AtomTargets.solve(m)``.  Raises _TowerFailure at the first weight that
+    fails.
     """
-    n = geom.n
-    modes = {k: _closed_form_mode(geom, k) for k in range(1, m_max + 1)}
-    transports: dict = {}
-    inverses: dict = {}
     labels: dict = {}
-    for m in range(1, m_max + 1):
-        tr = transports[m] = _transport_matrix(n, m, modes)
+    for m in range(1, dic.m_max + 1):
         try:
-            inverses[m] = inverse(tr[0])
+            Tinv = dic.transport_inverse(m)
         except SingularMatrixError:
             raise _TowerFailure(m, "singular-transport", [{
                 "detail": "the closed-form modes give a singular creation-word "
                 "basis change",
-                "mode": [[str(v) for v in row] for row in modes[m]],
+                "mode": [[str(v) for v in row] for row in dic.modes[m]],
             }]) from None
-        labels[m] = _label_atom_matrices(targets, m, tr[0], inverses[m])
-        failure = _label_atom_failure(targets, m, labels)
+        labels[m] = _label_atom_matrices(dic.n, m, dic.transport(m)[0], Tinv)
+        failure = _label_atom_failure(dic.n, m, labels)
         if failure is not None:
             raise _TowerFailure(m, *failure)
-    return modes, transports, inverses, labels
+    return labels
 
 
 # ---------------------------------------------------------------------------
@@ -937,34 +945,37 @@ class Dictionary:
 
     ``modes[k][i][j]`` is the coefficient of the color-j lattice mode in the
     image of the weight-k creation operator on the i-th point class, for the
-    levels k <= m_max.  ``calibrate`` builds them in closed form, U_k =
-    rho^(k-1) U_1 (``_closed_form_mode``), and verifies them up to m_max.
-    ``mode_matrix`` extends them past m_max by the same formula, with ratio
-    ``rho``; those levels are not verified.  ``normalizations`` holds the
+    levels k <= m_max.  The constructor builds them in closed form, U_k =
+    rho^(k-1) U_1 (``_closed_form_mode``), with the ratio ``rho``;
+    ``calibrate`` verifies them up to m_max and fills in ``normalizations``
+    and ``report``.  ``mode_matrix`` extends them past m_max by the same
+    formula; those levels are not verified.  ``normalizations`` holds the
     squared norms of the fixed-point classes (their tangent Euler classes),
-    verified against the pairing during calibration.
+    verified against the pairing during calibration.  ``ansatz`` and
+    ``mode_rule`` name the one embedding there is.
 
     Every matrix derived from the modes is built once, through ``cached``, and
     kept in the one table ``_memo``, keyed ``(kind, *args)`` on hashable
-    arguments only.  The kinds are ``annihilation`` (k), ``transport`` and
-    ``transport_inverse`` (m; ``calibrate`` seeds both for m <= m_max),
-    ``class_word`` and ``fixed_point_state`` (m), ``engine`` (m, window),
+    arguments only; what depends on the geometry alone lives in the weight's
+    table (``_weight``).  The kinds are ``annihilation`` (k), ``transport``
+    and ``transport_inverse`` (m; the verification in ``calibrate`` builds
+    both for m <= m_max), ``fixed_point_state`` (m), ``engine`` (m, window),
     ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
     integer lattice-state matrix, ``_atoms``), ``atom_class`` (m, atom tag),
     and ``classical_state`` (m, selector).
     """
 
-    def __init__(self, geom: SurfaceGeometry, m_max: int, ansatz: str, modes: dict,
-                 rho, mode_rule: str, normalizations: dict, report: dict):
+    ansatz = "color-mixing"
+    mode_rule = "geometric"
+
+    def __init__(self, geom: SurfaceGeometry, m_max: int):
         self.geom = geom
         self.n = geom.n
         self.m_max = m_max
-        self.ansatz = ansatz
-        self.modes = modes
-        self.rho = rho
-        self.mode_rule = mode_rule
-        self.normalizations = normalizations
-        self.report = report
+        self.rho = _mode_progression_ratio(geom)
+        self.modes = {k: _closed_form_mode(geom, k) for k in range(1, m_max + 1)}
+        self.normalizations: dict = {}
+        self.report: dict = {}
         self._memo: dict = {}
 
     def cached(self, key: tuple, build):
@@ -1011,26 +1022,14 @@ class Dictionary:
     def transport_inverse(self, m: int) -> list:
         return self.cached(("transport_inverse", m), lambda: inverse(self.transport(m)[0]))
 
-    def class_word_matrix(self, m: int):
-        """(C, Cinv, mps): fixed-point classes in creation-word coords."""
-        def build():
-            widx = {w: i for i, w in enumerate(self.transport(m)[2])}
-            mps = tuple(enumerate_multipartitions(m, self.n + 1))
-            fpv = fixed_point_vectors(self.geom, m)
-            C = [[RF_ZERO] * len(mps) for _ in widx]
-            for ci, mp in enumerate(mps):
-                for w, v in fpv[mp].items():
-                    C[widx[w]][ci] = v
-            return C, inverse(C), mps
-        return self.cached(("class_word", m), build)
-
     def fixed_point_state_matrix(self, m: int):
         """(D, Dinv, mps) = (T.C, Cinv.Tinv, mps): columns are fixed-point
-        classes in state coords."""
+        classes in state coords, with C the classes in creation-word coords
+        (``_weight``)."""
         def build():
-            C, Cinv, mps = self.class_word_matrix(m)
-            return (matmul(self.transport(m)[0], C),
-                    matmul(Cinv, self.transport_inverse(m)), mps)
+            wt = _weight(self.n, m)
+            return (matmul(self.transport(m)[0], wt.C),
+                    matmul(wt.Cinv, self.transport_inverse(m)), wt.mps)
         return self.cached(("fixed_point_state", m), build)
 
     def engine(self, m: int, window: Window | None = None):
@@ -1109,24 +1108,20 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
 
 def _norm_agreement_check(geom: SurfaceGeometry, m_max: int) -> dict:
     """Squared norms of fixed-point classes must equal tangent Euler classes,
-    and distinct classes must be orthogonal."""
-    fb = fixed_point_basis(geom)
-
-    def pair(vec1, vec2):
-        tot = RF_ZERO
-        for w1, c1 in vec1.items():
-            for w2, c2 in vec2.items():
-                p = nak_pairing(w1, w2, fb)
-                if not p.is_zero:
-                    tot = tot + p * c1 * c2
-        return tot
-
+    and distinct classes must be orthogonal.  The point-word pairing is
+    diagonal in words, with the norms G of the weight's table."""
     failures = []
     checked = 0
     norms = {}
     for m in range(1, m_max + 1):
-        fpv = fixed_point_vectors(geom, m)
-        mps = list(fpv)
+        wt = _weight(geom.n, m)
+        fpv = wt.classes
+        mps = wt.mps
+        G = dict(zip(wt.words, wt.G))
+
+        def pair(vec1, vec2):
+            return sum((G[w] * c * vec2[w] for w, c in vec1.items() if w in vec2), RF_ZERO)
+
         for i, mp in enumerate(mps):
             want = hilb_tangent_euler(mp, geom)
             got = pair(fpv[mp], fpv[mp])
@@ -1178,12 +1173,13 @@ def _failed_attempt(kind: str, exc: _TowerFailure) -> dict:
 
 def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     """The Heisenberg embedding up to weight ``m_max``, built from its closed
-    form (``_closed_form_mode``) and verified exactly.
+    form (``Dictionary(geom, m_max)``) and verified exactly, in place.
 
     The modes must solve, level by level, the equations the constraint
-    solver ``_solve_mode_tower`` solves (``_closed_form_tower``).  Then they
-    must satisfy, in order: (a) the Heisenberg relation with the surface
-    pairing, which holds for any invertible U_k given
+    solver ``_solve_mode_tower`` solves (``_closed_form_tower``, through the
+    dictionary's own transports and their inverses, each inverted once and
+    kept in its memo).  Then they must satisfy, in order: (a) the Heisenberg
+    relation with the surface pairing, which holds for any invertible U_k given
     V_k = -diag(euler) (U_k^T)^{-1} (``heisenberg_embedding_check`` with
     k <= 2); (b) weight-one agreement between the word pairing and the
     transported lattice pairing (invertible basis change matching surface
@@ -1195,27 +1191,27 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
     gl(n+1)^: c = 2 and c = -3/5 pass every check here at n = 1, 2.  The
     closed form is the solver's pick, which fixes c at level 1.
 
-    The diagonal ansatz is first solved for with the constraint solver; its
-    structured failure is part of the returned report.  Raises
-    CalibrationError, with every attempt's report, if the closed form fails
-    any check.
+    The diagonal ansatz is first solved for with the constraint solver, the
+    one production use of the solver; its structured failure is part of the
+    returned report.  Raises CalibrationError, with every attempt's report,
+    if the closed form fails any check.
     """
     if isinstance(m_max, bool) or not isinstance(m_max, int):
         raise TypeError(f"m_max must be an int, not {type(m_max).__name__}")
     if m_max < 2:
         raise ValueError("calibration needs m_max >= 2")
-    targets = _AtomTargets(geom)
     attempts = []
     # no diagonal U_1 gives an invertible transport at n <= 4, so this
     # attempt fails at level 1 and only its report is kept
     try:
-        _solve_mode_tower(geom, m_max, targets, diagonal_only=True)
+        _solve_mode_tower(geom, m_max, _AtomTargets(geom), diagonal_only=True)
         attempts.append({"ansatz": "diagonal", "status": "solved, not used"})
     except _TowerFailure as exc:
         attempts.append(_failed_attempt("diagonal", exc))
-    kind = "color-mixing"
+    dic = Dictionary(geom, m_max)
+    kind = dic.ansatz
     try:
-        modes, transports, inverses, _ = _closed_form_tower(geom, m_max, targets)
+        _closed_form_tower(dic)
     except _TowerFailure as exc:
         attempts.append(_failed_attempt(kind, exc))
         raise CalibrationError({
@@ -1224,10 +1220,7 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
             "attempts": attempts,
         }) from None
     norm_check = _norm_agreement_check(geom, m_max)
-    dic = Dictionary(geom, m_max, kind, modes, _mode_progression_ratio(geom), "geometric",
-                     dict(norm_check["norms"]), {})
-    dic._memo.update({("transport", m): tr for m, tr in transports.items()})
-    dic._memo.update({("transport_inverse", m): ti for m, ti in inverses.items()})
+    dic.normalizations = norm_check["norms"]
     heis = heisenberg_embedding_check(dic, kmax=2)
     loc = _localization_matrix_check(geom)
     corner2 = corner_evaluation_check(dic, 2)
@@ -1265,7 +1258,7 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
         "m_max": m_max,
         "attempts": attempts,
         "modes": {
-            k: [[str(v) for v in row] for row in modes[k]] for k in modes
+            k: [[str(v) for v in row] for row in dic.modes[k]] for k in dic.modes
         },
         "conventions": {
             "pairing": "annihilate-then-read-vacuum with sign (-1)^m and "
@@ -1275,19 +1268,6 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
         },
     }
     return dic
-
-
-_calibrate_cache: dict = {}
-
-
-def calibrated_dictionary(n: int, m_max: int = 2) -> Dictionary:
-    """Cached calibration entry point keyed by (surface rank, m_max)."""
-    key = (n, m_max)
-    hit = _calibrate_cache.get(key)
-    if hit is None:
-        hit = calibrate(SurfaceGeometry(n), m_max)
-        _calibrate_cache[key] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -1325,8 +1305,7 @@ class BracketEngine:
         self.T, _states, words = dic.transport(m)
         self.widx = {w: i for i, w in enumerate(words)}
         self.Tinv = dic.transport_inverse(m)
-        basis = fixed_point_basis(dic.geom)
-        self.G = [nak_pairing(w, w, basis) for w in words]
+        self.G = _weight(self.n, m).G
         # the vacuum atoms with k > qmax only touch q-degrees above the window
         self.theta = theta_logatoms(self.n, m, max(1, window.qmax))
         self._B = None
@@ -1437,15 +1416,10 @@ def _mod_tau2_zero(series: QSSeries) -> bool:
 def _word_bracket_table(dic: Dictionary, m: int, window: Window) -> dict:
     """{(word1, word2): series} over unit/omega-labelled words of weight m."""
     engine = dic.engine(m, window)
-    ob = unit_omega_basis(dic.geom)
-    fb = fixed_point_basis(dic.geom)
-    words = weighted_partition_basis(m, dic.n + 1)
-    conv = {w: convert_labels({w: RF_ONE}, ob, fb) for w in words}
-    out = {}
-    for a in words:
-        for b in words:
-            out[(a, b)] = engine.bracket(conv[a], conv[b])
-    return out
+    wt = _weight(dic.n, m)
+    # each word in point-word coordinates, a column of X
+    conv = {w: dict(zip(wt.words, col)) for w, col in zip(wt.words, zip(*wt.X))}
+    return {(a, b): engine.bracket(conv[a], conv[b]) for a in wt.words for b in wt.words}
 
 
 def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
@@ -1453,23 +1427,18 @@ def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -
     <mu(1) A | Theta | nu(1) B> = <mu(1), nu(1)> <A|Theta|B>."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
-    geom = dic.geom
-    ob = unit_omega_basis(geom)
-    targets = _AtomTargets(geom)
+    wt = _weight(dic.n, m)
     tables = {
         mm: _word_bracket_table(dic, mm, window) for mm in range(1, m + 1)
     }
     Fser = _vacuum_scalar_series(dic.n, window, max(1, window.qmax))
     failures = []
     checked = 0
-    for a, b in tables[m]:
+    for a, b, up, om1, om2 in wt.word_pairs:
         tot = tables[m][(a, b)]
-        mu, om1 = _unit_split(a)
-        nu, om2 = _unit_split(b)
-        up = targets.unit_pair(mu, nu)
         m2 = om1.weight
         if up.is_zero:
-            expect = Fser.scale(nak_pairing(a, b, ob))
+            expect = Fser.scale(nak_pairing(a, b, wt.ob))
         elif m2 == 0:
             expect = Fser.scale(up)
         elif m2 < m:
@@ -1977,13 +1946,12 @@ def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None) -> QSSerie
 
 
 def _word_to_class_coords(dic: Dictionary, w: WeightedPartition, m: int):
-    """Coordinates of a unit/omega word in the fixed-point class basis."""
-    geom = dic.geom
-    vec = convert_labels({w: RF_ONE}, unit_omega_basis(geom), fixed_point_basis(geom))
-    _T, _states, words = dic.transport(m)
-    _C, Cinv, mps = dic.class_word_matrix(m)
-    coords = matmul(Cinv, [[vec.get(ww, RF_ZERO)] for ww in words])
-    return [x for (x,) in coords], mps
+    """Coordinates of a unit/omega word in the fixed-point class basis:
+    Cinv times the word's column of X (``_weight``)."""
+    wt = _weight(dic.n, m)
+    c = wt.words.index(w)
+    coords = matmul(wt.Cinv, [[row[c]] for row in wt.X])
+    return [x for (x,) in coords], wt.mps
 
 
 def three_point(mu, rho, nu, window: Window | None = None, *,
@@ -2185,7 +2153,7 @@ def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
     rational matrices in the fixed-point class basis, evaluated at the
     specialization: diag(c(t)) + sum over atoms of tau * f_a(q0, s0) * K_a(t),
     with K_a the class-basis atom matrix that ``m_divisor`` expands."""
-    _, _, mps = dic.class_word_matrix(m)
+    mps = _weight(dic.n, m).mps
     nd = len(mps)
     tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
@@ -2225,15 +2193,12 @@ def _charpoly_squarefree(M: list) -> bool:
 _PROBE_ATTEMPTS = 8
 
 
-def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int,
-                   dic: Dictionary | None = None) -> dict:
+def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int, dic: Dictionary) -> dict:
     """Square-free test of the characteristic polynomial of the quantum part
     of the doubled-point divisor operator at an exact rational specialization
     (``_charpoly_squarefree``), plus commutation evidence for the divisor
-    family.  Evidence, not proof.
+    family, on the calibrated dictionary ``dic``.  Evidence, not proof.
     """
-    if dic is None:
-        dic = calibrated_dictionary(geom.n, max(2, m))
     _require_same_rank(geom, dic)
     _require_solved(dic, m)
     n = geom.n

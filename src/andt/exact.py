@@ -60,7 +60,6 @@ __all__ = [
     "QRational",
     "SingularMatrixError",
     "rref",
-    "independent_rows",
     "solve",
     "inverse",
     "nullspace",
@@ -951,11 +950,19 @@ RF_ONE = RatFn.const(1)
 
 @dataclass(frozen=True)
 class Window:
+    """The q-degrees qmin..qmax and the s-degrees up to smax on which a series
+    is known.  Each bound must be an int, not a bool (TypeError), with
+    qmin <= qmax and smax >= 0 (WindowError)."""
+
     qmin: int = -12
     qmax: int = 12
     smax: int = 3
 
     def __post_init__(self):
+        for name in ("qmin", "qmax", "smax"):
+            x = getattr(self, name)
+            if type(x) is not int:
+                raise TypeError(f"Window.{name} must be an int, not {type(x).__name__} {x!r}")
         if self.qmin > self.qmax or self.smax < 0:
             raise WindowError(f"empty window {self}")
 
@@ -1355,43 +1362,6 @@ def rref(rows: list, ncols: int) -> tuple:
                 mat[t] = [x - f * y if y else x for x, y in zip(row, prow)]
         pivots.append(col)
     return mat, pivots, order
-
-
-def independent_rows(rows: list, ncols: int) -> list | None:
-    """Indices of rows whose first ``ncols`` entries are independent mod P.
-
-    P = 2^61 - 1, the prime of the coprimality certificate.  Rows are taken
-    greedily in input order: each is reduced against the rows kept before it
-    and kept if anything is left, until ``ncols`` are kept.  The kept rows
-    have a minor that is nonzero mod P, so it is nonzero over QQ: when
-    ``ncols`` rows come back, those rows alone determine the solution of the
-    whole system, if it has one.  Returns None when an entry it reads has a
-    denominator divisible by P, and so no image mod P.
-    """
-    basis: dict = {}  # pivot column -> kept row reduced mod P, 1 at the pivot
-    kept = []
-    for t, row in enumerate(rows):
-        v = []
-        for x in row[:ncols]:
-            den = x.denominator
-            if den % _P == 0:
-                return None
-            v.append(x.numerator * pow(den, -1, _P) % _P if den != 1 else x.numerator % _P)
-        # the kept rows are zero at the pivots of the rows kept before them,
-        # so one pass in insertion order clears every pivot of v
-        for col, b in basis.items():
-            f = v[col]
-            if f:
-                v = [(x - f * y) % _P if y else x for x, y in zip(v, b)]
-        col = next((c for c, x in enumerate(v) if x), None)
-        if col is None:
-            continue
-        inv = pow(v[col], -1, _P)
-        basis[col] = [x * inv % _P for x in v]
-        kept.append(t)
-        if len(kept) == ncols:
-            break
-    return kept
 
 
 def solve(mat: list, rhs: list) -> list:

@@ -13,12 +13,15 @@ replaced; spectrum_probe's dense square-free test against sympy's
 Matrix.charpoly path; the DT/GW
 change of variables q = -e^{iu} against sympy's series, on constant rationals
 and on the rationality certificate of the divisor operator.  Also: the
-Dictionary's memo table (each entry built once, under its own kind, and the
-transports seeded by calibrate), the tangent Euler classes at weights one and
-two, the creation-word state vectors against the e_act loop they replaced,
-and the refusal of a non-int m_max and of a geometry and dictionary of
-different ranks.  The closed-form Heisenberg embedding against the constraint
-solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
+Dictionary's memo table (each entry built once, under its own kind, and each
+transport inverted once by calibrate), the weight tables of geometry-only
+matrices (each field built once per (n, m)), the point-basis pairing
+diagonal in words and the norm check that relies on it against the
+word-by-word double loop it replaced, the tangent Euler classes at weights
+one and two, the creation-word state vectors against the e_act loop they
+replaced, the refusal of a non-int m_max and of a geometry and dictionary of
+different ranks, and spectrum_probe's need for a dictionary.  The closed-form
+Heisenberg embedding against the constraint solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
 the label atom matrices; and calibrate's typed refusal of a perturbed closed
 form, of a non-constant or off-target top-weight label entry, and of n = 0.
 
@@ -27,8 +30,8 @@ reads False at m = 2 (an open defect, the ROADMAP item "Land the commuting
 divisor family").
 """
 import copy
+import functools
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -39,6 +42,7 @@ import andt.exact as exact
 from andt.dictionary import (
     DEFAULT_WINDOW,
     CalibrationError,
+    Dictionary,
     _AtomTargets,
     _arm_leg_product,
     _atom_class_matrix,
@@ -49,15 +53,18 @@ from andt.dictionary import (
     _closed_form_mode,
     _closed_form_tower,
     _divisor_atoms,
+    _norm_agreement_check,
     _power_to_monomial_inverse,
     _solve_label_system,
     _solve_mode_level,
     _solve_mode_tower,
     _specialized_divisor,
+    _weight,
     _word_state_vector,
     calibrate,
     cap,
     divisor_pair_commutes,
+    factorization_check,
     fixed_point_vectors,
     gw_change_of_vars,
     heisenberg_embedding_check,
@@ -453,7 +460,6 @@ def _memoized_accessors(d, m):
         "annihilation": lambda: d.annihilation_matrix(m),
         "transport": lambda: d.transport(m),
         "transport_inverse": lambda: d.transport_inverse(m),
-        "class_word": lambda: d.class_word_matrix(m),
         "fixed_point_state": lambda: d.fixed_point_state_matrix(m),
         "engine": lambda: d.engine(m),
         "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
@@ -500,24 +506,93 @@ def test_m_divisor_reads_no_window_as_the_default(dic):
     assert [key[3] for key in d._memo if key[0] == "divisor"] == [DEFAULT_WINDOW]
 
 
-def test_label_tables_are_built_once_per_weight(monkeypatch):
-    # the atom solve, its verifier and the closed-form tower share them
+@pytest.fixture
+def fresh_weights():
+    """Clear the weight tables before and after a test that patches one of
+    their builders, so that no table built under the patch outlives it."""
+    _weight.cache_clear()
+    yield
+    _weight.cache_clear()
+
+
+def test_label_tables_are_built_once_per_weight(monkeypatch, fresh_weights):
+    # calibrate, a second calibration of the same rank and the checks share
+    # one table per (n, m)
     built = []
+    fields = [name for name, v in vars(dictionary._Weight).items()
+              if isinstance(v, functools.cached_property)]
+    for name in fields:
+        real = vars(dictionary._Weight)[name].func
 
-    def spy_on(name, caller, weight_arg):
-        real = getattr(dictionary, name)
+        def spy(table, name=name, real=real):
+            built.append((name, table.n, table.m))
+            return real(table)
+        prop = functools.cached_property(spy)
+        prop.__set_name__(dictionary._Weight, name)
+        monkeypatch.setattr(dictionary._Weight, name, prop)
+    geom = SurfaceGeometry(1)
+    d = calibrate(geom, 2)
+    calibrate(geom, 2)
+    factorization_check(d, 2)
+    dictionary.m_divisor("D", 2, DEFAULT_WINDOW, geom, d)
+    three_point([(1, 0), (1, 1)], "D", [(2, 1)], geom=geom, dic=d)
+    assert len(built) == len(set(built))
+    assert {name for name, _n, m in built if m == 2} == set(fields)
 
-        def spy(*args):
-            if sys._getframe(1).f_code.co_name == caller:
-                built.append((caller, args[weight_arg]))
-            return real(*args)
-        monkeypatch.setattr(dictionary, name, spy)
 
-    spy_on("weighted_partition_basis", "word_pairs", 0)
-    spy_on("fixed_point_vectors", "label_class_vectors", 1)
-    calibrate(SurfaceGeometry(1), 2)
-    assert sorted(built) == [("label_class_vectors", 1), ("label_class_vectors", 2),
-                             ("word_pairs", 1), ("word_pairs", 2)]
+@pytest.mark.parametrize("n, m", [(1, 3), (2, 2), (2, 3), (3, 2)])
+def test_point_basis_pairing_is_diagonal_in_words(n, m):
+    # the norm check pairs classes through the diagonal G alone
+    words = weighted_partition_basis(m, n + 1)
+    fb = fixed_point_basis(SurfaceGeometry(n))
+    for i, w1 in enumerate(words):
+        assert not nak_pairing(w1, w1, fb).is_zero
+        for w2 in words[i + 1:]:
+            assert nak_pairing(w1, w2, fb).is_zero and nak_pairing(w2, w1, fb).is_zero
+
+
+def _double_loop_norm_check(geom, m_max):
+    """Reference: the norm check as a word-by-word double loop over the
+    point-basis pairing, before it paired through the diagonal G."""
+    fb = fixed_point_basis(geom)
+
+    def pair(vec1, vec2):
+        tot = RF_ZERO
+        for w1, c1 in vec1.items():
+            for w2, c2 in vec2.items():
+                p = nak_pairing(w1, w2, fb)
+                if not p.is_zero:
+                    tot = tot + p * c1 * c2
+        return tot
+
+    failures = []
+    checked = 0
+    norms = {}
+    for m in range(1, m_max + 1):
+        fpv = fixed_point_vectors(geom, m)
+        mps = list(fpv)
+        for i, mp in enumerate(mps):
+            want = hilb_tangent_euler(mp, geom)
+            got = pair(fpv[mp], fpv[mp])
+            norms[mp] = got
+            checked += 1
+            if got != want:
+                failures.append({"class": repr(mp), "kind": "norm"})
+            for mp2 in mps[i + 1:]:
+                checked += 1
+                if not pair(fpv[mp], fpv[mp2]).is_zero:
+                    failures.append({"pair": (repr(mp), repr(mp2)), "kind": "cross"})
+    return {"ok": not failures, "checked": checked, "witnesses": failures[:3],
+            "norms": norms}
+
+
+@pytest.mark.parametrize("n, m_max", [(2, 3), (3, 2)])
+def test_norm_check_is_the_double_loop(n, m_max):
+    geom = SurfaceGeometry(n)
+    got = _norm_agreement_check(geom, m_max)
+    assert got == _double_loop_norm_check(geom, m_max)
+    assert got["ok"] and got["checked"] and len(got["norms"]) == sum(
+        len(fixed_point_vectors(geom, m)) for m in range(1, m_max + 1))
 
 
 def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatch):
@@ -530,7 +605,7 @@ def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatc
         _atoms(d, 2)
 
 
-def test_calibrate_seeds_the_transport_inverses(monkeypatch):
+def test_calibrate_seeds_the_transport_inverses(monkeypatch, fresh_weights):
     inverted = []
 
     def spy(M):
@@ -539,7 +614,7 @@ def test_calibrate_seeds_the_transport_inverses(monkeypatch):
 
     monkeypatch.setattr(dictionary, "inverse", spy)
     d = calibrate(SurfaceGeometry(1), 2)
-    # the mode tower inverts each chosen transport; nothing inverts it again
+    # calibrate inverts each transport once; nothing inverts it again
     for m in (1, 2):
         assert sum(M is d.transport(m)[0] for M in inverted) == 1
 
@@ -567,12 +642,11 @@ def _tall_system(coeffs, x):
     return [[QQ(a) for a in row] + [sum(QQ(a) * v for a, v in zip(row, x))] for row in coeffs]
 
 
-def test_label_system_full_rank_solves_selected_rows(monkeypatch):
+def test_label_system_full_rank_solves_selected_rows():
     # tall, consistent, with proportional rows as repeated sample points give
     coeffs = [[1, 2, 0], [2, 4, 0], [0, 1, -1], [3, 0, 1], [0, 2, -2], [1, 1, 1]]
     x = [QQ(1, 2), QQ(-3), QQ(5, 7)]
     rows = _tall_system(coeffs, x)
-    monkeypatch.setattr(dictionary, "rref", None)  # the full path is not taken
     vals, free = _solve_label_system(rows, 3, list(range(len(rows))), 2)
     assert (vals, free) == _full_rref_solution(rows, 3) == (x, [])
 
@@ -636,7 +710,7 @@ def test_closed_form_tower_is_the_solved_tower(n, m):
     solver = _AtomTargets(geom)
     solved = _solve_mode_tower(geom, m, solver)
     assert solved == {k: _closed_form_mode(geom, k) for k in range(1, m + 1)}
-    labels = _closed_form_tower(geom, m, _AtomTargets(geom))[3]
+    labels = _closed_form_tower(Dictionary(geom, m))
     assert labels.keys() == solver.solved.keys()
     for mm, atoms in labels.items():
         assert atoms.keys() == solver.solved[mm].keys()
@@ -687,8 +761,8 @@ def _label_atom_matrices_with(monkeypatch, bend):
     place."""
     derive = dictionary._label_atom_matrices
 
-    def patched(targets, m, T, Tinv):
-        labels = derive(targets, m, T, Tinv)
+    def patched(n, m, T, Tinv):
+        labels = derive(n, m, T, Tinv)
         if m == 2:
             bend(labels)
         return labels
@@ -857,11 +931,11 @@ def dic13():
     return calibrate(SurfaceGeometry(1), 3)
 
 
-def test_spectrum_probe_without_a_dictionary_calibrates_to_its_weight(monkeypatch, dic13):
-    # the cached (n, m_max) = (1, 3) dictionary is used; nothing is calibrated
-    monkeypatch.setitem(dictionary._calibrate_cache, (1, 3), dic13)
-    monkeypatch.setattr(dictionary, "calibrate", None)
-    report = spectrum_probe(3, SurfaceGeometry(1), 1)
+def test_spectrum_probe_needs_a_dictionary(dic13):
+    # there is no module-level calibration cache to fall back on
+    with pytest.raises(TypeError, match="dic"):
+        spectrum_probe(3, SurfaceGeometry(1), 1)
+    report = spectrum_probe(3, SurfaceGeometry(1), 1, dic13)
     assert (report["m"], report["dimension"]) == (3, 10)
 
 

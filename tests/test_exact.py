@@ -34,7 +34,6 @@ from andt.exact import (
     series_exp,
     rational_reconstruct_q,
     rref,
-    independent_rows,
     solve,
     inverse,
     nullspace,
@@ -667,6 +666,16 @@ def series_of(nvars, window, qfloor, d):
     return QSSeries(nvars, window, qfloor, {k: RatFn.const(v) for k, v in d.items()})
 
 
+@pytest.mark.parametrize("bad", [0.5, "a", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("field", ["qmin", "qmax", "smax"])
+def test_window_refuses_a_bound_that_is_not_an_int(field, bad):
+    # a float bound used to build series with float floors
+    bounds = {"qmin": 0, "qmax": 3, "smax": 2, field: bad}
+    with pytest.raises(TypeError, match=f"^Window.{field} must be an int, not "
+                                        f"{type(bad).__name__} {bad!r}$"):
+        Window(**bounds)
+
+
 def test_series_basic_ops():
     w = Window(-2, 4, 2)
     a = series_of(1, w, -1, {(-1, (0,)): 2, (1, (1,)): 3})
@@ -994,27 +1003,6 @@ def test_sparse_rref_matches_dense_reference(nonzero, zero, data):
     before = [list(r) for r in rows]
     assert rref(rows, ncols) == _dense_rref(rows, ncols)
     assert rows == before  # input left alone
-
-
-@settings(max_examples=60, deadline=None)
-@given(_int_matrices(max_rows=6), st.integers(0, 2))
-def test_independent_rows_select_a_basis_of_the_row_space(ints, repeats):
-    ints = ints + ints[:repeats]
-    rows = [[QQ(x, 3) for x in r] for r in ints]
-    ncols = len(rows[0])
-    kept = independent_rows(rows, ncols)
-    # entries this small leave no minor divisible by 2^61 - 1, so the rank
-    # mod P is the rank over QQ
-    rank = len(rref(rows, ncols)[1])
-    assert len(kept) == rank
-    assert kept == sorted(set(kept))
-    assert len(rref([rows[t] for t in kept], ncols)[1]) == rank
-
-
-def test_independent_rows_refuses_a_denominator_divisible_by_p():
-    p = (1 << 61) - 1
-    assert independent_rows([[QQ(1)], [QQ(1, p)]], 1) == [0]  # stops at full rank
-    assert independent_rows([[QQ(0)], [QQ(1, p)]], 1) is None
 
 
 @settings(max_examples=30, deadline=None)
