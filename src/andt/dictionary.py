@@ -4,10 +4,10 @@ Hilbert schemes.
 Provides fixed-point classes with exact tangent-Euler norms, the calibrated
 Heisenberg embedding (per-mode color-mixing matrices built from their closed
 form and verified against the structural constraints that determine them),
-boundary-operator matrix elements between creation words or fixed-point
-classes (``BracketEngine``), divisor operators with their classical parts,
-cap/tube/three-point series, exact rationality certificates, and seeded
-spectral probes.
+boundary-operator matrix elements between creation words, label words or
+fixed-point classes (``BracketEngine``, one matrix per basis), divisor
+operators with their classical parts, cap/tube/three-point series, exact
+rationality certificates, and seeded spectral probes.
 
 The constraints come in two stages: the per-atom coefficient matrices of the
 boundary operator in the label basis (unit-padding recursion plus rational
@@ -772,10 +772,10 @@ def _solve_mode_tower(geom: SurfaceGeometry, m_max: int, targets: _AtomTargets,
         chosen = None
         for cand in cand_lists:
             Um = _materialize_mode(n, sol, nulls, cand)
-            trial = dict(modes)
-            trial[m] = Um
+            # the lower modes are invertible, and the transport is invertible
+            # exactly when every U_k, k <= m, is
             try:
-                inverse(_transport_matrix(n, m, trial)[0])
+                inverse(Um)
             except SingularMatrixError:
                 continue
             chosen = Um
@@ -902,8 +902,9 @@ def _closed_form_tower(dic: Dictionary) -> dict:
     """{m: label atom matrices} for the closed-form modes of ``dic`` at the
     weights m <= m_max, each weight verified before the next.
 
-    Per weight m the transport must be invertible (``dic.transport_inverse``,
-    kind "singular-transport"); then the label atom matrices it implies
+    Per weight m every U_k, k <= m, must be invertible, which makes the
+    transport invertible (``dic.transport_inverse``, kind
+    "singular-transport"); then the label atom matrices it implies
     (``_label_atom_matrices``) must solve the label-target system
     (``_label_atom_failure``).  Those are the equations ``_solve_mode_tower``
     solves, so the modes are a solution of them.  Each entry has the form of
@@ -958,8 +959,10 @@ class Dictionary:
     kept in the one table ``_memo``, keyed ``(kind, *args)`` on hashable
     arguments only; what depends on the geometry alone lives in the weight's
     table (``_weight``).  The kinds are ``annihilation`` (k), ``transport``
-    and ``transport_inverse`` (m; the verification in ``calibrate`` builds
-    both for m <= m_max), ``fixed_point_state`` (m), ``engine`` (m, window),
+    and ``transport_inverse`` (m; the inverse is read from the transport
+    through the annihilation matrices, with no inversion, and the
+    verification in ``calibrate`` builds both for m <= m_max),
+    ``fixed_point_state`` (m), ``engine`` (m, window),
     ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
     integer lattice-state matrix, ``_atoms``), ``atom_class`` (m, atom tag),
     and ``classical_state`` (m, selector).
@@ -1002,11 +1005,16 @@ class Dictionary:
 
     def annihilation_matrix(self, k: int) -> list:
         """Matrix pairing with the creation side to the Heisenberg relation:
-        V_k = -diag(euler) . (U_k^T)^{-1}."""
+        V_k = -diag(euler) . (U_k^T)^{-1}.  Raises SingularMatrixError, naming
+        k, if U_k is singular."""
         def build():
             U = self.mode_matrix(k)
             npts = self.n + 1
-            Uti = inverse([[U[j][i] for j in range(npts)] for i in range(npts)])
+            try:
+                Uti = inverse([[U[j][i] for j in range(npts)] for i in range(npts)])
+            except SingularMatrixError:
+                raise SingularMatrixError(f"U_{k} is singular: mode {k} has no "
+                                          "annihilation matrix") from None
             return [
                 [-self.point_euler(i + 1) * Uti[i][j] for j in range(npts)]
                 for i in range(npts)
@@ -1020,7 +1028,17 @@ class Dictionary:
             self.n, m, {k: self.mode_matrix(k) for k in range(1, m + 1)}))
 
     def transport_inverse(self, m: int) -> list:
-        return self.cached(("transport_inverse", m), lambda: inverse(self.transport(m)[0]))
+        """T^-1 = (-1)^m diag(G)^-1 T_V^T, with T_V the transport through the
+        annihilation matrices V_k and G the point-word norms (``_weight``):
+        the Heisenberg relation V_k U_k^T = -diag(euler) makes T_V^T T =
+        (-1)^m diag(G).  Raises SingularMatrixError if some U_k, k <= m, is
+        singular, which is exactly when the transport is."""
+        def build():
+            V = {k: self.annihilation_matrix(k) for k in range(1, m + 1)}
+            sign = QQ(-1) if m % 2 else QQ(1)
+            return [[x * (sign / g) for x in col] for col, g in
+                    zip(zip(*_transport_matrix(self.n, m, V)[0]), _weight(self.n, m).G)]
+        return self.cached(("transport_inverse", m), build)
 
     def fixed_point_state_matrix(self, m: int):
         """(D, Dinv, mps) = (T.C, Cinv.Tinv, mps): columns are fixed-point
@@ -1177,14 +1195,14 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
 
     The modes must solve, level by level, the equations the constraint
     solver ``_solve_mode_tower`` solves (``_closed_form_tower``, through the
-    dictionary's own transports and their inverses, each inverted once and
-    kept in its memo).  Then they must satisfy, in order: (a) the Heisenberg
-    relation with the surface pairing, which holds for any invertible U_k given
-    V_k = -diag(euler) (U_k^T)^{-1} (``heisenberg_embedding_check`` with
-    k <= 2); (b) weight-one agreement between the word pairing and the
-    transported lattice pairing (invertible basis change matching surface
-    localization); (c) the two corner evaluations mod (t1+t2)^2 at weights 1
-    and 2, on ``DEFAULT_WINDOW``.
+    dictionary's own transports and their inverses, each inverse read once
+    from the annihilation transport and kept in its memo).  Then they must
+    satisfy, in order: (a) the Heisenberg relation with the surface pairing,
+    which holds for any invertible U_k given V_k = -diag(euler) (U_k^T)^{-1}
+    (``heisenberg_embedding_check`` with k <= 2); (b) weight-one agreement
+    between the word pairing and the transported lattice pairing (invertible
+    basis change matching surface localization); (c) the two corner
+    evaluations mod (t1+t2)^2 at weights 1 and 2, on ``DEFAULT_WINDOW``.
 
     The modes are fixed only up to the gauge U_k -> c^k U_k, which rescales
     the weight-k Nakajima mode against the Cartan currents e_ii(-k) of
@@ -1283,92 +1301,60 @@ def _scalar_multiple(K: dict, size: int) -> int | None:
 
 
 class BracketEngine:
-    """Matrix elements of the boundary operator between creation words:
-    B = G_word . T^{-1} . Theta_state . T with the geometric word pairing.
+    """Matrix elements of the boundary operator between the columns V of a
+    basis in point-word coordinates, B = V^T G . T^{-1} . Theta_state . T V
+    with the geometric word pairing G: the ``"word"`` basis V = Id (the
+    creation words), ``"label"`` V = X (the unit/omega label words) or
+    ``"class"`` V = C (the fixed-point classes in ``mps`` order), from the
+    weight's table (``_weight``).  Each basis's matrix is built once.
 
     Theta is read atom by atom, as ``theta_logatoms`` gives it: Theta =
     (t1 + t2) sum_a K_a log(1 - (-q)^k s_i...s_{j-1}) over the log atoms
     a = (k, i, j), each K_a a sparse integer state matrix.  So B is
-    sum_a W_a L_a, with L_a the atom's series on the window and the word
-    matrix W_a = (t1 + t2) G . T^{-1} . K_a . T one fraction-free product
+    sum_a W_a L_a, with L_a the atom's series on the window and
+    W_a = (t1 + t2) V^T G . T^{-1} . K_a . T V one fraction-free product
     (``exact._sandwich``).  A scalar atom K_a = k Id (a vacuum atom that no
-    pair operator shares) needs no product: W_a = (t1 + t2) k diag(G), as
+    pair operator shares) needs no product: W_a = (t1 + t2) k V^T G V, as
     T^{-1} T = Id.  Distinct atoms share no (q, s) monomial, so an
-    entry is the disjoint union of the series W_a[wi][wj] L_a, and its
-    q-floor is the least q-floor of the nonempty L_a with W_a[wi][wj]
+    entry is the disjoint union of the series W_a[r][c] L_a, and its
+    q-floor is the least q-floor of the nonempty L_a with W_a[r][c]
     nonzero; an entry that no such atom reaches is None.
     """
 
     def __init__(self, dic: Dictionary, m: int, window: Window):
-        self.n = dic.n
-        self.window = window
-        self.T, _states, words = dic.transport(m)
-        self.widx = {w: i for i, w in enumerate(words)}
+        self.n, self.m, self.window = dic.n, m, window
+        self.T = dic.transport(m)[0]
         self.Tinv = dic.transport_inverse(m)
-        self.G = _weight(self.n, m).G
         # the vacuum atoms with k > qmax only touch q-degrees above the window
         self.theta = theta_logatoms(self.n, m, max(1, window.qmax))
-        self._B = None
+        self._matrices: dict = {}
 
-    def bracket_matrix(self) -> list:
-        if self._B is not None:
-            return self._B
-        n, window, T = self.n, self.window, self.T
-        A = [[TAU * g * x for x in row] for g, row in zip(self.G, self.Tinv)]
+    def bracket_matrix(self, basis: str = "word") -> list:
+        if basis in self._matrices:
+            return self._matrices[basis]
+        n, window, wt = self.n, self.window, _weight(self.n, self.m)
+        size = len(wt.G)
+        eye = [[RF_ONE if r == c else RF_ZERO for c in range(size)] for r in range(size)]
+        V = {"word": eye, "label": wt.X, "class": wt.C}.get(basis)
+        if V is None:
+            raise ValueError(f"unknown basis {basis!r}: use 'word', 'label' or 'class'")
+        VtG = [[TAU * g * x for g, x in zip(wt.G, col)] for col in zip(*V)]
+        A, TV, S = matmul(VtG, self.Tinv), matmul(self.T, V), matmul(VtG, V)
         W = []
         for a, Ka in self.theta.items():
             L = log_atom_expand(n, window, *a)
             if L.data:
-                k = _scalar_multiple(Ka, len(T))
-                W.append((_sandwich(A, Ka, T) if k is None else
-                          [[TAU * g * k if r == c else RF_ZERO for c in range(len(T))]
-                           for r, g in enumerate(self.G)], L))
-        B = [[None] * len(T[0]) for _ in self.Tinv]
-        for wi, row in enumerate(B):
-            for wj in range(len(row)):
-                terms = [(w[wi][wj], L) for w, L in W if w[wi][wj]]
+                k = _scalar_multiple(Ka, size)
+                W.append((_sandwich(A, Ka, TV) if k is None else
+                          [[x * k if x else x for x in row] for row in S], L))
+        B = self._matrices[basis] = [[None] * size for _ in S]
+        for r, row in enumerate(B):
+            for c in range(len(row)):
+                terms = [(w[r][c], L) for w, L in W if w[r][c]]
                 if terms:
-                    row[wj] = ser = QSSeries(n, window, min(L.qfloor for _, L in terms))
-                    ser.data = {key: x * c for x, L in terms for key, c in L.data.items()}
-        self._B = B
+                    row[c] = ser = QSSeries(n, window, min(L.qfloor for _, L in terms))
+                    ser.data = {key: x * v for x, L in terms for key, v in L.data.items()}
         return B
-
-    def bracket(self, bra_vec: dict, ket_vec: dict) -> QSSeries:
-        """Bilinear in point-label word coordinates.
-
-        Fraction-free, like ``exact._sandwich``: the bra coefficients are put
-        over one common denominator d, the ket coefficients over e, and at
-        each (q, s) monomial the B coefficients that meet there over L, so
-        the coefficient there is sum cb' ck' B' / (d e L), summed over
-        integer polynomials and normalised once.  The q-floor is the least
-        q-floor of the B entries that contribute a term.
-        """
-        B = self.bracket_matrix()
-        bras = [(self.widx[w], c) for w, c in bra_vec.items() if c]
-        kets = [(self.widx[w], c) for w, c in ket_vec.items() if c]
-        a, d = _common_denominator([c for _, c in bras])
-        b, e = _common_denominator([c for _, c in kets])
-        terms: dict = {}  # monomial -> [(cb' ck', B coefficient)]
-        qfloor = None
-        for (wi, _), x in zip(bras, a):
-            for (wj, _), y in zip(kets, b):
-                ser = B[wi][wj]
-                if ser is None or not ser.data:
-                    continue
-                qfloor = ser.qfloor if qfloor is None else min(qfloor, ser.qfloor)
-                xy = x * y
-                for mon, c in ser.data.items():
-                    terms.setdefault(mon, []).append((xy, c))
-        if qfloor is None:
-            return QSSeries.zero(self.n, self.window)
-        de = d * e
-        data = {}
-        for mon, pairs in terms.items():
-            nums, L = _common_denominator([c for _, c in pairs])
-            num = _dot((xy.items(), p.items()) for (xy, _), p in zip(pairs, nums))
-            if num:
-                data[mon] = RatFn(num, de * L)
-        return QSSeries(self.n, self.window, qfloor, data)
 
 
 def _vacuum_scalar_series(n: int, window: Window, kmax: int) -> QSSeries:
@@ -1408,18 +1394,23 @@ def _mod_tau2_zero(series: QSSeries) -> bool:
     return all(v.is_zero or v.valuation_t1pt2() >= 2 for v in series.data.values())
 
 
+def _series_or_zero(x: QSSeries | None, n: int, window: Window) -> QSSeries:
+    """A bracket matrix entry, with one that no atom reaches read as zero."""
+    return QSSeries.zero(n, window) if x is None else x
+
+
 # ---------------------------------------------------------------------------
 # structural checks of the boundary-operator matrix elements
 # ---------------------------------------------------------------------------
 
 
 def _word_bracket_table(dic: Dictionary, m: int, window: Window) -> dict:
-    """{(word1, word2): series} over unit/omega-labelled words of weight m."""
-    engine = dic.engine(m, window)
-    wt = _weight(dic.n, m)
-    # each word in point-word coordinates, a column of X
-    conv = {w: dict(zip(wt.words, col)) for w, col in zip(wt.words, zip(*wt.X))}
-    return {(a, b): engine.bracket(conv[a], conv[b]) for a in wt.words for b in wt.words}
+    """{(word1, word2): series} over unit/omega-labelled words of weight m,
+    read from the ``"label"`` bracket matrix."""
+    words = _weight(dic.n, m).words
+    B = dic.engine(m, window).bracket_matrix("label")
+    return {(a, b): _series_or_zero(x, dic.n, window)
+            for a, row in zip(words, B) for b, x in zip(words, row)}
 
 
 def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
@@ -1481,23 +1472,20 @@ def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> di
     of equal size at either endpoint), the channel vanishes mod (t1+t2)^2."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
-    engine = dic.engine(m, window)
-    fpv = fixed_point_vectors(dic.geom, m)
-    mps = list(fpv)
     n = dic.n
+    B = dic.engine(m, window).bracket_matrix("class")
+    mps = _weight(n, m).mps
+    pidx = {mp: r for r, mp in enumerate(mps)}
     failures = []
     checked = 0
-    brackets: dict = {}
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
             for la, eta, mode in _channel_pairs(n, m, i, j, mps):
                 if mode is not None:
                     continue
-                ser = brackets.get((la, eta))
-                if ser is None:
-                    ser = brackets[(la, eta)] = engine.bracket(fpv[la], fpv[eta])
+                ser = B[pidx[la]][pidx[eta]]
                 checked += 1
-                if not _mod_tau2_zero(interval_channel(ser, i, j)):
+                if ser is not None and not _mod_tau2_zero(interval_channel(ser, i, j)):
                     failures.append({"interval": (i, j), "bra": repr(la), "ket": repr(eta)})
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
 
@@ -1528,9 +1516,9 @@ def corner_evaluation_check(dic: Dictionary, m: int,
     bracket = (t1+t2) c_m log(1 - (-q)^{+-(m-1)} s_i...s_{j-1}) mod (t1+t2)^2."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
-    engine = dic.engine(m, window)
-    fpv = fixed_point_vectors(dic.geom, m)
     n = dic.n
+    B = dic.engine(m, window).bracket_matrix("class")
+    pidx = {mp: r for r, mp in enumerate(_weight(n, m).mps)}
     cm = interval_corner_constant(n, m) * RatFn(TAU)
     failures = []
     checked = 0
@@ -1539,7 +1527,7 @@ def corner_evaluation_check(dic: Dictionary, m: int,
             for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
                 expect = log_atom_expand(n, window, kmode, i, j).scale(cm)
                 for (x, y) in ((bra, ket), (ket, bra)):
-                    ser = engine.bracket(fpv[x], fpv[y])
+                    ser = _series_or_zero(B[pidx[x]][pidx[y]], n, window)
                     checked += 1
                     if not _mod_tau2_zero(interval_channel(ser, i, j) - expect):
                         failures.append(

@@ -1,12 +1,14 @@
 """Dictionary tests at n = 1, m = 2: the calibration report, the Heisenberg
 embedding, the transport inverse, the power-sum change of basis and
-label-basis coordinates; the bracket matrix against the two-stage series
-product and the bracket against a sum of scaled series at n = 1, 2; the
-Heisenberg check against the single loop it replaced at n = 1, 2, also on
-a perturbed dictionary; the label-target solver on hand-made systems; the
-mode-level solve against its frozen output (tests/data); and the
-divisor operators at an exact specialization against a lattice-state
-assembly at n = 1, 2; the commutation check and the three-point series
+label-basis coordinates; the transport inverse as the annihilation
+transport at (n, m) = (1, 2), (2, 2), (1, 3), (2, 3), and a singular mode's
+typed error; the "word" bracket matrix against the two-stage series product
+and the "label" and "class" matrices against a running sum of scaled series
+over it at n = 1, 2; the Heisenberg check against the single loop it
+replaced at n = 1, 2, also on a perturbed dictionary; the label-target
+solver on hand-made systems; the mode-level solve against its frozen
+output (tests/data); and the divisor operators at an exact specialization
+against a lattice-state assembly at n = 1, 2; the commutation check and the three-point series
 against the running series sums their numerator folds replaced, and its
 integer atom-atom commutators against the scaled-numerator products they
 replaced; spectrum_probe's dense square-free test against sympy's
@@ -14,8 +16,9 @@ Matrix.charpoly path; the DT/GW
 change of variables q = -e^{iu} against sympy's series, on constant rationals
 and on the rationality certificate of the divisor operator.  Also: the
 Dictionary's memo table (each entry built once, under its own kind, and each
-transport inverted once by calibrate), the weight tables of geometry-only
-matrices (each field built once per (n, m)), the point-basis pairing
+transport inverse built once by calibrate, with no transport inverted),
+the weight tables of geometry-only matrices (each field built once per
+(n, m)), the point-basis pairing
 diagonal in words and the norm check that relies on it against the
 word-by-word double loop it replaced, the tangent Euler classes at weights
 one and two, the creation-word state vectors against the e_act loop they
@@ -59,6 +62,7 @@ from andt.dictionary import (
     _solve_mode_level,
     _solve_mode_tower,
     _specialized_divisor,
+    _transport_matrix,
     _weight,
     _word_state_vector,
     calibrate,
@@ -80,6 +84,7 @@ from andt.exact import (
     QRational,
     QSSeries,
     RatFn,
+    SingularMatrixError,
     Window,
     inverse,
     matmul,
@@ -310,8 +315,10 @@ def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars,
 
 
 def _reference_bracket(engine, bra_vec, ket_vec):
-    """Reference: the bracket as a running sum of scaled series."""
+    """Reference: the bracket as a running sum of scaled series over the
+    entries of the "word" bracket matrix."""
     B = engine.bracket_matrix()
+    widx = {w: i for i, w in enumerate(weighted_partition_basis(engine.m, engine.n + 1))}
     tot = QSSeries.zero(engine.n, engine.window)
     for wb, cb in bra_vec.items():
         if cb.is_zero:
@@ -319,38 +326,43 @@ def _reference_bracket(engine, bra_vec, ket_vec):
         for wk, ck in ket_vec.items():
             if ck.is_zero:
                 continue
-            ser = B[engine.widx[wb]][engine.widx[wk]]
+            ser = B[widx[wb]][widx[wk]]
             if ser is not None:
                 tot = tot + ser.scale(cb * ck)
     return tot
 
 
-@pytest.mark.parametrize("n, m", [(1, 2), (2, 1)])
-def test_bracket_matches_sum_of_scaled_series(n, m, dic, dic2):
+@pytest.mark.parametrize("n, m, window", [
+    pytest.param(1, 2, DEFAULT_WINDOW, id="1-2"),
+    pytest.param(2, 1, DEFAULT_WINDOW, id="2-1"),
+    pytest.param(2, 2, DEFAULT_WINDOW, id="2-2"),
+    pytest.param(1, 2, Window(0, 2, 1), id="1-2-narrow"),
+    # qmax above DEFAULT_WINDOW's: the vacuum atoms with k = 4, 5 count
+    pytest.param(1, 2, Window(-3, 5, 2), id="1-2-qmax5"),
+])
+def test_bracket_matches_sum_of_scaled_series(n, m, window, dic, dic2):
+    # the "label" and "class" matrices against the running sum over the
+    # "word" matrix, with the label words and the classes in point-word
+    # coordinates built here, not read from the weight's table
     d = {1: dic, 2: dic2}[n]
-    engine = d.engine(m)
+    engine = d.engine(m, window)
     ob, fb = unit_omega_basis(d.geom), fixed_point_basis(d.geom)
     words = weighted_partition_basis(m, n + 1)
-    conv = [convert_labels({w: RF_ONE}, ob, fb) for w in words]
-    conv += list(fixed_point_vectors(d.geom, m).values())
-    # the same engine with entries cut at unequal q-floors, so that the
-    # q-floor of a sum is the least one of its terms; a sum with no term
-    # left has no q-support, and the running sum's floor for it depends on
-    # the order of the terms, so only its data and window are compared
-    cut = copy.copy(engine)
-    cut._B = [
-        [None if x is None else QSSeries(
-            n, x.window, x.qfloor + (wi + 2 * wj) % 3,
-            {k: v for k, v in x.data.items() if k[0] >= x.qfloor + (wi + 2 * wj) % 3})
-         for wj, x in enumerate(row)]
-        for wi, row in enumerate(engine.bracket_matrix())
-    ]
-    for eng in (engine, cut):
-        for x in conv:
-            for y in conv:
-                got, want = eng.bracket(x, y), _reference_bracket(eng, x, y)
-                assert (got.data, got.window) == (want.data, want.window)
-                assert got.qfloor == want.qfloor or (eng is cut and not want.data)
+    bases = {"label": [convert_labels({w: RF_ONE}, ob, fb) for w in words],
+             "class": list(fixed_point_vectors(d.geom, m).values())}
+    for basis, vecs in bases.items():
+        got = engine.bracket_matrix(basis)
+        assert got is engine.bracket_matrix(basis)
+        assert len(got) == len(vecs) and any(x is not None for row in got for x in row)
+        for x, row in zip(vecs, got):
+            for y, ser in zip(vecs, row):
+                want = _reference_bracket(engine, x, y)
+                ser = QSSeries.zero(n, window) if ser is None else ser
+                assert (ser.data, ser.window) == (want.data, want.window)
+        if window.qmax > 3:
+            assert any(q > 3 for row in got for x in row if x is not None for q, _ in x.data)
+    with pytest.raises(ValueError, match="unknown basis 'point'"):
+        engine.bracket_matrix("point")
 
 
 def _reference_heisenberg(dic, m_check, kmax):
@@ -605,21 +617,44 @@ def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatc
         _atoms(d, 2)
 
 
-def test_calibrate_seeds_the_transport_inverses(monkeypatch, fresh_weights):
-    inverted = []
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3), (2, 3)])
+def test_transport_inverse_is_the_annihilation_transport(n, m):
+    # T_V^T T = (-1)^m diag(G), with T_V the transport through the V_k
+    d = Dictionary(SurfaceGeometry(n), m)
+    T = d.transport(m)[0]
+    TV = _transport_matrix(n, m, {k: d.annihilation_matrix(k) for k in range(1, m + 1)})[0]
+    G = _weight(n, m).G
+    sign = -1 if m % 2 else 1
+    want = [[G[i] * sign if i == j else RF_ZERO for j in range(len(T))] for i in range(len(T))]
+    assert matmul([list(col) for col in zip(*TV)], T) == want
+    assert d.transport_inverse(m) == inverse(T)
 
-    def spy(M):
+
+def test_calibrate_builds_each_transport_inverse_once_without_inverting_a_transport(
+        monkeypatch, fresh_weights):
+    inverted, built = [], []
+    transport = dictionary._transport_matrix
+
+    def spy_inverse(M):
         inverted.append(M)
         return inverse(M)
 
-    monkeypatch.setattr(dictionary, "inverse", spy)
+    def spy_transport(n, m, modes):
+        built.append(modes)
+        return transport(n, m, modes)
+
+    monkeypatch.setattr(dictionary, "inverse", spy_inverse)
+    monkeypatch.setattr(dictionary, "_transport_matrix", spy_transport)
     d = calibrate(SurfaceGeometry(1), 2)
-    # calibrate inverts each transport once; nothing inverts it again
     for m in (1, 2):
-        assert sum(M is d.transport(m)[0] for M in inverted) == 1
+        T = d.transport(m)[0]
+        assert not any(M == T for M in inverted)
+        # one transport through the annihilation matrices per weight
+        assert sum(len(modes) == m and all(modes[k] is d.annihilation_matrix(k) for k in modes)
+                   for modes in built) == 1
 
     def refuse(*_args):
-        raise AssertionError("inverted again")
+        raise AssertionError("built again")
 
     monkeypatch.setattr(dictionary, "inverse", refuse)
     monkeypatch.setattr(dictionary, "_transport_matrix", refuse)
@@ -627,6 +662,14 @@ def test_calibrate_seeds_the_transport_inverses(monkeypatch, fresh_weights):
         T = d.transport(m)[0]
         eye = [[RF_ONE if i == j else RF_ZERO for j in range(len(T))] for i in range(len(T))]
         assert matmul(T, d.transport_inverse(m)) == eye
+
+
+def test_a_singular_mode_has_no_annihilation_matrix():
+    # n = 0: the closed form gives U_1 = [[0]]
+    d = Dictionary(SurfaceGeometry(0), 2)
+    for call in (lambda: d.annihilation_matrix(1), lambda: d.transport_inverse(2)):
+        with pytest.raises(SingularMatrixError, match="U_1 is singular"):
+            call()
 
 
 def _full_rref_solution(rows, ncols):
