@@ -21,10 +21,10 @@ exactly.  The constraint solver (``_AtomTargets.solve``,
 structured finding, and as the oracle the tests compare the closed form
 against.
 
-What depends on the geometry alone (fixed-point classes, point-word norms,
-label changes, the class-word matrix) is built once per (n, m), in the
-weight's table ``_weight``; what depends on the modes is built once per
-dictionary, in ``Dictionary._memo``.
+What depends on the geometry alone (fixed-point classes and their norms,
+point-word norms, label changes) is built once per (n, m), in the weight's
+table ``_weight``; what depends on the modes is built once per dictionary,
+in ``Dictionary._memo``, with one frame per basis (``Dictionary.frame``).
 """
 
 from __future__ import annotations
@@ -292,15 +292,15 @@ class _Weight:
     point-word norms: the point-basis pairing is diagonal in words.  ``X``
     has the unit/omega label words as columns in point-word coordinates and
     ``Xinv`` the point words in label coordinates.  ``C`` has the classes as
-    columns in point-word coordinates, ``Cinv`` is its inverse, and
-    ``J`` = Xinv C has them in label coordinates.  ``word_pairs`` lists
+    columns in point-word coordinates, ``E`` their norms (``hilb_tangent_euler``)
+    in ``mps`` order, and ``J`` = Xinv C has them in label coordinates.  ``word_pairs`` lists
     (w1, w2, unit pairing, omega rest of w1, omega rest of w2) over the label
     words, the pairing shared by every atom of ``_AtomTargets.solve``.
     """
 
     def __init__(self, n: int, m: int):
         self.n, self.m = n, m
-        geom = SurfaceGeometry(n)
+        self.geom = geom = SurfaceGeometry(n)
         self.ob, self.fb = unit_omega_basis(geom), fixed_point_basis(geom)
         self.words = weighted_partition_basis(m, n + 1)
         self.mps = tuple(enumerate_multipartitions(m, n + 1))
@@ -342,8 +342,8 @@ class _Weight:
         return [[vec.get(w, RF_ZERO) for vec in self.classes.values()] for w in self.words]
 
     @cached_property
-    def Cinv(self) -> list:
-        return inverse(self.C)
+    def E(self) -> list:
+        return [hilb_tangent_euler(mp, self.geom) for mp in self.mps]
 
     @cached_property
     def J(self) -> list:
@@ -823,29 +823,28 @@ def _closed_form_mode(geom: SurfaceGeometry, k: int) -> list:
     ]
 
 
-def _label_atom_matrices(n: int, m: int, T: list, Tinv: list) -> dict:
+def _label_atom_matrices(dic: Dictionary, m: int) -> dict:
     """{a: {(w1, w2): RatFn}}: the label-basis matrices N of the atoms
     a = (k, i, j) that the transport T (lattice states by point-label words)
-    implies at weight m on the rank-n surface.
+    of ``dic`` implies at weight m.
 
     The intertwiner T M = K T of each omega-plus term K gives its word matrix
     M = T^-1 K T, and ``_solve_mode_level``'s M = diag(G)^-1 Xinv^T N Xinv
     gives N = X^T diag(G) M X, with X = Xinv^-1 the label words in
     point-word coordinates and G the point-word norms (``_weight``).  So
-    N = A K B with A = X^T diag(G) T^-1 and B = T X, built once per weight;
-    each N is one fraction-free product around K's sparse integral entries
+    N = L K R with (L, R) the label frame (``Dictionary.frame``); each N is
+    one fraction-free product around K's sparse integral entries
     (``_sandwich``).  Zero entries are left out, as in ``_AtomTargets.solve``.
     """
-    wt = _weight(n, m)
-    A = matmul([[x * g for x, g in zip(col, wt.G)] for col in zip(*wt.X)], Tinv)
-    B = matmul(T, wt.X)
+    words = _weight(dic.n, m).words
+    L, R = dic.frame(m, "label")
     out = {}
-    for a, K in omega_plus_terms(n, m).items():
-        N = _sandwich(A, K, B)
+    for a, K in omega_plus_terms(dic.n, m).items():
+        N = _sandwich(L, K, R)
         out[a] = {
             (w1, w2): v
-            for w1, row in zip(wt.words, N)
-            for w2, v in zip(wt.words, row)
+            for w1, row in zip(words, N)
+            for w2, v in zip(words, row)
             if v
         }
     return out
@@ -914,14 +913,13 @@ def _closed_form_tower(dic: Dictionary) -> dict:
     labels: dict = {}
     for m in range(1, dic.m_max + 1):
         try:
-            Tinv = dic.transport_inverse(m)
+            labels[m] = _label_atom_matrices(dic, m)
         except SingularMatrixError:
             raise _TowerFailure(m, "singular-transport", [{
                 "detail": "the closed-form modes give a singular creation-word "
                 "basis change",
                 "mode": [[str(v) for v in row] for row in dic.modes[m]],
             }]) from None
-        labels[m] = _label_atom_matrices(dic.n, m, dic.transport(m)[0], Tinv)
         failure = _label_atom_failure(dic.n, m, labels)
         if failure is not None:
             raise _TowerFailure(m, *failure)
@@ -961,8 +959,8 @@ class Dictionary:
     table (``_weight``).  The kinds are ``annihilation`` (k), ``transport``
     and ``transport_inverse`` (m; the inverse is read from the transport
     through the annihilation matrices, with no inversion, and the
-    verification in ``calibrate`` builds both for m <= m_max),
-    ``fixed_point_state`` (m), ``engine`` (m, window),
+    verification in ``calibrate`` builds both for m <= m_max), ``frame``
+    (m, basis), ``fixed_point_state`` (m), ``engine`` (m, window),
     ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
     integer lattice-state matrix, ``_atoms``), ``atom_class`` (m, atom tag),
     and ``classical_state`` (m, selector).
@@ -1040,14 +1038,31 @@ class Dictionary:
                     zip(zip(*_transport_matrix(self.n, m, V)[0]), _weight(self.n, m).G)]
         return self.cached(("transport_inverse", m), build)
 
-    def fixed_point_state_matrix(self, m: int):
-        """(D, Dinv, mps) = (T.C, Cinv.Tinv, mps): columns are fixed-point
-        classes in state coords, with C the classes in creation-word coords
-        (``_weight``)."""
+    def frame(self, m: int, basis: str) -> tuple:
+        """(L, R) = (V^T diag(G) T^-1, T V): a state operator K reads L K R
+        between the columns V of ``basis`` (``_weight``), Id for ``"word"``,
+        X for ``"label"`` and C for ``"class"``; ValueError for another."""
+        if basis not in ("word", "label", "class"):
+            raise ValueError(f"unknown basis {basis!r}: use 'word', 'label' or 'class'")
+
         def build():
             wt = _weight(self.n, m)
-            return (matmul(self.transport(m)[0], wt.C),
-                    matmul(wt.Cinv, self.transport_inverse(m)), wt.mps)
+            T, Tinv = self.transport(m)[0], self.transport_inverse(m)
+            if basis == "word":
+                return [[g * x for x in row] for g, row in zip(wt.G, Tinv)], T
+            V = wt.X if basis == "label" else wt.C
+            VtG = [[g * x for g, x in zip(wt.G, col)] for col in zip(*V)]
+            return matmul(VtG, Tinv), matmul(T, V)
+        return self.cached(("frame", m, basis), build)
+
+    def fixed_point_state_matrix(self, m: int):
+        """(D, Dinv, mps) = (T C, diag(E)^-1 C^T G T^-1, mps), the fixed-point
+        classes in state coordinates from the class frame; Dinv inverts D as
+        C^T G C = diag(E), which ``calibrate`` verifies for m <= m_max."""
+        def build():
+            wt = _weight(self.n, m)
+            L, D = self.frame(m, "class")
+            return D, [[x / e for x in row] for row, e in zip(L, wt.E)], wt.mps
         return self.cached(("fixed_point_state", m), build)
 
     def engine(self, m: int, window: Window | None = None):
@@ -1072,14 +1087,13 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
 
     P_k(a) = sum_ii V[a][ii] e_ii(k) and P_{-k}(b) = sum_jj U[b][jj] e_jj(-k),
     so the coefficient of state s in the commutator on st0 is
-    (V C_s U^T)[a][b], with C_s[ii][jj] the integer coefficient of s in
-    [e_ii(k), e_jj(-k)] st0 (``_lattice_commutator``).  Each product is one
-    ``_sandwich``, made once per k and distinct C_s.  For each (a, b) every
-    state reached through a nonzero V[a][ii] U[b][jj] is checked, and each
-    failing (k, a, b, state) is one witness.
-
-    It holds for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1} gives
-    k (V_k U_k^T)[a][b] = -k delta_ab euler_a: it checks the lattice side only.
+    sum V[a][ii] C_s[ii][jj] U[b][jj], with C_s[ii][jj] the integer
+    coefficient of s in [e_ii(k), e_jj(-k)] st0 (``_lattice_commutator``).
+    It checks C_s = k delta_(s, st0) Id in integers on each state, and
+    V_k U_k^T = -diag(euler) once per k.  For each (a, b) every state reached
+    through a nonzero V[a][ii] U[b][jj] is checked, and each (k, a, b, state)
+    where V_k U_k^T or a reached C_s fails is one witness.  The second holds
+    for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1}.
     States run over weights 0..2 and modes over k = 1..kmax;
     ``calibrate`` runs it with kmax = 2.  Raises TypeError for a bool or
     non-int kmax and ValueError for kmax < 1.
@@ -1089,36 +1103,27 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     if kmax < 1:
         raise ValueError(f"kmax = {kmax} must be at least 1")
     n = dic.n
-    cols = range(n + 1)
+    grid = list(itertools.product(range(n + 1), repeat=2))  # (a, b) and (ii, jj)
     failures = []
     checked = 0
     for k in range(1, kmax + 1):
         U = dic.mode_matrix(k)
         V = dic.annihilation_matrix(k)
-        Ut = [list(col) for col in zip(*U)]
-        products: dict = {}  # C_s, as its nonzero items -> V C_s U^T
+        VU = matmul(V, [list(col) for col in zip(*U)])
+        bad = {(a, b) for a, b in grid
+               if VU[a][b] != (-dic.point_euler(a + 1) if a == b else RF_ZERO)}
         for m in range(3):
             for st0 in weight_basis(n, m):
-                comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0)
-                        for ii in cols for jj in cols}
-                prod = {}
-                for s in {st0}.union(*comm.values()):
-                    C = {pair: c for pair, vec in comm.items() if (c := vec.get(s))}
-                    key = tuple(C.items())
-                    if key not in products:
-                        products[key] = _sandwich(V, C, Ut)
-                    prod[s] = products[key]
-                for a in cols:
-                    want = RatFn.const(QQ(-k)) * dic.point_euler(a + 1)
-                    for b in cols:
-                        reached = {st0}.union(*(comm[(ii, jj)] for ii in cols if V[a][ii]
-                                                for jj in cols if U[b][jj]))
-                        checked += len(reached)
-                        if any(prod[s][a][b] != (want if s == st0 and a == b else RF_ZERO)
-                               for s in reached):
-                            failures.append(
-                                {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)}
-                            )
+                comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0) for ii, jj in grid}
+                bad_lattice = {(ii, jj) for (ii, jj), vec in comm.items()
+                               if {s: c for s, c in vec.items() if c}
+                               != ({st0: k} if ii == jj else {})}
+                for a, b in grid:
+                    pairs = [(ii, jj) for ii, jj in grid if V[a][ii] and U[b][jj]]
+                    checked += len({st0}.union(*(comm[pair] for pair in pairs)))
+                    if (a, b) in bad or bad_lattice.intersection(pairs):
+                        failures.append(
+                            {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)})
         if failures:
             break
     return {"ok": not failures, "checked": checked, "witnesses": failures[:3]}
@@ -1140,8 +1145,7 @@ def _norm_agreement_check(geom: SurfaceGeometry, m_max: int) -> dict:
         def pair(vec1, vec2):
             return sum((G[w] * c * vec2[w] for w, c in vec1.items() if w in vec2), RF_ZERO)
 
-        for i, mp in enumerate(mps):
-            want = hilb_tangent_euler(mp, geom)
+        for i, (mp, want) in enumerate(zip(mps, wt.E)):
             got = pair(fpv[mp], fpv[mp])
             norms[mp] = got
             checked += 1
@@ -1195,14 +1199,14 @@ def calibrate(geom: SurfaceGeometry, m_max: int = 2) -> Dictionary:
 
     The modes must solve, level by level, the equations the constraint
     solver ``_solve_mode_tower`` solves (``_closed_form_tower``, through the
-    dictionary's own transports and their inverses, each inverse read once
-    from the annihilation transport and kept in its memo).  Then they must
+    dictionary's label frames, each kept in its memo).  Then they must
     satisfy, in order: (a) the Heisenberg relation with the surface pairing,
-    which holds for any invertible U_k given V_k = -diag(euler) (U_k^T)^{-1}
-    (``heisenberg_embedding_check`` with k <= 2); (b) weight-one agreement
-    between the word pairing and the transported lattice pairing (invertible
-    basis change matching surface localization); (c) the two corner
-    evaluations mod (t1+t2)^2 at weights 1 and 2, on ``DEFAULT_WINDOW``.
+    the lattice commutators in integers and V_k U_k^T = -diag(euler), which
+    holds for any invertible U_k (``heisenberg_embedding_check`` with k <= 2);
+    (b) weight-one agreement between the word pairing and the transported
+    lattice pairing (invertible basis change matching surface localization);
+    (c) the two corner evaluations mod (t1+t2)^2 at weights 1 and 2, on
+    ``DEFAULT_WINDOW``.
 
     The modes are fixed only up to the gauge U_k -> c^k U_k, which rescales
     the weight-k Nakajima mode against the Cartan currents e_ii(-k) of
@@ -1302,11 +1306,9 @@ def _scalar_multiple(K: dict, size: int) -> int | None:
 
 class BracketEngine:
     """Matrix elements of the boundary operator between the columns V of a
-    basis in point-word coordinates, B = V^T G . T^{-1} . Theta_state . T V
-    with the geometric word pairing G: the ``"word"`` basis V = Id (the
-    creation words), ``"label"`` V = X (the unit/omega label words) or
-    ``"class"`` V = C (the fixed-point classes in ``mps`` order), from the
-    weight's table (``_weight``).  Each basis's matrix is built once.
+    basis, B = V^T G . T^{-1} . Theta_state . T V with the geometric word
+    pairing G, read through the basis's frame (V^T G T^{-1}, T V) of
+    ``Dictionary.frame``.  Each basis's matrix is built once.
 
     Theta is read atom by atom, as ``theta_logatoms`` gives it: Theta =
     (t1 + t2) sum_a K_a log(1 - (-q)^k s_i...s_{j-1}) over the log atoms
@@ -1322,9 +1324,7 @@ class BracketEngine:
     """
 
     def __init__(self, dic: Dictionary, m: int, window: Window):
-        self.n, self.m, self.window = dic.n, m, window
-        self.T = dic.transport(m)[0]
-        self.Tinv = dic.transport_inverse(m)
+        self.dic, self.n, self.m, self.window = dic, dic.n, m, window
         # the vacuum atoms with k > qmax only touch q-degrees above the window
         self.theta = theta_logatoms(self.n, m, max(1, window.qmax))
         self._matrices: dict = {}
@@ -1332,22 +1332,18 @@ class BracketEngine:
     def bracket_matrix(self, basis: str = "word") -> list:
         if basis in self._matrices:
             return self._matrices[basis]
-        n, window, wt = self.n, self.window, _weight(self.n, self.m)
-        size = len(wt.G)
-        eye = [[RF_ONE if r == c else RF_ZERO for c in range(size)] for r in range(size)]
-        V = {"word": eye, "label": wt.X, "class": wt.C}.get(basis)
-        if V is None:
-            raise ValueError(f"unknown basis {basis!r}: use 'word', 'label' or 'class'")
-        VtG = [[TAU * g * x for g, x in zip(wt.G, col)] for col in zip(*V)]
-        A, TV, S = matmul(VtG, self.Tinv), matmul(self.T, V), matmul(VtG, V)
+        n, window = self.n, self.window
+        left, TV = self.dic.frame(self.m, basis)
+        A = [[TAU * x for x in row] for row in left]
+        S = matmul(A, TV)
         W = []
         for a, Ka in self.theta.items():
             L = log_atom_expand(n, window, *a)
             if L.data:
-                k = _scalar_multiple(Ka, size)
+                k = _scalar_multiple(Ka, len(TV))
                 W.append((_sandwich(A, Ka, TV) if k is None else
                           [[x * k if x else x for x in row] for row in S], L))
-        B = self._matrices[basis] = [[None] * size for _ in S]
+        B = self._matrices[basis] = [[None] * len(row) for row in S]
         for r, row in enumerate(B):
             for c in range(len(row)):
                 terms = [(w[r][c], L) for w, L in W if w[r][c]]
@@ -1765,8 +1761,11 @@ def m_divisor(which, m: int, window: Window | None, geom: SurfaceGeometry,
 
 
 def operator_self_adjoint(op: OperatorMatrix, geom: SurfaceGeometry) -> dict:
-    """Check E . M symmetric for the Euler-norm diagonal pairing."""
-    E = [hilb_tangent_euler(mp, geom) for mp in op.index]
+    """Check E . M symmetric for the Euler-norm diagonal pairing (``_weight``).
+    Raises ValueError if ``geom`` and ``op`` have different ranks."""
+    if geom.n != op.n:
+        raise ValueError(f"geometry has rank n = {geom.n} but the operator has n = {op.n}")
+    E = _weight(geom.n, op.m).E
     failures = []
     checked = 0
     for r in range(op.dim):
@@ -1934,12 +1933,12 @@ def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None) -> QSSerie
 
 
 def _word_to_class_coords(dic: Dictionary, w: WeightedPartition, m: int):
-    """Coordinates of a unit/omega word in the fixed-point class basis:
-    Cinv times the word's column of X (``_weight``)."""
+    """Coordinates of a unit/omega word in the fixed-point class basis, read by the
+    pairing: diag(E)^-1 C^T G x, with x the word's column of X (``_weight``)."""
     wt = _weight(dic.n, m)
-    c = wt.words.index(w)
-    coords = matmul(wt.Cinv, [[row[c]] for row in wt.X])
-    return [x for (x,) in coords], wt.mps
+    x = [row[wt.words.index(w)] for row in wt.X]
+    return [sum((ci * g * xi for ci, g, xi in zip(col, wt.G, x) if ci and xi), RF_ZERO) / e
+            for col, e in zip(zip(*wt.C), wt.E)], wt.mps
 
 
 def three_point(mu, rho, nu, window: Window | None = None, *,
@@ -1979,7 +1978,7 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
     _require_solved(dic, m)
     bra, mps = _word_to_class_coords(dic, w1, m)
     ket, _ = _word_to_class_coords(dic, w2, m)
-    eul = [hilb_tangent_euler(mp, geom) for mp in mps]
+    eul = _weight(geom.n, m).E
     nd = len(mps)
     # work on a window wide enough for the composed products, shift, restrict
     pre = Window(qmin=window.qmin - m, qmax=window.qmax - m, smax=window.smax)

@@ -5,7 +5,8 @@ transport at (n, m) = (1, 2), (2, 2), (1, 3), (2, 3), and a singular mode's
 typed error; the "word" bracket matrix against the two-stage series product
 and the "label" and "class" matrices against a running sum of scaled series
 over it at n = 1, 2; the Heisenberg check against the single loop it
-replaced at n = 1, 2, also on a perturbed dictionary; the label-target
+replaced at n = 1, 2, also on a perturbed dictionary, and its witnesses on
+a wrong lattice commutator; the label-target
 solver on hand-made systems; the mode-level solve against its frozen
 output (tests/data); and the divisor operators at an exact specialization
 against a lattice-state assembly at n = 1, 2; the commutation check and the three-point series
@@ -18,13 +19,17 @@ and on the rationality certificate of the divisor operator.  Also: the
 Dictionary's memo table (each entry built once, under its own kind, and each
 transport inverse built once by calibrate, with no transport inverted),
 the weight tables of geometry-only matrices (each field built once per
-(n, m)), the point-basis pairing
+(n, m)), each basis's frame (L R is the basis's pairing, diag(E) for the
+fixed-point classes, whose state matrix D times Dinv is the identity; each
+frame built once) at (n, m) = (1, 2), (2, 2), (1, 3), the class coordinates
+of the label words against the inverse class matrix, the self-adjointness
+check on a perturbed off-diagonal entry, the point-basis pairing
 diagonal in words and the norm check that relies on it against the
 word-by-word double loop it replaced, the tangent Euler classes at weights
 one and two, the creation-word state vectors against the e_act loop they
-replaced, the refusal of a non-int m_max and of a geometry and dictionary of
-different ranks, and spectrum_probe's need for a dictionary.  The closed-form
-Heisenberg embedding against the constraint solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
+replaced, the refusal of a non-int m_max and of a geometry and a dictionary
+or operator of different ranks, and spectrum_probe's need for a dictionary.
+The closed-form Heisenberg embedding against the constraint solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
 the label atom matrices; and calibrate's typed refusal of a perturbed closed
 form, of a non-constant or off-target top-weight label entry, and of n = 0.
 
@@ -292,7 +297,7 @@ def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars,
     # atom k Id reaches the fraction-free product, every other one with a
     # nonempty series does
     engine = dictionary.BracketEngine(d, m, window)
-    size = len(engine.T)
+    size = len(_weight(n, m).G)
 
     def is_scalar(K):
         return set(K) == {(r, r) for r in range(size)} and len(set(K.values())) == 1
@@ -464,6 +469,25 @@ def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
     assert ws and len({(w["k"], w["a"], w["b"], w["state"]) for w in ws}) == len(ws)
 
 
+def test_heisenberg_check_fails_on_a_wrong_lattice_commutator(dic, monkeypatch):
+    # [e_11(1), e_11(-1)] off by one on the vacuum: every (a, b) that reaches
+    # it through V[a][0] U[b][0] fails there, as in the reference's products
+    real = dictionary._lattice_commutator
+
+    def bent(n, ii, jj, k, st0):
+        vec = real(n, ii, jj, k, st0)
+        if (ii, jj, k, st0) == (0, 0, 1, vacuum(n)):
+            vec[st0] = vec.get(st0, 0) + 1
+        return vec
+
+    monkeypatch.setattr(dictionary, "_lattice_commutator", bent)
+    report = heisenberg_embedding_check(dic, kmax=1)
+    V, U = dic.annihilation_matrix(1), dic.mode_matrix(1)
+    assert not report["ok"] and report["witnesses"] == [
+        {"k": 1, "a": a, "b": b, "state-weight": 0, "state": repr(vacuum(1))}
+        for a in range(2) for b in range(2) if V[a][0] and U[b][0]][:3]
+
+
 def _memoized_accessors(d, m):
     """{kind: a call of the accessor that memoizes under that kind}."""
     tags = _divisor_atoms(d, m, "D")
@@ -472,6 +496,7 @@ def _memoized_accessors(d, m):
         "annihilation": lambda: d.annihilation_matrix(m),
         "transport": lambda: d.transport(m),
         "transport_inverse": lambda: d.transport_inverse(m),
+        "frame": lambda: d.frame(m, "class"),
         "fixed_point_state": lambda: d.fixed_point_state_matrix(m),
         "engine": lambda: d.engine(m),
         "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
@@ -628,6 +653,38 @@ def test_transport_inverse_is_the_annihilation_transport(n, m):
     want = [[G[i] * sign if i == j else RF_ZERO for j in range(len(T))] for i in range(len(T))]
     assert matmul([list(col) for col in zip(*TV)], T) == want
     assert d.transport_inverse(m) == inverse(T)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3)])
+def test_frames_read_the_pairing_of_each_basis(n, m):
+    # L R = V^T G V, the class frame's is diag(E), and D Dinv = Id
+    d = Dictionary(SurfaceGeometry(n), m)
+    wt = _weight(n, m)
+    size = len(wt.G)
+    eye = [[RF_ONE if i == j else RF_ZERO for j in range(size)] for i in range(size)]
+    for basis, V in (("word", eye), ("label", wt.X), ("class", wt.C)):
+        frame = d.frame(m, basis)
+        assert d.frame(m, basis) is frame
+        VtG = [[g * x for g, x in zip(wt.G, col)] for col in zip(*V)]
+        assert matmul(*frame) == matmul(VtG, V)
+    assert matmul(*d.frame(m, "class")) == [
+        [e if i == j else RF_ZERO for j in range(size)] for i, e in enumerate(wt.E)]
+    D, Dinv, mps = d.fixed_point_state_matrix(m)
+    assert mps == wt.mps and matmul(D, Dinv) == eye
+    with pytest.raises(ValueError, match="unknown basis 'point'"):
+        d.frame(m, "point")
+    assert [key for key in d._memo if key[0] == "frame"] == [
+        ("frame", m, basis) for basis in ("word", "label", "class")]
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2)])
+def test_word_class_coordinates_are_the_inverse_class_matrix_on_the_label_word(n, m):
+    d = Dictionary(SurfaceGeometry(n), m)
+    wt = _weight(n, m)
+    Cinv = inverse(wt.C)
+    for c, w in enumerate(wt.words):
+        want = [x for (x,) in matmul(Cinv, [[row[c]] for row in wt.X])]
+        assert dictionary._word_to_class_coords(d, w, m) == (want, wt.mps)
 
 
 def test_calibrate_builds_each_transport_inverse_once_without_inverting_a_transport(
@@ -804,8 +861,8 @@ def _label_atom_matrices_with(monkeypatch, bend):
     place."""
     derive = dictionary._label_atom_matrices
 
-    def patched(n, m, T, Tinv):
-        labels = derive(n, m, T, Tinv)
+    def patched(dic, m):
+        labels = derive(dic, m)
         if m == 2:
             bend(labels)
         return labels
@@ -1207,18 +1264,34 @@ def test_word_labels_outside_the_basis_are_refused(call):
         call(geom, WeightedPartition(((1, 0), (1, 3))))
 
 
-@pytest.mark.parametrize("call", [
+@pytest.mark.parametrize("call, other", [
     pytest.param(lambda g, d, w: dictionary.m_divisor("D", 2, DEFAULT_WINDOW, g, d),
-                 id="m_divisor"),
-    pytest.param(lambda g, d, w: three_point(w[0], "D", w[1], geom=g, dic=d), id="three_point"),
-    pytest.param(lambda g, d, w: spectrum_probe(2, g, 1, d), id="spectrum_probe"),
+                 "dictionary", id="m_divisor"),
+    pytest.param(lambda g, d, w: three_point(w[0], "D", w[1], geom=g, dic=d), "dictionary",
+                 id="three_point"),
+    pytest.param(lambda g, d, w: spectrum_probe(2, g, 1, d), "dictionary", id="spectrum_probe"),
+    # the Euler norms of the rank-2 classes would pair the rank-1 operator
+    pytest.param(lambda g, d, w: dictionary.operator_self_adjoint(
+        dictionary.classical_divisor("D", 2, d.geom), g), "operator",
+        id="operator_self_adjoint"),
 ])
-def test_geometry_and_dictionary_of_different_ranks_are_refused(call, dic):
+def test_geometry_and_dictionary_of_different_ranks_are_refused(call, other, dic):
     d = copy.copy(dic)
     d._memo = {}
-    with pytest.raises(ValueError, match="rank n = 2 but the dictionary has n = 1"):
+    with pytest.raises(ValueError, match=f"rank n = 2 but the {other} has n = 1"):
         call(SurfaceGeometry(2), d, weighted_partition_basis(2, 3))
     assert not d._memo
+
+
+def test_self_adjoint_check_reports_a_perturbed_off_diagonal_entry(dic):
+    op = dictionary.m_divisor("D", 2, DEFAULT_WINDOW, dic.geom, dic).matrix
+    assert dictionary.operator_self_adjoint(op, dic.geom) == {
+        "ok": True, "checked": op.dim * (op.dim - 1) // 2, "witnesses": []}
+    r, c = next(rc for rc in sorted(op.entries) if rc[0] < rc[1] and not op.entries[rc].is_zero)
+    bad = copy.copy(op)
+    bad.entries = {**op.entries, (r, c): op.entries[(r, c)].scale(RatFn.const(2))}
+    report = dictionary.operator_self_adjoint(bad, dic.geom)
+    assert not report["ok"] and report["witnesses"] == [{"row": r, "col": c}]
 
 
 def test_cap_is_q_to_the_weight_on_all_ones_words():
