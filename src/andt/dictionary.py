@@ -25,6 +25,8 @@ What depends on the geometry alone (fixed-point classes and their norms,
 point-word norms, label changes) is built once per (n, m), in the weight's
 table ``_weight``; what depends on the modes is built once per dictionary,
 in ``Dictionary._memo``, with one frame per basis (``Dictionary.frame``).
+Theta and the divisor operators are each a sum over log atoms of a constant
+matrix times a (q, s)-series, assembled by one helper (``_series_matrix``).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .exact import (
     _dot,
     _fold_numerators,
     _fold_products,
+    _interval_skey,
     _numerators,
     _sandwich,
     expand_logatoms,
@@ -991,15 +994,11 @@ class Dictionary:
     def mode_matrix(self, k: int) -> list:
         if k < 1:
             raise ValueError("mode index must be positive")
-        if k in self.modes:
-            return self.modes[k]
-        top = self.modes[self.m_max]
-        f = self.rho ** (k - self.m_max)
-        return [[f * v for v in row] for row in top]
+        return self.modes[k] if k in self.modes else _closed_form_mode(self.geom, k)
 
     def point_euler(self, j: int) -> RatFn:
         """Euler class at the j-th surface fixed point (1-based)."""
-        return RatFn(self.geom.wL(j)) * RatFn(self.geom.wR(j))
+        return RatFn(self.geom.euler_point(j))
 
     def annihilation_matrix(self, k: int) -> list:
         """Matrix pairing with the creation side to the Heisenberg relation:
@@ -1170,7 +1169,7 @@ def _localization_matrix_check(geom: SurfaceGeometry) -> dict:
         cls = ob.classes[b]
         coords = fb.coords(cls)
         for pt in range(geom.npoints):
-            e = RatFn(geom.wL(pt + 1)) * RatFn(geom.wR(pt + 1))
+            e = RatFn(geom.euler_point(pt + 1))
             checked += 1
             if coords[pt] * e != cls[pt]:
                 failures.append({"class": ob.names[b], "point": pt + 1})
@@ -1304,6 +1303,21 @@ def _scalar_multiple(K: dict, size: int) -> int | None:
     return k if scalar else None
 
 
+def _series_matrix(terms, entries=None) -> dict:
+    """{(r, c): sum of ser.scale(M[r][c])} over the (M, ser) of ``terms`` in
+    order, added with ``QSSeries`` + onto a copy of ``entries``, so windows
+    and floors follow ``exact._sum_window``.  Only the entries that some
+    nonzero M[r][c] reaches, or that ``entries`` holds, are present."""
+    out = dict(entries or {})
+    for M, ser in terms:
+        for r, row in enumerate(M):
+            for c, v in enumerate(row):
+                if v:
+                    add = ser.scale(v)
+                    out[(r, c)] = add if (cur := out.get((r, c))) is None else cur + add
+    return out
+
+
 class BracketEngine:
     """Matrix elements of the boundary operator between the columns V of a
     basis, B = V^T G . T^{-1} . Theta_state . T V with the geometric word
@@ -1317,10 +1331,11 @@ class BracketEngine:
     W_a = (t1 + t2) V^T G . T^{-1} . K_a . T V one fraction-free product
     (``exact._sandwich``).  A scalar atom K_a = k Id (a vacuum atom that no
     pair operator shares) needs no product: W_a = (t1 + t2) k V^T G V, as
-    T^{-1} T = Id.  Distinct atoms share no (q, s) monomial, so an
-    entry is the disjoint union of the series W_a[r][c] L_a, and its
-    q-floor is the least q-floor of the nonempty L_a with W_a[r][c]
-    nonzero; an entry that no such atom reaches is None.
+    T^{-1} T = Id.  The entries are the sums of the series W_a[r][c] L_a
+    over the nonempty L_a (``_series_matrix``): all share the window, so an
+    entry's q-floor is the least floor of the atoms with W_a[r][c] nonzero
+    (``exact._sum_window``), and an entry that no such atom reaches is
+    ``QSSeries.zero``.  No entry is None.
     """
 
     def __init__(self, dic: Dictionary, m: int, window: Window):
@@ -1336,20 +1351,18 @@ class BracketEngine:
         left, TV = self.dic.frame(self.m, basis)
         A = [[TAU * x for x in row] for row in left]
         S = matmul(A, TV)
-        W = []
+        terms = []
         for a, Ka in self.theta.items():
             L = log_atom_expand(n, window, *a)
             if L.data:
                 k = _scalar_multiple(Ka, len(TV))
-                W.append((_sandwich(A, Ka, TV) if k is None else
-                          [[x * k if x else x for x in row] for row in S], L))
-        B = self._matrices[basis] = [[None] * len(row) for row in S]
-        for r, row in enumerate(B):
-            for c in range(len(row)):
-                terms = [(w[r][c], L) for w, L in W if w[r][c]]
-                if terms:
-                    row[c] = ser = QSSeries(n, window, min(L.qfloor for _, L in terms))
-                    ser.data = {key: x * v for x, L in terms for key, v in L.data.items()}
+                terms.append((_sandwich(A, Ka, TV) if k is None else
+                              [[x * k if x else x for x in row] for row in S], L))
+        got = _series_matrix(terms)
+        size = range(len(S))
+        B = self._matrices[basis] = [
+            [got[(r, c)] if (r, c) in got else QSSeries.zero(n, window) for c in size]
+            for r in size]
         return B
 
 
@@ -1374,7 +1387,7 @@ def interval_channel(series: QSSeries, i: int, j: int) -> QSSeries:
     n = series.nvars
     if not (1 <= i < j <= n + 1):
         raise ValueError(f"bad interval [{i},{j}] for {n} s-variables")
-    sel = tuple(1 if i <= t + 1 < j else 0 for t in range(n))
+    sel = _interval_skey(n, i, j)
     out: dict = {}
     for (qd, sk), v in series.data.items():
         if sum(sk) == 0:
@@ -1390,11 +1403,6 @@ def _mod_tau2_zero(series: QSSeries) -> bool:
     return all(v.is_zero or v.valuation_t1pt2() >= 2 for v in series.data.values())
 
 
-def _series_or_zero(x: QSSeries | None, n: int, window: Window) -> QSSeries:
-    """A bracket matrix entry, with one that no atom reaches read as zero."""
-    return QSSeries.zero(n, window) if x is None else x
-
-
 # ---------------------------------------------------------------------------
 # structural checks of the boundary-operator matrix elements
 # ---------------------------------------------------------------------------
@@ -1405,8 +1413,7 @@ def _word_bracket_table(dic: Dictionary, m: int, window: Window) -> dict:
     read from the ``"label"`` bracket matrix."""
     words = _weight(dic.n, m).words
     B = dic.engine(m, window).bracket_matrix("label")
-    return {(a, b): _series_or_zero(x, dic.n, window)
-            for a, row in zip(words, B) for b, x in zip(words, row)}
+    return {(a, b): x for a, row in zip(words, B) for b, x in zip(words, row)}
 
 
 def factorization_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
@@ -1481,7 +1488,7 @@ def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> di
                     continue
                 ser = B[pidx[la]][pidx[eta]]
                 checked += 1
-                if ser is not None and not _mod_tau2_zero(interval_channel(ser, i, j)):
+                if not _mod_tau2_zero(interval_channel(ser, i, j)):
                     failures.append({"interval": (i, j), "bra": repr(la), "ket": repr(eta)})
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
 
@@ -1523,7 +1530,7 @@ def corner_evaluation_check(dic: Dictionary, m: int,
             for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
                 expect = log_atom_expand(n, window, kmode, i, j).scale(cm)
                 for (x, y) in ((bra, ket), (ket, bra)):
-                    ser = _series_or_zero(B[pidx[x]][pidx[y]], n, window)
+                    ser = B[pidx[x]][pidx[y]]
                     checked += 1
                     if not _mod_tau2_zero(interval_channel(ser, i, j) - expect):
                         failures.append(
@@ -1671,17 +1678,22 @@ def _divisor_atoms(dic: Dictionary, m: int, which) -> list:
             if which == "D" or (a[0] != "mode" and a[1] <= which[1] < a[2])]
 
 
-def _atom_series(dic: Dictionary, tag, which, window: Window):
-    """tau-scaled derivative series of one log atom, or None if it vanishes."""
-    n = dic.n
-    if tag[0] == "mode":
-        ser = log_atom_expand(n, window, tag[1], 0, 1) - log_atom_expand(n, window, 1, 0, 1)
-        d = ser.q_log_derivative()
-    else:
-        ser = log_atom_expand(n, window, *tag)
-        d = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
-    d = d.scale(RatFn(TAU))
-    return None if d.is_zero else d
+def _divisor_series(dic: Dictionary, m: int, which, window: Window) -> list:
+    """[(tag, series)]: the quantum part of ``which`` atom by atom, in
+    ``_divisor_atoms`` order, each atom with the tau-scaled derivative of its
+    log on the window (q d/dq for the doubled-point divisor, s_i d/ds_i for
+    the i-th curve divisor); the atoms whose series vanishes are left out."""
+    n, tau, out = dic.n, RatFn(TAU), []
+    for tag in _divisor_atoms(dic, m, which):
+        if tag[0] == "mode":
+            ser = (log_atom_expand(n, window, tag[1], 0, 1)
+                   - log_atom_expand(n, window, 1, 0, 1)).q_log_derivative()
+        else:
+            ser = log_atom_expand(n, window, *tag)
+            ser = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
+        if not (ser := ser.scale(tau)).is_zero:
+            out.append((tag, ser))
+    return out
 
 
 def _dense(K: dict, size: int) -> list:
@@ -1738,24 +1750,9 @@ def m_divisor(which, m: int, window: Window | None, geom: SurfaceGeometry,
 
     def build():
         classical = classical_divisor(which, m, geom, window)
-        mps = classical.index
-        entries = dict(classical.entries)
-        for tag in _divisor_atoms(dic, m, which):
-            ser = _atom_series(dic, tag, which, window)
-            if ser is None:
-                continue
-            A = _atom_class_matrix(dic, m, tag)
-            for r in range(len(mps)):
-                for c in range(len(mps)):
-                    v = A[r][c]
-                    if v.is_zero:
-                        continue
-                    add = ser.scale(v)
-                    if add.is_zero:
-                        continue
-                    cur = entries.get((r, c))
-                    entries[(r, c)] = add if cur is None else cur + add
-        matrix = OperatorMatrix(geom.n, m, "fixed-point-class", mps, window, entries)
+        entries = _series_matrix([(_atom_class_matrix(dic, m, tag), ser) for tag, ser
+                                  in _divisor_series(dic, m, which, window)], classical.entries)
+        matrix = OperatorMatrix(geom.n, m, "fixed-point-class", classical.index, window, entries)
         return DivisorOp(which, matrix, classical)
     return dic.cached(("divisor", which, m, window), build)
 
@@ -1818,17 +1815,9 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
     Dcl = _classical_state_matrix(dic, m, "D")
     Wcl = _classical_state_matrix(dic, m, ("omega", i))
     atoms = _atoms(dic, m)
-
-    def series_atoms(which):
-        out = []
-        for tag in _divisor_atoms(dic, m, which):
-            ser = _atom_series(dic, tag, which, wide)
-            if ser is not None:
-                out.append((ser, tag))
-        return out
-
-    a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
-    tags = list(dict.fromkeys(tag for _s, tag in a_atoms + b_atoms))
+    a_atoms = _divisor_series(dic, m, "D", wide)
+    b_atoms = _divisor_series(dic, m, ("omega", i), wide)
+    tags = list(dict.fromkeys(tag for tag, _s in a_atoms + b_atoms))
 
     # row r of Dcl and Wcl over one denominator L_r, column c over one G_c; an
     # integer atom matrix K leaves both as they are, with numerators K L_r in
@@ -1858,11 +1847,11 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                     nums[(r, c)] = num
         return nums
 
-    terms = [(ser, commutator("D", tag)) for ser, tag in b_atoms]
-    terms += [(ser, commutator(tag, "W")) for ser, tag in a_atoms]
+    terms = [(ser, commutator("D", tag)) for tag, ser in b_atoms]
+    terms += [(ser, commutator(tag, "W")) for tag, ser in a_atoms]
     LG = {(r, c): L[r] * G[c] for r in range(nd) for c in range(nd)}
-    for ser_a, ta in a_atoms:
-        for ser_b, tb in b_atoms:
+    for ta, ser_a in a_atoms:
+        for tb, ser_b in b_atoms:
             prod = ser_a * ser_b
             if not prod.is_zero:
                 terms.append((prod, {rc: LG[rc] * k for rc, k
@@ -1932,13 +1921,14 @@ def tube(mu, nu, geom: SurfaceGeometry, window: Window | None = None) -> QSSerie
     return QSSeries.monomial(geom.n, window, m, (0,) * geom.n, val)
 
 
-def _word_to_class_coords(dic: Dictionary, w: WeightedPartition, m: int):
-    """Coordinates of a unit/omega word in the fixed-point class basis, read by the
-    pairing: diag(E)^-1 C^T G x, with x the word's column of X (``_weight``)."""
-    wt = _weight(dic.n, m)
+def _class_pairings(n: int, w: WeightedPartition, m: int) -> list:
+    """C^T G x, the pairings of a unit/omega word with the fixed-point classes,
+    x the word's column of X (``_weight``); divided by the class norms E they
+    are the word's coordinates in the class basis."""
+    wt = _weight(n, m)
     x = [row[wt.words.index(w)] for row in wt.X]
-    return [sum((ci * g * xi for ci, g, xi in zip(col, wt.G, x) if ci and xi), RF_ZERO) / e
-            for col, e in zip(zip(*wt.C), wt.E)], wt.mps
+    return [sum((ci * g * xi for ci, g, xi in zip(col, wt.G, x) if ci and xi), RF_ZERO)
+            for col in zip(*wt.C)]
 
 
 def three_point(mu, rho, nu, window: Window | None = None, *,
@@ -1976,10 +1966,10 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
     if dic is None:
         raise ValueError("divisor insertions need a calibrated dictionary")
     _require_solved(dic, m)
-    bra, mps = _word_to_class_coords(dic, w1, m)
-    ket, _ = _word_to_class_coords(dic, w2, m)
-    eul = _weight(geom.n, m).E
-    nd = len(mps)
+    # <mu| reads the pairings, |nu> its class coordinates, pairings / E
+    bra = _class_pairings(geom.n, w1, m)
+    ket = [p / e for p, e in zip(_class_pairings(geom.n, w2, m), _weight(geom.n, m).E)]
+    nd = len(bra)
     # work on a window wide enough for the composed products, shift, restrict
     pre = Window(qmin=window.qmin - m, qmax=window.qmax - m, smax=window.smax)
     wide = _product_window(pre, m, factors=len(selectors) + 1)
@@ -2003,14 +1993,13 @@ def three_point(mu, rho, nu, window: Window | None = None, *,
             continue
         if cols[r].window.qmax < window.qmax - m:
             raise WindowError("composed insertion lost the requested window")
-        f = bra[r] * eul[r]
         qfloor = min(qfloor, cols[r].qfloor + m)
         for (qd, sk), v in cols[r].data.items():
             q2 = qd + m
             if window.qmin <= q2 <= window.qmax and sum(sk) <= window.smax:
                 key = (q2, sk)
                 cur = data.get(key)
-                add = v * f
+                add = v * bra[r]
                 data[key] = add if cur is None else cur + add
     return QSSeries(geom.n, window, min(qfloor, window.qmax), data)
 

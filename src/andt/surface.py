@@ -8,7 +8,6 @@ each point, which is exact localization.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Sequence
 
 from .exact import QQ, RatFn, RF_ZERO, T1, T2, TPoly
@@ -82,13 +81,6 @@ class SurfaceGeometry:
         out[i] = RatFn(self.wR(i + 1))
         return tuple(out)
 
-    @lru_cache(maxsize=None)
-    def _cartan_inverse_row(self, i: int) -> tuple:
-        n = self.n
-        return tuple(
-            QQ(min(i, j) * (n + 1 - max(i, j)), n + 1) for j in range(1, n + 1)
-        )
-
     def cartan(self) -> list:
         n = self.n
         return [
@@ -99,11 +91,11 @@ class SurfaceGeometry:
     def cls_omega(self, i: int) -> CohClass:
         """Dual divisor class: pairs to delta_{ij} against cls_E(j)."""
         self._check_curve(i)
-        cinv = self._cartan_inverse_row(i)
+        n = self.n
         out = [RF_ZERO] * self.npoints
-        for j in range(1, self.n + 1):
+        for j in range(1, n + 1):
             ej = self.cls_E(j)
-            c = cinv[j - 1]
+            c = QQ(min(i, j) * (n + 1 - max(i, j)), n + 1)  # the inverse Cartan matrix
             for k in range(self.npoints):
                 out[k] = out[k] - ej[k] * c
         return tuple(out)

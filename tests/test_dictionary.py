@@ -3,8 +3,9 @@ embedding, the transport inverse, the power-sum change of basis and
 label-basis coordinates; the transport inverse as the annihilation
 transport at (n, m) = (1, 2), (2, 2), (1, 3), (2, 3), and a singular mode's
 typed error; the "word" bracket matrix against the two-stage series product
-and the "label" and "class" matrices against a running sum of scaled series
-over it at n = 1, 2; the Heisenberg check against the single loop it
+(an entry no atom reaches is the zero series) and the "label" and "class"
+matrices against a running sum of scaled series over it at n = 1, 2; the
+Heisenberg check against the single loop it
 replaced at n = 1, 2, also on a perturbed dictionary, and its witnesses on
 a wrong lattice commutator; the label-target
 solver on hand-made systems; the mode-level solve against its frozen
@@ -21,8 +22,12 @@ transport inverse built once by calibrate, with no transport inverted),
 the weight tables of geometry-only matrices (each field built once per
 (n, m)), each basis's frame (L R is the basis's pairing, diag(E) for the
 fixed-point classes, whose state matrix D times Dinv is the identity; each
-frame built once) at (n, m) = (1, 2), (2, 2), (1, 3), the class coordinates
-of the label words against the inverse class matrix, the self-adjointness
+frame built once) at (n, m) = (1, 2), (2, 2), (1, 3), the class pairings
+of the label words over the class norms against the inverse class matrix,
+the series assembler on hand-made series (shared monomials added, a
+cancelled entry kept), the divisor operators' entries (keys, windows,
+q-floors) against the running sum they replaced at (1, 2), (2, 2), (1, 3)
+on three windows, the self-adjointness
 check on a perturbed off-diagonal entry, the point-basis pairing
 diagonal in words and the norm check that relies on it against the
 word-by-word double loop it replaced, the tangent Euler classes at weights
@@ -276,21 +281,23 @@ def dic2():
 
 
 @pytest.mark.parametrize(
-    "n, m, window, floors, scalars",
+    "n, m, window, floors, scalars, unreached",
     [
-        pytest.param(1, 1, DEFAULT_WINDOW, {0}, 3, id="1-1"),
-        pytest.param(1, 2, DEFAULT_WINDOW, {-3}, 2, id="1-2"),
+        pytest.param(1, 1, DEFAULT_WINDOW, {0}, 3, 0, id="1-1"),
+        pytest.param(1, 2, DEFAULT_WINDOW, {-3}, 2, 0, id="1-2"),
         # 9 of the 12 atoms are k Id
-        pytest.param(2, 1, DEFAULT_WINDOW, {0}, 9, id="2-1"),
+        pytest.param(2, 1, DEFAULT_WINDOW, {0}, 9, 0, id="2-1"),
         # the largest engine the operators benchmark builds; the entries that
         # no k <= -2 atom reaches have the floor -1 of the k = -1 atoms
-        pytest.param(2, 2, DEFAULT_WINDOW, {-3, -1}, 6, id="2-2"),
+        pytest.param(2, 2, DEFAULT_WINDOW, {-3, -1}, 6, 0, id="2-2"),
         # qmax above DEFAULT_WINDOW's: the q^4 s and q^5 s vacuum terms count
-        pytest.param(1, 1, Window(-3, 5, 2), {0}, 5, id="1-1-qmax5"),
+        pytest.param(1, 1, Window(-3, 5, 2), {0}, 5, 0, id="1-1-qmax5"),
+        # only q^0: 12 of the 25 entries have no atom with a term there
+        pytest.param(1, 2, Window(0, 0, 1), {0}, 0, 12, id="1-2-narrow"),
     ],
 )
-def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars, dic, dic2,
-                                                  monkeypatch):
+def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars, unreached,
+                                                  dic, dic2, monkeypatch):
     d = {1: dic, 2: dic2}[n]
     want = _two_stage_bracket_matrix(d, m, window)
     # a fresh engine, so that bracket_matrix runs under the spy: no scalar
@@ -309,11 +316,13 @@ def test_bracket_matrix_matches_two_stage_product(n, m, window, floors, scalars,
     monkeypatch.undo()
     assert seen == [K for a, K in engine.theta.items()
                     if not is_scalar(K) and exact.log_atom_expand(n, window, *a).data]
-    assert {x.qfloor for row in got for x in row if x is not None} == floors
-    assert [[x is None for x in row] for row in got] == [[x is None for x in row] for row in want]
-    pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr) if y is not None]
-    assert pairs
+    pairs = [(x, y) for gr, wr in zip(got, want) for x, y in zip(gr, wr)]
+    assert {x.qfloor for x, y in pairs if y is not None} == floors
+    # an entry that no atom reaches is the zero series, never None
+    zero = QSSeries.zero(n, window)
+    assert sum(y is None for _x, y in pairs) == unreached
     for x, y in pairs:
+        y = zero if y is None else y
         assert (x.data, x.window, x.qfloor) == (y.data, y.window, y.qfloor)
     if window.qmax > 3:
         assert any(q > 3 for y in want[0] if y is not None for (q, _) in y.data)
@@ -331,9 +340,7 @@ def _reference_bracket(engine, bra_vec, ket_vec):
         for wk, ck in ket_vec.items():
             if ck.is_zero:
                 continue
-            ser = B[widx[wb]][widx[wk]]
-            if ser is not None:
-                tot = tot + ser.scale(cb * ck)
+            tot = tot + B[widx[wb]][widx[wk]].scale(cb * ck)
     return tot
 
 
@@ -358,14 +365,13 @@ def test_bracket_matches_sum_of_scaled_series(n, m, window, dic, dic2):
     for basis, vecs in bases.items():
         got = engine.bracket_matrix(basis)
         assert got is engine.bracket_matrix(basis)
-        assert len(got) == len(vecs) and any(x is not None for row in got for x in row)
+        assert len(got) == len(vecs) and any(x.data for row in got for x in row)
         for x, row in zip(vecs, got):
             for y, ser in zip(vecs, row):
                 want = _reference_bracket(engine, x, y)
-                ser = QSSeries.zero(n, window) if ser is None else ser
                 assert (ser.data, ser.window) == (want.data, want.window)
         if window.qmax > 3:
-            assert any(q > 3 for row in got for x in row if x is not None for q, _ in x.data)
+            assert any(q > 3 for row in got for x in row for q, _ in x.data)
     with pytest.raises(ValueError, match="unknown basis 'point'"):
         engine.bracket_matrix("point")
 
@@ -679,12 +685,12 @@ def test_frames_read_the_pairing_of_each_basis(n, m):
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 2)])
 def test_word_class_coordinates_are_the_inverse_class_matrix_on_the_label_word(n, m):
-    d = Dictionary(SurfaceGeometry(n), m)
+    # the class pairings C^T G x of each label word, divided by the class norms
     wt = _weight(n, m)
     Cinv = inverse(wt.C)
     for c, w in enumerate(wt.words):
         want = [x for (x,) in matmul(Cinv, [[row[c]] for row in wt.X])]
-        assert dictionary._word_to_class_coords(d, w, m) == (want, wt.mps)
+        assert [p / e for p, e in zip(dictionary._class_pairings(n, w, m), wt.E)] == want
 
 
 def test_calibrate_builds_each_transport_inverse_once_without_inverting_a_transport(
@@ -1077,12 +1083,8 @@ def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
     Wcl = dictionary._classical_state_matrix(d, m, ("omega", i))
 
     def series_atoms(which):
-        out = []
-        for tag in dictionary._divisor_atoms(d, m, which):
-            ser = dictionary._atom_series(d, tag, which, wide)
-            if ser is not None:
-                out.append((ser, dictionary._dense(_atoms(d, m)[tag], nd)))
-        return out
+        return [(ser, dictionary._dense(_atoms(d, m)[tag], nd))
+                for tag, ser in dictionary._divisor_series(d, m, which, wide)]
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
     total = [[QSSeries.zero(d.n, wide) for _ in range(nd)] for _ in range(nd)]
@@ -1125,6 +1127,71 @@ def test_divisor_pair_commutes_matches_the_series_grid(n, i, dic, dic2):
     got = divisor_pair_commutes(d, 2, i)
     assert got == _commutation_reference(d, 2, i)
     assert got["witnesses"]  # still fails at m = 2 ("Land the commuting divisor family")
+
+
+def test_series_matrix_adds_shared_monomials_and_keeps_a_cancelled_entry():
+    w = DEFAULT_WINDOW
+    x = QSSeries(1, w, 0, {(0, (0,)): RF_ONE, (1, (1,)): RF_ONE})
+    y = QSSeries(1, w, -1, {(1, (1,)): RF_ONE, (-1, (0,)): RF_ONE})
+    two = RatFn.const(2)
+    got = dictionary._series_matrix(
+        [([[RF_ONE, RF_ZERO], [RF_ZERO, RF_ONE]], x), ([[RF_ONE, RF_ZERO], [RF_ZERO, -RF_ONE]], x),
+         ([[RF_ZERO, RF_ONE], [RF_ZERO, RF_ZERO]], y)],
+        {(1, 0): y})
+    assert set(got) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    # q s from both addends is added, not overwritten
+    assert got[(0, 0)].data == {(0, (0,)): two, (1, (1,)): two}
+    assert (got[(0, 1)].data, got[(0, 1)].qfloor) == (y.data, -1)
+    assert got[(1, 0)] is y
+    # x - x cancels, and the entry stays, empty
+    assert (got[(1, 1)].data, got[(1, 1)].window, got[(1, 1)].qfloor) == ({}, w, 0)
+
+
+def _reference_m_divisor_entries(d, m, which, window):
+    """Reference: the divisor operator's entries as the running sum it was
+    assembled by, classical entries first, then per atom of
+    ``_divisor_atoms`` the atom's class matrix times its tau-scaled
+    derivative series, skipping atoms whose series vanishes."""
+    n, tau = d.n, RatFn(exact.TAU)
+    entries = dict(dictionary.classical_divisor(which, m, d.geom, window).entries)
+    for tag in _divisor_atoms(d, m, which):
+        if tag[0] == "mode":
+            ser = (exact.log_atom_expand(n, window, tag[1], 0, 1)
+                   - exact.log_atom_expand(n, window, 1, 0, 1)).q_log_derivative()
+        else:
+            ser = exact.log_atom_expand(n, window, *tag)
+            ser = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
+        ser = ser.scale(tau)
+        if ser.is_zero:
+            continue
+        A = _atom_class_matrix(d, m, tag)
+        for r, row in enumerate(A):
+            for c, v in enumerate(row):
+                if v.is_zero:
+                    continue
+                add = ser.scale(v)
+                if add.is_zero:
+                    continue
+                cur = entries.get((r, c))
+                entries[(r, c)] = add if cur is None else cur + add
+    return entries
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3)])
+def test_m_divisor_entries_match_the_running_sum(n, m, dic, dic2, dic13):
+    # keys, windows, q-floors and coefficients, on DEFAULT_WINDOW, a wider
+    # window and the widened window three_point builds its operators on
+    d = {(1, 2): dic, (2, 2): dic2, (1, 3): dic13}[(n, m)]
+    w = DEFAULT_WINDOW
+    pre = Window(w.qmin - m, w.qmax - m, w.smax)
+    for window in (w, Window(-6, 6, 2), dictionary._product_window(pre, m)):
+        for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
+            got = dictionary.m_divisor(which, m, window, d.geom, d).matrix.entries
+            want = _reference_m_divisor_entries(d, m, which, window)
+            assert list(got) == list(want)
+            for key, ser in got.items():
+                ref = want[key]
+                assert (ser.data, ser.window, ser.qfloor) == (ref.data, ref.window, ref.qfloor)
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -1,4 +1,7 @@
 """Surface geometry: weights, classes, localization pairing."""
+import gc
+import weakref
+
 import pytest
 
 from andt.exact import QQ, RatFn, RF_ZERO, T1, T2, TAU, TPoly
@@ -116,3 +119,13 @@ def test_rank_that_is_not_an_int_is_refused(n):
     # a float rank used to be accepted and fail later inside calibrate
     with pytest.raises(TypeError, match="^n must be an int"):
         SurfaceGeometry(n)
+
+
+def test_a_geometry_that_built_an_omega_class_is_freed():
+    # cls_omega keeps no cache whose key holds the geometry alive
+    g = SurfaceGeometry(3)
+    assert g.cls_omega(2) == g.cls_omega(2)
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None
