@@ -27,6 +27,9 @@ table ``_weight``; what depends on the modes is built once per dictionary,
 in ``Dictionary._memo``, with one frame per basis (``Dictionary.frame``).
 Theta and the divisor operators are each a sum over log atoms of a constant
 matrix times a (q, s)-series, assembled by one helper (``_series_matrix``).
+A divisor atom's matrix is a ``wedge`` pair operator (a dressing mode is a
+Cartan pair sum, checked against fock's omega_0 by intertwining), and its
+logs (``_atom_logs``) give both its series and its value at a point.
 """
 
 from __future__ import annotations
@@ -83,6 +86,7 @@ from .surface import SurfaceGeometry
 from .wedge import (
     apply_current,
     e_act,
+    normal_pair_matrix,
     omega_plus_terms,
     theta_logatoms,
     vacuum,
@@ -905,7 +909,7 @@ def _closed_form_tower(dic: Dictionary) -> dict:
     weights m <= m_max, each weight verified before the next.
 
     Per weight m every U_k, k <= m, must be invertible, which makes the
-    transport invertible (``dic.transport_inverse``, kind
+    transport invertible (its inverse reads the annihilation matrices, kind
     "singular-transport"); then the label atom matrices it implies
     (``_label_atom_matrices``) must solve the label-target system
     (``_label_atom_failure``).  Those are the equations ``_solve_mode_tower``
@@ -961,12 +965,12 @@ class Dictionary:
     arguments only; what depends on the geometry alone lives in the weight's
     table (``_weight``).  The kinds are ``annihilation`` (k), ``transport``
     and ``transport_inverse`` (m; the inverse is read from the transport
-    through the annihilation matrices, with no inversion, and the
-    verification in ``calibrate`` builds both for m <= m_max), ``frame``
-    (m, basis), ``fixed_point_state`` (m), ``engine`` (m, window),
-    ``divisor`` (selector, m, window), ``atoms`` (m; every divisor atom's
-    integer lattice-state matrix, ``_atoms``), ``atom_class`` (m, atom tag),
-    and ``classical_state`` (m, selector).
+    through the annihilation matrices, with no inversion, only ``frame``
+    reads it, and the verification in ``calibrate`` builds both for
+    m <= m_max), ``frame`` (m, basis), ``fixed_point_state`` (m), ``engine``
+    (m, window), ``divisor`` (selector, m, window), ``atoms`` (m; every
+    divisor atom's integer lattice-state matrix, ``_atoms``), ``atom_class``
+    (m, atom tag), and ``classical_state`` (m, selector).
     """
 
     ansatz = "color-mixing"
@@ -1470,27 +1474,37 @@ def tau_linearity_check(dic: Dictionary, m: int, window: Window | None = None) -
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
 
 
-def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
-    """On each channel pair of an interval (``_channel_pairs``: distinct classes
-    of equal size at either endpoint), the channel vanishes mod (t1+t2)^2."""
+def _channel_check(dic: Dictionary, m: int, window: Window | None, corners: bool) -> dict:
+    """Walk ``_channel_pairs`` of every interval (i, j) on the "class" bracket
+    matrix, mod (t1+t2)^2: with ``corners`` each corner pair's channel is
+    (t1+t2) c_m log(1 - (-q)^mode s_i...s_{j-1}); without, each other
+    channel pair's channel vanishes."""
     _require_solved(dic, m)
     window = window or DEFAULT_WINDOW
     n = dic.n
     B = dic.engine(m, window).bracket_matrix("class")
     mps = _weight(n, m).mps
     pidx = {mp: r for r, mp in enumerate(mps)}
-    failures = []
-    checked = 0
+    cm = interval_corner_constant(n, m) * RatFn(TAU)
+    failures, checked = [], 0
     for i in range(1, n + 2):
         for j in range(i + 1, n + 2):
             for la, eta, mode in _channel_pairs(n, m, i, j, mps):
-                if mode is not None:
+                if (mode is not None) != corners:
                     continue
-                ser = B[pidx[la]][pidx[eta]]
+                channel = interval_channel(B[pidx[la]][pidx[eta]], i, j)
+                if corners:
+                    channel = channel - log_atom_expand(n, window, mode, i, j).scale(cm)
                 checked += 1
-                if not _mod_tau2_zero(interval_channel(ser, i, j)):
+                if not _mod_tau2_zero(channel):
                     failures.append({"interval": (i, j), "bra": repr(la), "ket": repr(eta)})
     return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
+
+
+def vanishing_check(dic: Dictionary, m: int, window: Window | None = None) -> dict:
+    """On each channel pair of an interval (``_channel_pairs``: distinct classes
+    of equal size at either endpoint), the channel vanishes mod (t1+t2)^2."""
+    return _channel_check(dic, m, window, corners=False)
 
 
 def _corner_pairs(n: int, m: int, i: int, j: int) -> dict:
@@ -1515,28 +1529,10 @@ def _corner_pairs(n: int, m: int, i: int, j: int) -> dict:
 
 def corner_evaluation_check(dic: Dictionary, m: int,
                             window: Window | None = None) -> dict:
-    """Both corner evaluations per interval:
+    """Both corner evaluations per interval, each corner pair either way round
+    (``_channel_pairs``):
     bracket = (t1+t2) c_m log(1 - (-q)^{+-(m-1)} s_i...s_{j-1}) mod (t1+t2)^2."""
-    _require_solved(dic, m)
-    window = window or DEFAULT_WINDOW
-    n = dic.n
-    B = dic.engine(m, window).bracket_matrix("class")
-    pidx = {mp: r for r, mp in enumerate(_weight(n, m).mps)}
-    cm = interval_corner_constant(n, m) * RatFn(TAU)
-    failures = []
-    checked = 0
-    for i in range(1, n + 2):
-        for j in range(i + 1, n + 2):
-            for (bra, ket), kmode in _corner_pairs(n, m, i, j).items():
-                expect = log_atom_expand(n, window, kmode, i, j).scale(cm)
-                for (x, y) in ((bra, ket), (ket, bra)):
-                    ser = B[pidx[x]][pidx[y]]
-                    checked += 1
-                    if not _mod_tau2_zero(interval_channel(ser, i, j) - expect):
-                        failures.append(
-                            {"interval": (i, j), "bra": repr(x), "ket": repr(y)}
-                        )
-    return {"ok": not failures, "checked": checked, "witnesses": failures[:5]}
+    return _channel_check(dic, m, window, corners=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1556,10 +1552,7 @@ class OperatorMatrix:
     entries: dict = field(default_factory=dict)
 
     def entry(self, r: int, c: int) -> QSSeries:
-        hit = self.entries.get((r, c))
-        if hit is None:
-            return QSSeries.zero(self.n, self.window)
-        return hit
+        return self.entries.get((r, c)) or QSSeries.zero(self.n, self.window)
 
     @property
     def dim(self) -> int:
@@ -1576,14 +1569,8 @@ class DivisorOp:
 
 
 def _divisor_key(which) -> object:
-    if which == "D":
-        return "D"
-    if (
-        isinstance(which, tuple)
-        and len(which) == 2
-        and which[0] == "omega"
-        and isinstance(which[1], int)
-    ):
+    if which == "D" or (isinstance(which, tuple) and len(which) == 2
+                        and which[0] == "omega" and isinstance(which[1], int)):
         return which
     raise ValueError(f"unknown divisor selector {which!r}")
 
@@ -1649,48 +1636,55 @@ def _atoms(dic: Dictionary, m: int) -> dict:
     """{tag: {(r, c): int}}: every divisor atom at weight m as an integer
     lattice-state matrix (memoized).  First the interaction atoms
     (k, i, j) of ``omega_plus_terms``, then each dressing mode ("mode", k) of
-    ``omega0_mode_matrices``, transported once into lattice states as
-    T . M_k . T^-1, which is sum_a e_aa(-k) e_aa(k).  Raises ArithmeticError
-    if a transported entry is not an integer."""
+    ``omega0_mode_matrices`` as the Cartan pair sum
+    K_k = sum_a :e_aa(-k) e_aa(k): of ``normal_pair_matrix``.  The fock mode
+    M_k must intertwine with it through the transport, T M_k = K_k T, exactly;
+    ArithmeticError names the mode where it does not."""
     def build():
-        atoms = omega_plus_terms(dic.n, m)
-        T, Tinv = dic.transport(m)[0], dic.transport_inverse(m)
+        n, atoms, T = dic.n, omega_plus_terms(dic.n, m), dic.transport(m)[0]
+        eye = [[RF_ONE if r == c else RF_ZERO for c in range(len(T))] for r in range(len(T))]
         for k, M in omega0_mode_matrices(dic.geom, m, fixed_point_basis(dic.geom)).items():
-            K = atoms[("mode", k)] = {}
-            for r, row in enumerate(matmul(matmul(T, _dense(M, len(T))), Tinv)):
-                for c, v in enumerate(row):
-                    x = v.const_value() if v.is_const else None
-                    if x is None or x.denominator != 1:
-                        raise ArithmeticError(f"dressing mode {k} at weight {m}: entry "
-                                              f"({r}, {c}) of T M T^-1 is {v}, not an integer")
-                    if x:
-                        K[(r, c)] = int(x)
+            pairs = [normal_pair_matrix(n, m, a, a, k) for a in range(1, n + 2)]
+            K = atoms[("mode", k)] = {rc: v for rc in sorted(set().union(*pairs))
+                                      if (v := sum(P.get(rc, 0) for P in pairs))}
+            if matmul(T, _dense(M, len(T))) != _sandwich(eye, K, T):
+                raise ArithmeticError(f"dressing mode {k} at weight {m}: the fock mode "
+                                      "does not intertwine with sum_a :e_aa(-k) e_aa(k):")
         return atoms
     return dic.cached(("atoms", m), build)
 
 
+def _atom_logs(tag) -> list:
+    """[(c, (k, i, j))]: the atom ``tag`` as a sum of c log(1 - (-q)^k
+    s_i...s_{j-1}).  An interaction atom (k, i, j) is its own log; the
+    dressing mode ("mode", k) is log((1 - (-q)^k) / (1 - (-q))), on the
+    pure-q interval (0, 1) of ``log_atom_expand``."""
+    if tag[0] == "mode":
+        return [(1, (tag[1], 0, 1)), (-1, (1, 0, 1))]
+    return [(1, tag)]
+
+
 def _divisor_atoms(dic: Dictionary, m: int, which) -> list:
     """The tags of the atoms in the quantum part of ``which``, in ``_atoms``
-    order: for the doubled-point divisor every interaction atom and every
-    dressing mode; for the i-th curve divisor the interaction atoms
-    (k, i0, j0) whose interval [i0, j0) contains i."""
-    return [a for a in _atoms(dic, m)
-            if which == "D" or (a[0] != "mode" and a[1] <= which[1] < a[2])]
+    order: for the doubled-point divisor every atom; for the i-th curve
+    divisor the atoms with a log (``_atom_logs``) whose interval [i0, j0)
+    contains i."""
+    return [a for a in _atoms(dic, m) if which == "D"
+            or any(i0 <= which[1] < j0 for _c, (_k, i0, j0) in _atom_logs(a))]
 
 
 def _divisor_series(dic: Dictionary, m: int, which, window: Window) -> list:
     """[(tag, series)]: the quantum part of ``which`` atom by atom, in
     ``_divisor_atoms`` order, each atom with the tau-scaled derivative of its
-    log on the window (q d/dq for the doubled-point divisor, s_i d/ds_i for
-    the i-th curve divisor); the atoms whose series vanishes are left out."""
+    logs (``_atom_logs``) on the window (q d/dq for the doubled-point divisor,
+    s_i d/ds_i for the i-th curve divisor); the atoms whose series vanishes
+    are left out."""
     n, tau, out = dic.n, RatFn(TAU), []
     for tag in _divisor_atoms(dic, m, which):
-        if tag[0] == "mode":
-            ser = (log_atom_expand(n, window, tag[1], 0, 1)
-                   - log_atom_expand(n, window, 1, 0, 1)).q_log_derivative()
-        else:
-            ser = log_atom_expand(n, window, *tag)
-            ser = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
+        ser = QSSeries.zero(n, window)
+        for c, a in _atom_logs(tag):
+            ser = ser + log_atom_expand(n, window, *a).scale(c)
+        ser = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
         if not (ser := ser.scale(tau)).is_zero:
             out.append((tag, ser))
     return out
@@ -2105,23 +2099,19 @@ def gw_change_of_vars(f: QRational, order: int, pole_order: int = 0) -> dict:
 
 
 def _atom_value(tag, q0, svals, kind):
-    """Exact value of the derivative of one log atom at the specialization."""
-    if tag[0] != "mode":
-        k, i, j = tag
+    """The derivative of the atom's logs (``_atom_logs``) at q = q0, s = svals:
+    each c log(1 - x), x = (-q0)^k prod s^e with e from ``_interval_skey``,
+    gives -c k x / (1 - x) for kind "q" (q d/dq), and -c x / (1 - x) for kind
+    "s" (s_i d/ds_i on an atom of the i-th curve divisor, where e_i = 1)."""
+    tot = QQ(0)
+    for c, (k, i, j) in _atom_logs(tag):
         x = (-q0) ** k
-        for t in range(i, j):
-            x *= svals[t - 1]
+        for s, e in zip(svals, _interval_skey(len(svals), i, j)):
+            x *= s ** e
         if x == 1:
             raise ZeroDivisionError("specialization hits a series pole")
-        if kind == "q":
-            return QQ(-k) * x / (1 - x)
-        return -x / (1 - x)
-    k = tag[1]
-    xq = (-q0) ** k
-    x1 = -q0
-    if xq == 1 or x1 == 1:
-        raise ZeroDivisionError("specialization hits a series pole")
-    return QQ(-k) * xq / (1 - xq) + x1 / (1 - x1)
+        tot -= c * (k if kind == "q" else 1) * x / (1 - x)
+    return tot
 
 
 def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
@@ -2191,14 +2181,10 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int, dic: Dictionary) ->
             svals = [
                 QQ(rng.randint(1, 5), rng.randint(6, 17)) for _ in range(n)
             ]
-            mats = {}
-            corrs = {}
+            mats, corrs = {}, {}
             for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
-                full, corr = _specialized_divisor(
-                    dic, m, which, t1, t2, q0, svals
-                )
-                mats[which if which == "D" else f"omega{which[1]}"] = full
-                corrs[which if which == "D" else f"omega{which[1]}"] = corr
+                key = which if which == "D" else f"omega{which[1]}"
+                mats[key], corrs[key] = _specialized_divisor(dic, m, which, t1, t2, q0, svals)
             nd = len(mats["D"])
             # pairwise commutation at the specialization
             commute_ok = all(

@@ -951,12 +951,12 @@ RF_ONE = RatFn.const(1)
 @dataclass(frozen=True)
 class Window:
     """The q-degrees qmin..qmax and the s-degrees up to smax on which a series
-    is known.  Each bound must be an int, not a bool (TypeError), with
-    qmin <= qmax and smax >= 0 (WindowError)."""
+    is known.  Each bound is required and must be an int, not a bool
+    (TypeError), with qmin <= qmax and smax >= 0 (WindowError)."""
 
-    qmin: int = -12
-    qmax: int = 12
-    smax: int = 3
+    qmin: int
+    qmax: int
+    smax: int
 
     def __post_init__(self):
         for name in ("qmin", "qmax", "smax"):

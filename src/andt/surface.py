@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .exact import QQ, RatFn, RF_ZERO, T1, T2, TPoly
+from .exact import QQ, RatFn, RF_ZERO, T1, T2, TPoly, _interval_skey
 
 __all__ = ["SurfaceGeometry", "CohClass", "tangent_wL", "tangent_wR"]
 
@@ -143,7 +143,7 @@ class SurfaceGeometry:
         """E-coefficients of the interval class alpha_{ij} = E_i + ... + E_{j-1}."""
         if not (1 <= i < j <= self.n + 1):
             raise ValueError(f"bad interval [{i},{j}]")
-        return tuple(1 if i <= k <= j - 1 else 0 for k in range(1, self.n + 1))
+        return _interval_skey(self.n, i, j)
 
     def s_exponent(self, beta: Sequence[int]) -> tuple:
         """s-monomial exponents of a curve class given in the E-basis.

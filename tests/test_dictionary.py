@@ -34,6 +34,10 @@ word-by-word double loop it replaced, the tangent Euler classes at weights
 one and two, the creation-word state vectors against the e_act loop they
 replaced, the refusal of a non-int m_max and of a geometry and a dictionary
 or operator of different ranks, and spectrum_probe's need for a dictionary.
+Each divisor atom's value at a point against sympy's derivative of its logs
+at (n, m) = (1, 2), (2, 2), (1, 3); the vanishing and corner checks' counts
+at n = 1, 2; three_point at (1, 2) against the direct contraction of the
+divisor operator (two strict xfails on the sum rule, ROADMAP item 1(b)).
 The closed-form Heisenberg embedding against the constraint solver, its oracle, at (n, m) = (1, 2), (2, 2), (1, 3): the solved tower and
 the label atom matrices; and calibrate's typed refusal of a perturbed closed
 form, of a non-constant or off-target top-weight label entry, and of n = 0.
@@ -638,7 +642,8 @@ def test_norm_check_is_the_double_loop(n, m_max):
         len(fixed_point_vectors(geom, m)) for m in range(1, m_max + 1))
 
 
-def test_atom_table_refuses_a_dressing_mode_that_is_not_integral(dic, monkeypatch):
+def test_atom_table_refuses_a_dressing_mode_that_does_not_intertwine(dic, monkeypatch):
+    # a halved fock mode breaks T M_k = K_k T against the lattice pair sum
     d = copy.copy(dic)
     d._memo = {}
     real = dictionary.omega0_mode_matrices
@@ -1068,7 +1073,7 @@ def test_omega0_modes_transport_to_the_lattice_dressing_modes(n, m, dic, dic2, d
         want = [[RatFn.const(lattice.get((r, c), 0)) for c in range(nw)] for r in range(nw)]
         assert any(v for row in want for v in row)
         assert matmul(matmul(T, M), d.transport_inverse(m)) == want, k
-        # the atom table holds the same matrix, transported once, with int entries
+        # the atom table holds the same matrix, the lattice pair sum, with int entries
         assert _atoms(d, m)[("mode", k)] == lattice, k
         assert all(type(v) is int for v in _atoms(d, m)[("mode", k)].values())
 
@@ -1261,6 +1266,99 @@ def test_three_point_matches_the_series_fold(n, dic, dic2, monkeypatch):
 def test_three_point_at_weight_three(dic13):
     words = weighted_partition_basis(3, 2)
     three_point(words[0], "D", words[1], geom=dic13.geom, dic=dic13)
+
+
+def _bra_ket(d, mu, nu):
+    """(<mu| as class pairings, |nu> in class coordinates), as three_point reads them."""
+    m, E = mu.weight, _weight(d.n, mu.weight).E
+    ket = [p / e for p, e in zip(dictionary._class_pairings(d.n, nu, m), E)]
+    return dictionary._class_pairings(d.n, mu, m), ket
+
+
+def _direct_three_point(d, mu, rho, nu, window):
+    """q^m <mu| M_rho |nu> as the direct contraction sum_{r,c} bra_r M[r][c] ket_c
+    of ``m_divisor`` built on ``window`` shifted by -m: {(q, s): coefficient}."""
+    m = mu.weight
+    bra, ket = _bra_ket(d, mu, nu)
+    pre = Window(window.qmin - m, window.qmax - m, window.smax)
+    data: dict = {}
+    for (r, c), ser in dictionary.m_divisor(rho, m, pre, d.geom, d).matrix.entries.items():
+        for (qd, sk), v in ser.data.items():
+            data[(qd + m, sk)] = data.get((qd + m, sk), RF_ZERO) + bra[r] * v * ket[c]
+    return {key: v for key, v in data.items() if not v.is_zero}
+
+
+_WORD_21 = WeightedPartition(((2, 1),))
+_SUM_RULE = ("ROADMAP item 1(b): the running sums of _fold_products lose and misplace "
+             "coefficients through exact._sum_window")
+
+
+def test_direct_three_point_contraction(dic):
+    # the references of the two strict xfails below, pinned: the classical
+    # contraction sum_r bra_r c_r ket_r of omega_1 is -(t1 + t2)/2, and the
+    # direct contraction of D holds q^-1 s^3, q^0 s^2 and q^1 s^1 terms
+    bra, ket = _bra_ket(dic, _WORD_21, _WORD_21)
+    cl = dictionary.classical_divisor(("omega", 1), 2, dic.geom)
+    classical = sum((bra[r] * cl.entry(r, r).coeff(0, (0,)) * ket[r] for r in range(len(bra))),
+                    RF_ZERO)
+    tau = RatFn(exact.TAU)
+    assert classical == tau * QQ(-1, 2)
+    assert _direct_three_point(dic, _WORD_21, ("omega", 1), _WORD_21,
+                               DEFAULT_WINDOW)[(2, (0,))] == classical
+    direct = _direct_three_point(dic, _WORD_21, "D", _WORD_21, DEFAULT_WINDOW)
+    assert {key: direct[key] for key in [(-1, (3,)), (0, (2,)), (1, (1,))]} == {
+        (-1, (3,)): tau * QQ(-1, 4), (0, (2,)): tau * QQ(1, 4), (1, (1,)): tau * QQ(-1, 4)}
+
+
+@pytest.mark.xfail(strict=True, reason=_SUM_RULE)
+def test_three_point_q2_s0_coefficient_is_the_classical_contraction(dic):
+    # no log atom has a q^0 s^0 term, so only the classical diagonal reaches q^m s^0
+    got = three_point(_WORD_21, ("omega", 1), _WORD_21, geom=dic.geom, dic=dic)
+    assert got.coeff(2, (0,)) == RatFn(exact.TAU) * QQ(-1, 2)
+
+
+@pytest.mark.xfail(strict=True, reason=_SUM_RULE)
+def test_three_point_is_the_direct_contraction(dic):
+    got = three_point(_WORD_21, "D", _WORD_21, geom=dic.geom, dic=dic)
+    assert got.data == _direct_three_point(dic, _WORD_21, "D", _WORD_21, DEFAULT_WINDOW)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3)])
+def test_atom_value_is_the_derivative_of_the_atoms_logs(n, m, dic, dic2, dic13):
+    # each divisor atom's logs from their definition, differentiated by sympy:
+    # log(1 - (-q)^k s_i...s_{j-1}) for an interaction atom, and
+    # log((1 - (-q)^k)/(1 - (-q))) for the dressing mode k
+    d = {(1, 2): dic, (2, 2): dic2, (1, 3): dic13}[(n, m)]
+    q, *s = sympy.symbols(f"q s1:{n + 1}")
+    q0, svals = QQ(2, 11), [QQ(1, 7), QQ(3, 10)][:n]
+    point = {x: sympy.Rational(v.numerator, v.denominator) for x, v in zip([q, *s], [q0, *svals])}
+    for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
+        var = q if which == "D" else s[which[1] - 1]
+        tags = _divisor_atoms(d, m, which)
+        assert tags
+        for tag in tags:
+            if tag[0] == "mode":
+                f = sympy.log((1 - (-q) ** tag[1]) / (1 - (-q)))
+            else:
+                k, i, j = tag
+                f = sympy.log(1 - (-q) ** k * sympy.Mul(*s[i - 1:j - 1]))
+            want = sympy.nsimplify((var * sympy.diff(f, var)).subs(point))
+            got = _atom_value(tag, q0, svals, "q" if which == "D" else "s")
+            assert want == sympy.Rational(got.numerator, got.denominator), (which, tag)
+
+
+@pytest.mark.parametrize("n, counts", [(1, {1: (0, 2), 2: (4, 4)}),
+                                       (2, {1: (12, 6), 2: (126, 12)})])
+def test_channel_checks_pass_with_their_counts(n, counts, dic, dic2):
+    # (vanishing, corner) checked counts at weights 1 and 2; the corner count
+    # is each corner pair either way round
+    d = {1: dic, 2: dic2}[n]
+    for m, (nv, nc) in counts.items():
+        van = dictionary.vanishing_check(d, m)
+        corner = dictionary.corner_evaluation_check(d, m)
+        assert (van["ok"], van["checked"], corner["ok"], corner["checked"]) == (True, nv, True, nc)
+    op = dictionary.m_divisor("D", 2, DEFAULT_WINDOW, d.geom, d)
+    assert any(not ser.is_zero for ser in op.matrix.entries.values())
 
 
 @pytest.mark.parametrize("call", [

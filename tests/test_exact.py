@@ -674,6 +674,8 @@ def test_window_refuses_a_bound_that_is_not_an_int(field, bad):
     with pytest.raises(TypeError, match=f"^Window.{field} must be an int, not "
                                         f"{type(bad).__name__} {bad!r}$"):
         Window(**bounds)
+    with pytest.raises(TypeError):
+        Window()  # every bound is required
 
 
 def test_series_basic_ops():

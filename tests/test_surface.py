@@ -101,6 +101,8 @@ def test_root_vectors_and_s_exponents():
     with pytest.raises(ValueError):
         g.root_vector(2, 2)
     with pytest.raises(ValueError):
+        g.root_vector(0, 1)  # exact._interval_skey's pure-q sentinel is no root
+    with pytest.raises(ValueError):
         g.s_exponent((1, 2))
 
 
