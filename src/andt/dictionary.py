@@ -34,9 +34,11 @@ logs (``_atom_logs``) give both its series and its value at a point.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
+import types
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -59,9 +61,12 @@ from .exact import (
     _common_denominator,
     _dot,
     _fold_numerators,
+    _form_product,
     _fold_products,
     _interval_skey,
     _numerators,
+    _over_forms,
+    _product_numerators,
     _sandwich,
     expand_logatoms,
     inverse,
@@ -161,13 +166,21 @@ ratfn_inverse = inverse
 # ---------------------------------------------------------------------------
 
 
-def _arm_leg_product(lam: Partition, wx: RatFn, wy: RatFn) -> RatFn:
-    """prod over boxes ((arm+1) wx - leg wy)(-arm wx + (leg+1) wy)."""
-    e = RF_ONE
-    for _box, arm, leg in lam.hooks():
-        e = e * (wx * QQ(arm + 1) - wy * QQ(leg))
-        e = e * (wx * QQ(-arm) + wy * QQ(leg + 1))
-    return e
+def _euler_factors(mp: MultiPartition, geom: SurfaceGeometry) -> tuple:
+    """(c, forms): the tangent Euler class at ``mp`` is c prod(a t1 + b t2)
+    over the sorted primitive, positive-leading ``forms``, the arm/leg weights
+    ((arm+1) wx - leg wy), (-arm wx + (leg+1) wy) per chart k and box, in
+    (wx, wy) = (wL_k, wR_k), each split into signed content and form."""
+    c, forms = 1, []
+    for k, lam in enumerate(mp, start=1):
+        wx, wy = (dict(w.items()) for w in (geom.wL(k), geom.wR(k)))
+        for _box, arm, leg in lam.hooks():
+            for u, v in ((arm + 1, -leg), (-arm, leg + 1)):
+                a, b = (u * wx.get(e, 0) + v * wy.get(e, 0) for e in ((1, 0, 0), (0, 1, 0)))
+                g = math.gcd(a, b) * (1 if a > 0 or (a == 0 and b > 0) else -1)
+                c *= g
+                forms.append((a // g, b // g))
+    return c, tuple(sorted(forms))
 
 
 def _as_multipartition(rho, ncomp: int) -> MultiPartition:
@@ -183,14 +196,10 @@ def _as_multipartition(rho, ncomp: int) -> MultiPartition:
 def hilb_tangent_euler(rho, geom: SurfaceGeometry) -> RatFn:
     """Tangent Euler class at the fixed point labelled by a multipartition.
 
-    Product over charts k of the arm/leg weight product in (wL_k, wR_k).
+    The product of its arm/leg weight factors (``_euler_factors``).
     """
-    mp = _as_multipartition(rho, geom.npoints)
-    e = RF_ONE
-    for k, lam in enumerate(mp, start=1):
-        if lam.size:
-            e = e * _arm_leg_product(lam, RatFn(geom.wL(k)), RatFn(geom.wR(k)))
-    return e
+    c, forms = _euler_factors(_as_multipartition(rho, geom.npoints), geom)
+    return RatFn(_form_product(forms) * c)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +308,9 @@ class _Weight:
     point-word norms: the point-basis pairing is diagonal in words.  ``X``
     has the unit/omega label words as columns in point-word coordinates and
     ``Xinv`` the point words in label coordinates.  ``C`` has the classes as
-    columns in point-word coordinates, ``E`` their norms (``hilb_tangent_euler``)
-    in ``mps`` order, and ``J`` = Xinv C has them in label coordinates.  ``word_pairs`` lists
+    columns in point-word coordinates, ``E`` their norms in ``mps`` order and
+    ``euler`` the norms' factors (``_euler_factors``), and ``J`` = Xinv C has
+    the classes in label coordinates.  ``word_pairs`` lists
     (w1, w2, unit pairing, omega rest of w1, omega rest of w2) over the label
     words, the pairing shared by every atom of ``_AtomTargets.solve``.
     """
@@ -349,8 +359,12 @@ class _Weight:
         return [[vec.get(w, RF_ZERO) for vec in self.classes.values()] for w in self.words]
 
     @cached_property
+    def euler(self) -> list:
+        return [_euler_factors(mp, self.geom) for mp in self.mps]
+
+    @cached_property
     def E(self) -> list:
-        return [hilb_tangent_euler(mp, self.geom) for mp in self.mps]
+        return [RatFn(_form_product(forms) * c) for c, forms in self.euler]
 
     @cached_property
     def J(self) -> list:
@@ -967,7 +981,8 @@ class Dictionary:
     and ``transport_inverse`` (m; the inverse is read from the transport
     through the annihilation matrices, with no inversion, only ``frame``
     reads it, and the verification in ``calibrate`` builds both for
-    m <= m_max), ``frame`` (m, basis), ``fixed_point_state`` (m), ``engine``
+    m <= m_max), ``frame`` (m, basis), ``class_numerators`` (m; the class
+    frame over integral numerators, ``_class_numerators``), ``engine``
     (m, window), ``divisor`` (selector, m, window), ``atoms`` (m; every
     divisor atom's integer lattice-state matrix, ``_atoms``), ``atom_class``
     (m, atom tag), and ``classical_state`` (m, selector).
@@ -1058,16 +1073,6 @@ class Dictionary:
             return matmul(VtG, Tinv), matmul(T, V)
         return self.cached(("frame", m, basis), build)
 
-    def fixed_point_state_matrix(self, m: int):
-        """(D, Dinv, mps) = (T C, diag(E)^-1 C^T G T^-1, mps), the fixed-point
-        classes in state coordinates from the class frame; Dinv inverts D as
-        C^T G C = diag(E), which ``calibrate`` verifies for m <= m_max."""
-        def build():
-            wt = _weight(self.n, m)
-            L, D = self.frame(m, "class")
-            return D, [[x / e for x in row] for row, e in zip(L, wt.E)], wt.mps
-        return self.cached(("fixed_point_state", m), build)
-
     def engine(self, m: int, window: Window | None = None):
         window = window or DEFAULT_WINDOW
         return self.cached(("engine", m, window), lambda: BracketEngine(self, m, window))
@@ -1084,6 +1089,19 @@ def _lattice_commutator(n: int, ii: int, jj: int, k: int, st0) -> dict:
     return vec
 
 
+@lru_cache(maxsize=None)
+def _lattice_half(n: int, k: int, st0) -> tuple:
+    """(bad, reach), cached and immutable: the colour pairs (ii, jj) whose
+    ``_lattice_commutator`` on st0 at mode k is not k delta_ij st0, and per
+    pair the states either ordering reaches."""
+    comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0)
+            for ii, jj in itertools.product(range(n + 1), repeat=2)}
+    bad = frozenset(pair for pair, vec in comm.items()
+                    if {s: c for s, c in vec.items() if c}
+                    != ({st0: k} if pair[0] == pair[1] else {}))
+    return bad, types.MappingProxyType({pair: frozenset(vec) for pair, vec in comm.items()})
+
+
 def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     """Verify the commutation relation of the embedded modes on low-weight
     lattice states: [P_k(point_a), P_{-k}(point_b)] = -k delta_ab euler_a.
@@ -1092,14 +1110,14 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
     so the coefficient of state s in the commutator on st0 is
     sum V[a][ii] C_s[ii][jj] U[b][jj], with C_s[ii][jj] the integer
     coefficient of s in [e_ii(k), e_jj(-k)] st0 (``_lattice_commutator``).
-    It checks C_s = k delta_(s, st0) Id in integers on each state, and
-    V_k U_k^T = -diag(euler) once per k.  For each (a, b) every state reached
-    through a nonzero V[a][ii] U[b][jj] is checked, and each (k, a, b, state)
-    where V_k U_k^T or a reached C_s fails is one witness.  The second holds
-    for any invertible U_k, as V_k = -diag(euler) (U_k^T)^{-1}.
-    States run over weights 0..2 and modes over k = 1..kmax;
-    ``calibrate`` runs it with kmax = 2.  Raises TypeError for a bool or
-    non-int kmax and ValueError for kmax < 1.
+    It checks C_s = k delta_(s, st0) Id in integers once per (n, k, state)
+    (``_lattice_half``), and V_k U_k^T = -diag(euler) once per k.  For each
+    (a, b) every state reached through a nonzero V[a][ii] U[b][jj] is
+    checked, and each (k, a, b, state) where V_k U_k^T or a reached C_s fails
+    is one witness.  The second holds for any invertible U_k, as
+    V_k = -diag(euler) (U_k^T)^{-1}.  States run over weights 0..2 and modes
+    over k = 1..kmax; ``calibrate`` runs it with kmax = 2.  Raises TypeError
+    for a bool or non-int kmax and ValueError for kmax < 1.
     """
     if isinstance(kmax, bool) or not isinstance(kmax, int):
         raise TypeError(f"kmax must be an int, not {type(kmax).__name__} {kmax!r}")
@@ -1117,13 +1135,10 @@ def heisenberg_embedding_check(dic: Dictionary, kmax: int = 3) -> dict:
                if VU[a][b] != (-dic.point_euler(a + 1) if a == b else RF_ZERO)}
         for m in range(3):
             for st0 in weight_basis(n, m):
-                comm = {(ii, jj): _lattice_commutator(n, ii, jj, k, st0) for ii, jj in grid}
-                bad_lattice = {(ii, jj) for (ii, jj), vec in comm.items()
-                               if {s: c for s, c in vec.items() if c}
-                               != ({st0: k} if ii == jj else {})}
+                bad_lattice, reach = _lattice_half(n, k, st0)
                 for a, b in grid:
                     pairs = [(ii, jj) for ii, jj in grid if V[a][ii] and U[b][jj]]
-                    checked += len({st0}.union(*(comm[pair] for pair in pairs)))
+                    checked += len({st0}.union(*(reach[pair] for pair in pairs)))
                     if (a, b) in bad or bad_lattice.intersection(pairs):
                         failures.append(
                             {"k": k, "a": a, "b": b, "state-weight": m, "state": repr(st0)})
@@ -1675,17 +1690,18 @@ def _divisor_atoms(dic: Dictionary, m: int, which) -> list:
 
 def _divisor_series(dic: Dictionary, m: int, which, window: Window) -> list:
     """[(tag, series)]: the quantum part of ``which`` atom by atom, in
-    ``_divisor_atoms`` order, each atom with the tau-scaled derivative of its
-    logs (``_atom_logs``) on the window (q d/dq for the doubled-point divisor,
-    s_i d/ds_i for the i-th curve divisor); the atoms whose series vanishes
-    are left out."""
-    n, tau, out = dic.n, RatFn(TAU), []
+    ``_divisor_atoms`` order, each atom with the derivative of its logs
+    (``_atom_logs``) on the window (q d/dq for the doubled-point divisor,
+    s_i d/ds_i for the i-th curve divisor), rational constants; tau is
+    carried by the class matrices (``_atom_class_matrix``).  The atoms whose
+    series vanishes are left out."""
+    n, out = dic.n, []
     for tag in _divisor_atoms(dic, m, which):
         ser = QSSeries.zero(n, window)
         for c, a in _atom_logs(tag):
             ser = ser + log_atom_expand(n, window, *a).scale(c)
         ser = ser.q_log_derivative() if which == "D" else ser.s_log_derivative(which[1])
-        if not (ser := ser.scale(tau)).is_zero:
+        if not ser.is_zero:
             out.append((tag, ser))
     return out
 
@@ -1698,21 +1714,65 @@ def _dense(K: dict, size: int) -> list:
     return rows
 
 
-def _atom_class_matrix(dic: Dictionary, m: int, tag) -> list:
-    """Constant matrix of one atom in the fixed-point class basis (memoized;
-    window-independent, shared across the divisor family)."""
+def _over_monomial(vec, n: int, m: int, c: int = 1, forms: tuple = ()) -> tuple:
+    """(nums, c k, forms + e1 forms t1 + e2 forms t2) for ``vec`` over its
+    common denominator k t1^e1 t2^e2 (``_common_denominator``);
+    ArithmeticError names (n, m) for any other denominator."""
+    nums, d = _common_denominator(vec)
+    e, k = d.leading()
+    if len(d) != 1 or e[2]:
+        raise ArithmeticError(f"a class-frame denominator at (n, m) = ({n}, {m}) is {d}, "
+                              "not an integer times a monomial in t1, t2")
+    return nums, c * k, forms + ((1, 0),) * e[0] + ((0, 1),) * e[1]
+
+
+def _class_numerators(dic: Dictionary, m: int) -> tuple:
+    """(rows, cols), memoized: row a of diag(E)^-1 L and column b of R, for
+    the class frame (L, R) = (C^T G T^-1, T C), as (nums, c, forms), nums over
+    c prod forms (``_over_monomial``; row a's with E_a's ``euler`` forms).  L
+    is polynomial and R's denominators are powers of t2 at every (n, m) here."""
     def build():
-        D, Dinv, _ = dic.fixed_point_state_matrix(m)
-        return _sandwich(Dinv, _atoms(dic, m)[tag], D)
+        L, R = dic.frame(m, "class")
+        return ([_over_monomial(row, dic.n, m, *eu) for row, eu in zip(L, _weight(dic.n, m).euler)],
+                [_over_monomial(col, dic.n, m) for col in zip(*R)])
+    return dic.cached(("class_numerators", m), build)
+
+
+def _atom_class_matrix(dic: Dictionary, m: int, tag) -> list:
+    """The atom's class-basis matrix tau diag(E)^-1 L K R (tau carried, as in
+    Theta's bracket matrices), K its state matrix (``_atoms``): the numerators'
+    product over each entry's Euler and monomial forms (``exact._over_forms``),
+    no gcd.  Memoized; window-independent, shared across the divisor family."""
+    def build():
+        rows, cols = _class_numerators(dic, m)
+        N = _product_numerators([r[0] for r in rows], _atoms(dic, m)[tag], [c[0] for c in cols])
+        return [[_over_forms(TAU * x, c * cb, forms + fb) if x else RF_ZERO
+                 for x, (_n, cb, fb) in zip(Nr, cols)] for Nr, (_n, c, forms) in zip(N, rows)]
     return dic.cached(("atom_class", m, tag), build)
 
 
 def _classical_state_matrix(dic: Dictionary, m: int, which) -> list:
-    """Classical multiplication conjugated into lattice-state coordinates."""
+    """Classical multiplication conjugated into lattice-state coordinates,
+    R diag(v / E) L with v the restrictions of ``which`` (memoized): the sum
+    over the classes j, each term over its (c_j, forms_j) (row j of
+    ``_class_numerators``, column j and v_j), is taken over their lcm Lambda
+    (each form at its largest multiplicity) with cofactors Lambda / (c_j prod
+    forms_j), and put over Lambda by ``exact._over_forms``."""
     def build():
-        D, Dinv, mps = dic.fixed_point_state_matrix(m)
-        vals = _classical_values(which, m, mps, dic.geom)
-        return matmul([[x * v for x, v in zip(row, vals)] for row in D], Dinv)
+        rows, cols = _class_numerators(dic, m)
+        vals = _classical_values(which, m, _weight(dic.n, m).mps, dic.geom)
+        terms = [(j, *_over_monomial([v], dic.n, m, rows[j][1] * cols[j][1],
+                                     rows[j][2] + cols[j][2])) for j, v in enumerate(vals) if v]
+        lam = collections.Counter({f: max(t[3].count(f) for t in terms)
+                                   for *_x, forms in terms for f in forms})
+        lam_c = math.lcm(*(abs(c) for _j, _v, c, _f in terms))
+        ps = [num * _form_product(tuple(sorted((lam - collections.Counter(forms)).elements())))
+              * (lam_c // c) for _j, (num,), c, forms in terms]
+        left = [[cols[j][0][r] for j, *_x in terms] for r in range(len(rows))]
+        right = [[p * rows[j][0][c] for (j, *_x), p in zip(terms, ps)] for c in range(len(rows))]
+        N = _product_numerators(left, {(k, k): 1 for k in range(len(terms))}, right)
+        lam_forms = tuple(sorted(lam.elements()))
+        return [[_over_forms(x, lam_c, lam_forms) for x in row] for row in N]
     return dic.cached(("classical_state", m, which), build)
 
 
@@ -1800,17 +1860,18 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
     classical matrices.  A commutator with a classical matrix sums products
     of those numerators; an atom-atom commutator [K_a, K_b] is taken in
     integers (``_int_commutator``) and scaled once per entry by L_r * G_c.
-    Each entry's sum over the atom series is folded on numerators alone
-    (`exact._fold_numerators`)."""
+    The atom series carry tau here (``_divisor_series`` leaves it to the
+    class matrices), and each entry's sum over them is folded on numerators
+    alone (`exact._fold_numerators`)."""
     window = window or DEFAULT_WINDOW
     _require_solved(dic, m)
     wide = _product_window(window, m)
-    nd = len(dic.fixed_point_state_matrix(m)[0])
+    nd = len(_weight(dic.n, m).mps)
     Dcl = _classical_state_matrix(dic, m, "D")
     Wcl = _classical_state_matrix(dic, m, ("omega", i))
     atoms = _atoms(dic, m)
-    a_atoms = _divisor_series(dic, m, "D", wide)
-    b_atoms = _divisor_series(dic, m, ("omega", i), wide)
+    a_atoms, b_atoms = ([(tag, ser.scale(TAU)) for tag, ser in _divisor_series(dic, m, w, wide)]
+                        for w in ("D", ("omega", i)))
     tags = list(dict.fromkeys(tag for tag, _s in a_atoms + b_atoms))
 
     # row r of Dcl and Wcl over one denominator L_r, column c over one G_c; an
@@ -2114,25 +2175,27 @@ def _atom_value(tag, q0, svals, kind):
     return tot
 
 
-def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals):
+def _specialized_divisor(dic: Dictionary, m: int, which, t1, t2, q0, svals, values: dict):
     """(full, corr): the divisor operator and its quantum part as exact
     rational matrices in the fixed-point class basis, evaluated at the
-    specialization: diag(c(t)) + sum over atoms of tau * f_a(q0, s0) * K_a(t),
-    with K_a the class-basis atom matrix that ``m_divisor`` expands."""
+    specialization: diag(c(t)) + sum over atoms of f_a(q0, s0) * K_a(t),
+    with K_a the class matrix (tau included) that ``m_divisor`` expands, read
+    from ``values`` (tag -> K_a(t), filled on first use, one per point)."""
     mps = _weight(dic.n, m).mps
     nd = len(mps)
-    tau0 = t1 + t2
     kind = "q" if which == "D" else "s"
     corr = [[QQ(0)] * nd for _ in range(nd)]
     for tag in _divisor_atoms(dic, m, which):
-        val = tau0 * _atom_value(tag, q0, svals, kind)
+        val = _atom_value(tag, q0, svals, kind)
         if val == 0:
             continue
-        A = _atom_class_matrix(dic, m, tag)
+        if (A := values.get(tag)) is None:
+            A = values[tag] = [[x.substitute_all(t1, t2) if x else 0 for x in row]
+                               for row in _atom_class_matrix(dic, m, tag)]
         for r in range(nd):
             for c in range(nd):
-                if not A[r][c].is_zero:
-                    corr[r][c] += val * A[r][c].substitute_all(t1, t2)
+                if A[r][c]:
+                    corr[r][c] += val * A[r][c]
     cvals = _classical_values(which, m, mps, dic.geom)
     full = [row[:] for row in corr]
     for r in range(nd):
@@ -2181,10 +2244,11 @@ def spectrum_probe(m: int, geom: SurfaceGeometry, seed: int, dic: Dictionary) ->
             svals = [
                 QQ(rng.randint(1, 5), rng.randint(6, 17)) for _ in range(n)
             ]
-            mats, corrs = {}, {}
+            mats, corrs, values = {}, {}, {}
             for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
                 key = which if which == "D" else f"omega{which[1]}"
-                mats[key], corrs[key] = _specialized_divisor(dic, m, which, t1, t2, q0, svals)
+                mats[key], corrs[key] = _specialized_divisor(dic, m, which, t1, t2, q0, svals,
+                                                             values)
             nd = len(mats["D"])
             # pairwise commutation at the specialization
             commute_ok = all(

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, gcd as _igcd, lcm as _ilcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -943,6 +943,60 @@ RF_ZERO = RatFn.const(0)
 RF_ONE = RatFn.const(1)
 
 
+@lru_cache(maxsize=4096)
+def _form_product(forms: tuple) -> TPoly:
+    """prod(a t1 + b t2) over the (a, b) of ``forms`` (ONE for none)."""
+    return reduce(mul, (TPoly({(1, 0, 0): a, (0, 1, 0): b}) for a, b in forms), ONE)
+
+
+def _divide_form(p: list, a: int, b: int) -> list | None:
+    """p / (a t1 + b t2) by synthetic division, p a binary form given by its
+    int coefficients from t1^d down to t2^d (``_binary_form``), or None if
+    the form does not divide p."""
+    if a == 0:  # the form t2
+        return p[1:] if len(p) > 1 and p[0] == 0 else None
+    q, prev = [], 0
+    for x in p[:-1]:
+        prev, r = divmod(x - b * prev, a)
+        if r:
+            return None
+        q.append(prev)
+    return q if p[-1] == b * prev else None
+
+
+def _over_forms(num: TPoly, c: int, forms) -> RatFn:
+    """RatFn(num, c * prod(a t1 + b t2 over forms)) in canonical form, with
+    no ``poly_gcd``: integral ``num``, int c != 0 and primitive forms with a
+    positive leading coefficient, as a tangent Euler class's.  A linear form
+    is irreducible and (Gauss's lemma) divides ``num`` iff it leaves an
+    integral quotient and no remainder: one integer synthetic division per
+    form on a binary form's dense coefficients, else a root test at
+    (t1, t2) = (b, -a) and ``exact_div``.  The forms that leave a remainder
+    (then after every later division too) are the canonical denominator."""
+    if num.is_zero:
+        return RF_ZERO
+    rest, dense = [], _binary_form(num)
+    if dense is not None and all(v.__class__ is int for v in dense):
+        for a, b in forms:
+            if (q := _divide_form(dense, a, b)) is None:
+                rest.append((a, b))
+            else:
+                dense = q
+        d = len(dense) - 1
+        num = TPoly({(d - k, k, 0): v for k, v in enumerate(dense) if v}, _trusted=True)
+    else:
+        for a, b in forms:
+            if num.value_at(b, -a, _EVAL_POINT[2]) == 0:
+                try:
+                    num = num.exact_div(_form_product(((a, b),)))
+                    continue
+                except ExactDivisionError:
+                    pass
+            rest.append((a, b))
+    return RatFn(num if c == 1 else num._scaled(1, c), _form_product(tuple(sorted(rest))),
+                 _canonical=True)
+
+
 # ---------------------------------------------------------------------------
 # windowed series: Laurent in q, truncated power series in s_1..s_n
 # ---------------------------------------------------------------------------
@@ -1530,37 +1584,36 @@ def matmul(A: list, B: list) -> list:
 
 def _sandwich(A: list, K: dict, B: list) -> list:
     """The product A . K . B of RatFn matrices A and B around a sparse integer
-    matrix K = {(r, c): int}: the one dense RatFn product, fraction-free.
+    matrix K = {(r, c): int}, fraction-free: row a of A over its common
+    denominator d_a and column b of B over e_b (``_common_denominator``), the
+    numerators' product (``_product_numerators``) normalised once over
+    d_a e_b where nonzero.  Canonical forms are unique, so it equals the
+    entry-by-entry RatFn sum.  TypeError for a K entry that is not an int."""
+    rows = [_common_denominator(Ar) for Ar in A]
+    cols = [_common_denominator(col) for col in zip(*B)]
+    N = _product_numerators([nums for nums, _d in rows], K, [nums for nums, _e in cols])
+    return [[RatFn(x, d * e) if x else RF_ZERO for x, (_n, e) in zip(Nr, cols)]
+            for Nr, (_n, d) in zip(N, rows)]
 
-    No RatFn is multiplied or added inside it.  With row a of A over one
-    integral common denominator d_a and column b of B over e_b
-    (``_common_denominator``), entry (a, b) is
-    sum_c (sum_r K[r, c] A'[a][r]) B'[c][b] / (d_a e_b), summed in
-    Z[t1, t2, t3] with no gcd and normalised once, only where it is nonzero.
-    Canonical forms are unique, so it equals the entry-by-entry RatFn sum.
-    Raises TypeError for an entry of K that is not an ``int``."""
+
+def _product_numerators(rows: list, K: dict, cols: list) -> list:
+    """[[sum_(r, c) K[r, c] rows[a][r] cols[b][c]]] as TPoly, for integral
+    TPoly rows and columns and a sparse integer K, with no gcd; TypeError
+    for a K entry that is not an int."""
     for rc, k in K.items():
         if k.__class__ is not int:
             raise TypeError(f"K{list(rc)} = {k!r} is not an int")
-    cols = []
-    for col in zip(*B):
-        nums, e = _common_denominator(col)
-        cols.append(([(c, list(p.items())) for c, p in enumerate(nums) if p], e))
+    cols = [[(c, list(p.items())) for c, p in enumerate(col) if p] for col in cols]
     out = []
-    for Ar in A:
-        nums, d = _common_denominator(Ar)
+    for Ar in rows:
         acc: dict = {}  # c -> row a of A'.K, as {exponent: int}
         for (r, c), k in K.items():
-            if nums[r]:
+            if Ar[r]:
                 p = acc.setdefault(c, {})
-                for ex, v in nums[r].items():
+                for ex, v in Ar[r].items():
                     p[ex] = p.get(ex, 0) + k * v
         ak = {c: terms for c, p in acc.items() if (terms := [t for t in p.items() if t[1]])}
-        row = []
-        for bterms, e in cols:
-            num = _dot((ak[c], bt) for c, bt in bterms if c in ak)
-            row.append(RatFn(num, d * e) if num else RF_ZERO)
-        out.append(row)
+        out.append([_dot((ak[c], bt) for c, bt in bterms if c in ak) for bterms in cols])
     return out
 
 

@@ -22,7 +22,11 @@ transport inverse built once by calibrate, with no transport inverted),
 the weight tables of geometry-only matrices (each field built once per
 (n, m)), each basis's frame (L R is the basis's pairing, diag(E) for the
 fixed-point classes, whose state matrix D times Dinv is the identity; each
-frame built once) at (n, m) = (1, 2), (2, 2), (1, 3), the class pairings
+frame built once) at (n, m) = (1, 2), (2, 2), (1, 3), the class frame as
+integral numerators over its Euler forms and monomials at n, m <= 3 (and
+its refusal of any other denominator), the class-basis atom and classical
+state matrices against the sandwich through the class states D = T C and
+Dinv at (1, 2), (2, 2), (1, 3), (3, 2), (2, 3), the class pairings
 of the label words over the class norms against the inverse class matrix,
 the series assembler on hand-made series (shared monomials added, a
 cancelled entry kept), the divisor operators' entries (keys, windows,
@@ -49,6 +53,7 @@ divisor family").
 import copy
 import functools
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -61,7 +66,6 @@ from andt.dictionary import (
     CalibrationError,
     Dictionary,
     _AtomTargets,
-    _arm_leg_product,
     _atom_class_matrix,
     _atom_value,
     _atoms,
@@ -184,7 +188,7 @@ def test_hilb_tangent_euler_on_weight_one_and_two(dic):
         assert hilb_tangent_euler(mp, geom) == dic.normalizations[mp]
     for m in range(1, 8):
         for lam in partitions_of(m):
-            assert _arm_leg_product(lam, wL[0], wR[0]) == _hand_arm_leg_product(lam, wL[0], wR[0])
+            assert hilb_tangent_euler([lam, ()], geom) == _hand_arm_leg_product(lam, wL[0], wR[0])
 
 
 def test_transport_inverse(dic):
@@ -479,7 +483,18 @@ def test_heisenberg_check_fails_on_a_perturbed_dictionary(n, dic, dic2):
     assert ws and len({(w["k"], w["a"], w["b"], w["state"]) for w in ws}) == len(ws)
 
 
-def test_heisenberg_check_fails_on_a_wrong_lattice_commutator(dic, monkeypatch):
+@pytest.fixture
+def fresh_lattice_halves():
+    """Clear the cached lattice halves of the Heisenberg check before and
+    after a test that patches ``_lattice_commutator``, so that the check
+    reads the patch and no half built under it outlives the test."""
+    dictionary._lattice_half.cache_clear()
+    yield
+    dictionary._lattice_half.cache_clear()
+
+
+def test_heisenberg_check_fails_on_a_wrong_lattice_commutator(dic, monkeypatch,
+                                                             fresh_lattice_halves):
     # [e_11(1), e_11(-1)] off by one on the vacuum: every (a, b) that reaches
     # it through V[a][0] U[b][0] fails there, as in the reference's products
     real = dictionary._lattice_commutator
@@ -507,7 +522,7 @@ def _memoized_accessors(d, m):
         "transport": lambda: d.transport(m),
         "transport_inverse": lambda: d.transport_inverse(m),
         "frame": lambda: d.frame(m, "class"),
-        "fixed_point_state": lambda: d.fixed_point_state_matrix(m),
+        "class_numerators": lambda: dictionary._class_numerators(d, m),
         "engine": lambda: d.engine(m),
         "divisor": lambda: dictionary.m_divisor("D", m, DEFAULT_WINDOW, d.geom, d),
         "atoms": lambda: _atoms(d, m),
@@ -524,6 +539,8 @@ def test_memo_builds_each_entry_once_under_its_own_kind(dic):
     assert all(call() is first[kind] for kind, call in calls.items())
     # every kind has its own entries, and no two entries share an object
     assert {key[0] for key in d._memo} == set(calls)
+    # the fixed-point state matrices (D, Dinv) are no memo kind and no method
+    assert "fixed_point_state" not in calls and not hasattr(d, "fixed_point_state_matrix")
     assert len({id(v) for v in d._memo.values()}) == len(d._memo)
     assert all(any(v is first[k] for v in d._memo.values()) for k in calls)
 
@@ -666,6 +683,13 @@ def test_transport_inverse_is_the_annihilation_transport(n, m):
     assert d.transport_inverse(m) == inverse(T)
 
 
+def _class_state_matrices(d, m):
+    """(D, Dinv) = (T C, diag(E)^-1 C^T G T^-1): the fixed-point classes in
+    state coordinates and their inverse, read from the class frame."""
+    L, R = d.frame(m, "class")
+    return R, [[x / e for x in row] for row, e in zip(L, _weight(d.n, m).E)]
+
+
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3)])
 def test_frames_read_the_pairing_of_each_basis(n, m):
     # L R = V^T G V, the class frame's is diag(E), and D Dinv = Id
@@ -680,12 +704,67 @@ def test_frames_read_the_pairing_of_each_basis(n, m):
         assert matmul(*frame) == matmul(VtG, V)
     assert matmul(*d.frame(m, "class")) == [
         [e if i == j else RF_ZERO for j in range(size)] for i, e in enumerate(wt.E)]
-    D, Dinv, mps = d.fixed_point_state_matrix(m)
-    assert mps == wt.mps and matmul(D, Dinv) == eye
+    D, Dinv = _class_state_matrices(d, m)
+    assert matmul(D, Dinv) == eye
     with pytest.raises(ValueError, match="unknown basis 'point'"):
         d.frame(m, "point")
     assert [key for key in d._memo if key[0] == "frame"] == [
         ("frame", m, basis) for basis in ("word", "label", "class")]
+
+
+@pytest.mark.parametrize("n, m", [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)])
+def test_class_frame_is_polynomial_over_powers_of_t2(n, m):
+    # L has no denominator and R only powers of t2, so each row and column of
+    # the class numerators is over an integer times a monomial; each class
+    # norm is c times its primitive, positive-leading Euler forms, which
+    # multiply to the norm and to the hand-counted arm/leg product per chart
+    d = Dictionary(SurfaceGeometry(n), m)
+    L, R = d.frame(m, "class")
+    assert all(x.den == exact.ONE for row in L for x in row)
+    assert {x.den for row in R for x in row} <= {exact.T2 ** e for e in range(m + 1)}
+    wt, geom = _weight(n, m), d.geom
+    wL, wR = ([RatFn(f(k)) for k in range(1, n + 2)] for f in (geom.wL, geom.wR))
+    for mp, (c, forms), e in zip(wt.mps, wt.euler, wt.E):
+        assert all(math.gcd(a, b) == 1 and (a > 0 or (a == 0 and b == 1)) for a, b in forms)
+        assert len(forms) == 2 * m and e == RatFn(exact._form_product(forms) * c)
+        assert e == hilb_tangent_euler(mp, geom)
+        hand = RF_ONE
+        for k, lam in enumerate(mp):
+            hand = hand * _hand_arm_leg_product(lam, wL[k], wR[k])
+        assert e == hand
+    rows, cols = dictionary._class_numerators(d, m)
+    for (nums, c, forms), row, (ce, fe) in zip(rows, L, wt.euler):
+        den = RatFn(exact._form_product(forms) * c) / RatFn(exact._form_product(fe) * ce)
+        assert [RatFn(x) / den for x in nums] == row
+    for (nums, c, forms), col in zip(cols, zip(*R)):
+        assert [RatFn(x) / RatFn(exact._form_product(forms) * c) for x in nums] == list(col)
+
+
+def test_class_numerators_refuse_a_denominator_that_is_not_a_monomial():
+    d = Dictionary(SurfaceGeometry(1), 2)
+    L, R = d.frame(2, "class")
+    R = [list(row) for row in R]
+    c = next(c for c, x in enumerate(R[0]) if x)
+    R[0][c] = R[0][c] / RatFn(exact.T1 + exact.T3)  # no entry has a t3 to cancel it
+    d._memo[("frame", 2, "class")] = (L, R)
+    with pytest.raises(ArithmeticError, match=r"\(n, m\) = \(1, 2\)"):
+        dictionary._class_numerators(d, 2)
+
+
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
+def test_class_matrices_are_the_sandwich_through_the_class_states(n, m):
+    # every atom's class matrix is tau Dinv K D, and each classical state
+    # matrix D diag(v) Dinv, with D and Dinv from the class frame
+    d = Dictionary(SurfaceGeometry(n), m)
+    D, Dinv = _class_state_matrices(d, m)
+    tau = RatFn(exact.TAU)
+    for tag, K in _atoms(d, m).items():
+        want = [[x * tau for x in row] for row in exact._sandwich(Dinv, K, D)]
+        assert _atom_class_matrix(d, m, tag) == want, tag
+    for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
+        vals = dictionary._classical_values(which, m, _weight(n, m).mps, d.geom)
+        want = matmul([[x * v for x, v in zip(row, vals)] for row in D], Dinv)
+        assert _classical_state_matrix(d, m, which) == want, which
 
 
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 2)])
@@ -923,8 +1002,8 @@ def _lattice_state_divisor(dic, m, which, t1, t2, q0, svals):
     conjugated in by D0, the fixed-point classes in state coordinates, and
     each dressing mode by T0, the transport; D0 and T0 are inverted at the
     point."""
-    D, _, mps = dic.fixed_point_state_matrix(m)
-    nd = len(D)
+    D, _ = _class_state_matrices(dic, m)
+    mps, nd = _weight(dic.n, m).mps, len(D)
     D0 = [[v.substitute_all(t1, t2) for v in row] for row in D]
     if which == "D" and m <= 1:
         cvals = [QQ(0)] * nd
@@ -966,8 +1045,9 @@ SPECIALIZATIONS = [
 def test_specialized_divisor_is_the_lattice_state_assembly_in_class_basis(n, point, dic, dic2):
     d = {1: dic, 2: dic2}[n]
     t1, t2, q0, svals = point
+    values = {}  # shared by the divisors, as in spectrum_probe
     for which in ["D"] + [("omega", i) for i in range(1, n + 1)]:
-        full, corr = _specialized_divisor(d, 2, which, t1, t2, q0, svals[:n])
+        full, corr = _specialized_divisor(d, 2, which, t1, t2, q0, svals[:n], values)
         ref_full, ref_corr, D0 = _lattice_state_divisor(d, 2, which, t1, t2, q0, svals[:n])
         D0inv = inverse(D0)
         assert matmul(matmul(D0inv, ref_full), D0) == full
@@ -1083,12 +1163,12 @@ def _commutation_reference(d, m, i, window=DEFAULT_WINDOW):
     atom series, each entry tested on the window (the loop that the
     numerator fold replaced)."""
     wide = dictionary._product_window(window, m)
-    nd = len(d.fixed_point_state_matrix(m)[0])
+    nd = len(_weight(d.n, m).mps)
     Dcl = dictionary._classical_state_matrix(d, m, "D")
     Wcl = dictionary._classical_state_matrix(d, m, ("omega", i))
 
     def series_atoms(which):
-        return [(ser, dictionary._dense(_atoms(d, m)[tag], nd))
+        return [(ser.scale(RatFn(exact.TAU)), dictionary._dense(_atoms(d, m)[tag], nd))
                 for tag, ser in dictionary._divisor_series(d, m, which, wide)]
 
     a_atoms, b_atoms = series_atoms("D"), series_atoms(("omega", i))
@@ -1155,9 +1235,12 @@ def test_series_matrix_adds_shared_monomials_and_keeps_a_cancelled_entry():
 def _reference_m_divisor_entries(d, m, which, window):
     """Reference: the divisor operator's entries as the running sum it was
     assembled by, classical entries first, then per atom of
-    ``_divisor_atoms`` the atom's class matrix times its tau-scaled
-    derivative series, skipping atoms whose series vanishes."""
+    ``_divisor_atoms`` the atom's class matrix, as it was defined before the
+    matrices carried tau (Dinv K D, with D and Dinv from the class frame),
+    times its tau-scaled derivative series, skipping atoms whose series
+    vanishes."""
     n, tau = d.n, RatFn(exact.TAU)
+    D, Dinv = _class_state_matrices(d, m)
     entries = dict(dictionary.classical_divisor(which, m, d.geom, window).entries)
     for tag in _divisor_atoms(d, m, which):
         if tag[0] == "mode":
@@ -1169,7 +1252,7 @@ def _reference_m_divisor_entries(d, m, which, window):
         ser = ser.scale(tau)
         if ser.is_zero:
             continue
-        A = _atom_class_matrix(d, m, tag)
+        A = exact._sandwich(Dinv, _atoms(d, m)[tag], D)
         for r, row in enumerate(A):
             for c, v in enumerate(row):
                 if v.is_zero:
@@ -1205,7 +1288,7 @@ def test_integer_atom_commutator_is_the_scaled_numerator(n, dic, dic2):
     # over atom rows scaled by L_r and columns scaled by G_c; it must equal the
     # integer commutator times L_r * G_c at every entry of every atom pair
     d, m, i = {1: dic, 2: dic2}[n], 2, n
-    nd = len(d.fixed_point_state_matrix(m)[0])
+    nd = len(_weight(d.n, m).mps)
     ta, tb = _divisor_atoms(d, m, "D"), _divisor_atoms(d, m, ("omega", i))
     tags = list(dict.fromkeys(ta + tb))
     mats = [_classical_state_matrix(d, m, "D"), _classical_state_matrix(d, m, ("omega", i))]

@@ -3,6 +3,8 @@
 Oracle values are frozen at the top of the file and were computed
 independently of the implementation (by hand or from standard tables).
 """
+import math
+
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -1127,6 +1129,54 @@ def test_sandwich_refuses_a_k_entry_that_is_not_an_int():
     a = RatFn(T1 + 2 * T2, T1 + 3 * T3)
     with pytest.raises(TypeError):
         exact_mod._sandwich([[a]], {(0, 0): QQ(1)}, [[a]])
+
+
+def _primitive_form(a, b):
+    """(a, b) / gcd, signed so that a > 0, or a = 0 and b = 1."""
+    g = math.gcd(a, b) * (1 if a > 0 or (a == 0 and b > 0) else -1)
+    return a // g, b // g
+
+
+_primitive_forms = st.one_of(
+    st.sampled_from([(1, 0), (0, 1), (1, 1)]),  # t1, t2 and t1 + t2 among them
+    st.tuples(st.integers(-5, 5), st.integers(-5, 5)).filter(any).map(lambda f: _primitive_form(*f)),
+)
+
+
+@st.composite
+def _numerators_over_forms(draw):
+    """(num, c, forms): an integral numerator, often with some of the forms
+    (repeated or not) as factors, over a nonzero int c and primitive forms."""
+    forms = draw(st.lists(_primitive_forms, max_size=6))
+    kind = draw(st.sampled_from(["binary", "binary", "inhomogeneous", "t3", "zero"]))
+    if kind == "zero":
+        num = exact_mod.ZERO
+    else:
+        deg = draw(st.integers(0, 3))
+        num = TPoly({(deg - k, k, 0): draw(coeffs) for k in range(deg + 1)})
+        if kind == "inhomogeneous":
+            num = num + TPoly({draw(exps): draw(coeffs.filter(bool))})
+        elif kind == "t3":
+            num = num + T3 * TPoly({draw(exps): draw(coeffs.filter(bool))})
+        if num.is_zero:
+            num = ONE
+        for a, b in draw(st.lists(st.sampled_from(forms), max_size=4)) if forms else ():
+            num = num * (a * T1 + b * T2)
+    return num, draw(st.integers(-6, 6).filter(bool)), forms
+
+
+@settings(max_examples=150, deadline=None)
+@given(_numerators_over_forms())
+def test_over_forms_is_the_canonical_quotient(args):
+    # the gcd-free kernel against the full constructor, which takes poly_gcd
+    num, c, forms = args
+    den = TPoly.const(c)
+    for a, b in forms:
+        den = den * (a * T1 + b * T2)
+    got = exact_mod._over_forms(num, c, forms)
+    want = RatFn(num, den)
+    assert (got.num, got.den) == (want.num, want.den)
+    assert stored_form(got.num) and stored_form(got.den)
 
 
 def test_singular_matrix_error_is_value_and_zero_division_error():
