@@ -45,6 +45,7 @@ from functools import cached_property, lru_cache
 
 from .exact import (
     ExactDivisionError,
+    ONE,
     QQ,
     QRational,
     QSSeries,
@@ -58,8 +59,8 @@ from .exact import (
     TAU,
     Window,
     WindowError,
+    ZERO,
     _common_denominator,
-    _dot,
     _fold_numerators,
     _form_product,
     _fold_products,
@@ -1584,6 +1585,8 @@ class DivisorOp:
 
 
 def _divisor_key(which) -> object:
+    if isinstance(which, tuple) and len(which) == 2 and isinstance(which[1], bool):
+        raise TypeError(f"curve index must be an int, not bool {which[1]!r}")  # True == 1
     if which == "D" or (isinstance(which, tuple) and len(which) == 2
                         and which[0] == "omega" and isinstance(which[1], int)):
         return which
@@ -1851,20 +1854,35 @@ def _int_commutator(X: dict, Y: dict) -> dict:
     return {rc: v for rc, v in out.items() if v}
 
 
+def _classical_commutator(rows: list, cols: list, L: tuple, G: tuple, K: dict) -> dict:
+    """{(r, c): nonzero numerator of [X, K][r][c] over L_r G_c}, for X with
+    row r integral over L_r (``rows``), column c over G_c (``cols``) and an
+    integer K: X K and K X are two products of the one kernel
+    (``exact._product_numerators``) around the identity."""
+    nd = len(rows)
+    eye = [[ONE if r == c else ZERO for c in range(nd)] for r in range(nd)]
+    XK, KX = _product_numerators(rows, K, eye), _product_numerators(eye, K, cols)
+    return {(r, c): num for r in range(nd) for c in range(nd)
+            if (XK[r][c] or KX[r][c]) and (num := XK[r][c] * G[c] - KX[r][c] * L[r])}
+
+
 def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                           window: Window | None = None) -> dict:
     """Exact commutation of the doubled-point and i-th curve divisor operators
     on the window, evaluated in lattice-state coordinates where the atom
     matrices are constant.  Each commutator entry is a numerator over
     L_r * G_c, the joint denominators of row r and column c of the two
-    classical matrices.  A commutator with a classical matrix sums products
-    of those numerators; an atom-atom commutator [K_a, K_b] is taken in
-    integers (``_int_commutator``) and scaled once per entry by L_r * G_c.
-    The atom series carry tau here (``_divisor_series`` leaves it to the
-    class matrices), and each entry's sum over them is folded on numerators
-    alone (`exact._fold_numerators`)."""
+    classical matrices.  The classical matrices commute exactly (both are
+    R diag(v / E) L for one class frame, with L R = diag(E)); a commutator of
+    a classical matrix with an atom matrix is ``_classical_commutator``, and
+    an atom-atom commutator [K_a, K_b] is taken in integers
+    (``_int_commutator``) and scaled once per entry by L_r * G_c.  The atom
+    series carry tau here (``_divisor_series`` leaves it to the class
+    matrices), and each entry's sum over them is folded on numerators alone
+    (`exact._fold_numerators`)."""
     window = window or DEFAULT_WINDOW
     _require_solved(dic, m)
+    _divisor_key(("omega", i))  # refuses a bool i
     wide = _product_window(window, m)
     nd = len(_weight(dic.n, m).mps)
     Dcl = _classical_state_matrix(dic, m, "D")
@@ -1872,38 +1890,17 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
     atoms = _atoms(dic, m)
     a_atoms, b_atoms = ([(tag, ser.scale(TAU)) for tag, ser in _divisor_series(dic, m, w, wide)]
                         for w in ("D", ("omega", i)))
-    tags = list(dict.fromkeys(tag for tag, _s in a_atoms + b_atoms))
 
-    # row r of Dcl and Wcl over one denominator L_r, column c over one G_c; an
-    # integer atom matrix K leaves both as they are, with numerators K L_r in
-    # row r and K G_c in column c.  Per matrix x, only the nonzero numerators:
-    # R[x][r] = [(j, terms of X[r][j])], C[x][c] = {j: terms of X[j][c]}
+    # row r of Dcl and Wcl over one denominator L_r, column c over one G_c
     rows, L = zip(*(_common_denominator(Dcl[r] + Wcl[r]) for r in range(nd)))
     cols, G = zip(*(_common_denominator([M[j][c] for M in (Dcl, Wcl) for j in range(nd)])
                     for c in range(nd)))
-    R = {x: [[(j, list(p.items())) for j, p in enumerate(rows[r][k * nd:(k + 1) * nd]) if p]
-             for r in range(nd)] for k, x in enumerate("DW")}
-    C = {x: [{j: list(p.items()) for j, p in enumerate(cols[c][k * nd:(k + 1) * nd]) if p}
-             for c in range(nd)] for k, x in enumerate("DW")}
-    for tag in tags:
-        R[tag], C[tag] = [[] for _ in range(nd)], [{} for _ in range(nd)]
-        for (r, j), k in atoms[tag].items():
-            R[tag][r].append((j, list((L[r] * k).items())))
-            C[tag][j][r] = list((G[j] * k).items())
-
-    def commutator(x, y) -> dict:
-        """{(r, c): nonzero numerator of (XY - YX)[r][c] over L_r * G_c}."""
-        nums = {}
-        for r in range(nd):
-            for c in range(nd):
-                xy = [(p, C[y][c][j]) for j, p in R[x][r] if j in C[y][c]]
-                yx = [(p, C[x][c][j]) for j, p in R[y][r] if j in C[x][c]]
-                if (xy or yx) and (num := _dot(xy) - _dot(yx)):
-                    nums[(r, c)] = num
-        return nums
-
-    terms = [(ser, commutator("D", tag)) for tag, ser in b_atoms]
-    terms += [(ser, commutator(tag, "W")) for tag, ser in a_atoms]
+    Dnum, Wnum = (([row[k * nd:(k + 1) * nd] for row in rows],
+                   [col[k * nd:(k + 1) * nd] for col in cols]) for k in range(2))
+    terms = [(ser, _classical_commutator(*Dnum, L, G, atoms[tag])) for tag, ser in b_atoms]
+    for tag, ser in a_atoms:  # [K_a, W] = -[W, K_a]
+        comm = _classical_commutator(*Wnum, L, G, atoms[tag])
+        terms.append((ser, {rc: -num for rc, num in comm.items()}))
     LG = {(r, c): L[r] * G[c] for r in range(nd) for c in range(nd)}
     for ta, ser_a in a_atoms:
         for tb, ser_b in b_atoms:
@@ -1912,7 +1909,6 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
                 terms.append((prod, {rc: LG[rc] * k for rc, k
                                      in _int_commutator(atoms[ta], atoms[tb]).items()}))
 
-    const = commutator("D", "W")
     sernums, _S = _numerators([ser for ser, _comm in terms])
     totals = {
         (r, c): _fold_numerators(dic.n, wide, [
@@ -1925,8 +1921,6 @@ def divisor_pair_commutes(dic: Dictionary, m: int, i: int,
 
     def vanishes(r, c):
         tot = totals[(r, c)]
-        if (r, c) in const:
-            return False
         if tot.window.qmax < window.qmax or tot.window.smax < window.smax:
             raise WindowError("series not known on the whole target window")
         return not any(window.qmin <= q <= window.qmax and sum(s) <= window.smax

@@ -767,6 +767,17 @@ def test_class_matrices_are_the_sandwich_through_the_class_states(n, m):
         assert _classical_state_matrix(d, m, which) == want, which
 
 
+@pytest.mark.parametrize("n, m", [(1, 2), (2, 2), (1, 3), (3, 2), (2, 3)])
+def test_classical_state_matrices_commute(n, m):
+    # both are R diag(v / E) L for the one class frame, with L R = diag(E), so
+    # divisor_pair_commutes leaves out their commutator
+    d = Dictionary(SurfaceGeometry(n), m)
+    Dcl = _classical_state_matrix(d, m, "D")
+    for i in range(1, n + 1):
+        Wcl = _classical_state_matrix(d, m, ("omega", i))
+        assert matmul(Dcl, Wcl) == matmul(Wcl, Dcl), i
+
+
 @pytest.mark.parametrize("n, m", [(1, 2), (2, 2)])
 def test_word_class_coordinates_are_the_inverse_class_matrix_on_the_label_word(n, m):
     # the class pairings C^T G x of each label word, divided by the class norms
@@ -1490,6 +1501,23 @@ def test_a_weight_that_is_not_a_positive_int_is_refused(call, m, error, match, d
     d._memo = {}
     with pytest.raises(error, match=match):
         call(d, m)
+    assert not d._memo
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda d, w: dictionary.m_divisor(("omega", True), 2, DEFAULT_WINDOW, d.geom, d),
+                 id="m_divisor"),
+    pytest.param(lambda d, w: divisor_pair_commutes(d, 2, True), id="divisor_pair_commutes"),
+    pytest.param(lambda d, w: three_point(w[0], ("omega", True), w[1], geom=d.geom, dic=d),
+                 id="three_point"),
+])
+def test_a_bool_curve_index_is_refused(call, dic):
+    # True == 1 would otherwise share ("omega", 1)'s memo entry, and the
+    # operator stored there would carry the selector of the first call
+    d = copy.copy(dic)
+    d._memo = {}
+    with pytest.raises(TypeError, match="curve index must be an int, not bool True"):
+        call(d, weighted_partition_basis(2, 2))
     assert not d._memo
 
 

@@ -257,8 +257,7 @@ def _count_gcd_paths(monkeypatch):
 
 def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
     # a(p) | b(p) at the filter's point, yet a does not divide b: the filter
-    # must hand over to trial division, which fails; the pair is coprime, so
-    # the certificate settles it without sympy.
+    # must hand over to trial division, which fails, then to sympy.
     x, _, z = exact_mod._EVAL_POINT
     a = T1 + T2
     ap = exact_mod._eval_at_point(a)
@@ -267,23 +266,22 @@ def test_poly_gcd_when_evaluation_filter_passes_but_division_fails(monkeypatch):
     calls = _count_gcd_paths(monkeypatch)
     poly_gcd.cache_clear()
     assert poly_gcd(a, b) == ONE
-    assert calls == {"divides": 1, "sympy": 0}
+    assert calls == {"divides": 1, "sympy": 1}
     # the filter alone rejects a pair whose values do not divide
     poly_gcd.cache_clear()
     assert poly_gcd(a, b + 1) == ONE
-    assert calls == {"divides": 1, "sympy": 0}
+    assert calls == {"divides": 1, "sympy": 2}
     poly_gcd.cache_clear()
 
 
-def test_poly_gcd_degree_guard_sends_factor_through_alpha_to_sympy(monkeypatch):
-    # L vanishes at alpha, so the images of L*(t1+t3) and L*(t2+t3) drop a
-    # degree and their univariate gcd is constant: without the degree guard
-    # the certificate would answer 1 instead of L.
+def test_poly_gcd_finds_a_common_factor_through_the_evaluation_point(monkeypatch):
+    # L vanishes at the filter's point, so both products do and the filter
+    # is skipped; trial division fails, and the common factor L must come
+    # back from sympy.
     x, y, _ = exact_mod._EVAL_POINT
     L = y * T1 - x * T2
     a, b = L * (T1 + T3), L * (T2 + T3)
     assert exact_mod._eval_at_point(L) == 0
-    assert not exact_mod._coprime_certified(a, b)
     calls = _count_gcd_paths(monkeypatch)
     poly_gcd.cache_clear()
     assert poly_gcd(a, b) == L
@@ -353,8 +351,8 @@ def test_poly_gcd_sympy_step_routes_binary_forms_to_the_dense_gcd(monkeypatch, a
     assert len(ring_calls) == (2 if ring else 0)
 
 
-# Linear forms through alpha = _EVAL_POINT: integer combinations of two
-# forms that vanish there.
+# Linear forms through alpha = _EVAL_POINT, where the evaluation filter is
+# skipped: integer combinations of two forms that vanish there.
 _THROUGH_ALPHA = (
     (exact_mod._EVAL_POINT[1], -exact_mod._EVAL_POINT[0], 0),
     (exact_mod._EVAL_POINT[2], 0, -exact_mod._EVAL_POINT[0]),
@@ -378,12 +376,14 @@ def _product(polys):
     st.lists(any_forms, min_size=1, max_size=3),
     st.lists(any_forms, min_size=1, max_size=3),
 )
-def test_coprime_certificate_is_sound(common, only_a, only_b):
+def test_poly_gcd_of_products_of_forms_matches_sympy(common, only_a, only_b):
     shared = _product(map(_linear, common))
     a = (shared * _product(map(_linear, only_a))).primitive()
     b = (shared * _product(map(_linear, only_b))).primitive()
-    if exact_mod._coprime_certified(a, b):
-        assert _sympy_gcd_oracle(a, b) == ONE
+    poly_gcd.cache_clear()
+    got = poly_gcd(a, b)
+    poly_gcd.cache_clear()
+    assert got == _sympy_gcd_oracle(a, b)
 
 
 def _weight_forms(n):
@@ -398,10 +398,10 @@ def _weight_forms(n):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3).flatmap(lambda n: st.permutations(_weight_forms(n))), st.data())
-def test_coprime_certificate_covers_products_of_distinct_weights(forms, data):
+def test_poly_gcd_of_products_of_distinct_weights_is_one(forms, data):
     i = data.draw(st.integers(1, 3))
     j = data.draw(st.integers(i + 1, i + 3))
-    assert exact_mod._coprime_certified(_product(forms[:i]), _product(forms[i:j]))
+    assert poly_gcd(_product(forms[:i]), _product(forms[i:j])) == ONE
 
 
 @settings(max_examples=40, deadline=None)
@@ -1116,7 +1116,7 @@ def _unit_series(c):
 def test_sandwich_stores_integral_coefficients_as_int(product):
     # every dense fraction-free product ends in exact._dot, which stores what
     # it is given; an integral QQ input must still leave int coefficients,
-    # which the modular coprimality certificate in poly_gcd can read
+    # the stored form that the integer synthetic division in _over_forms reads
     a = RatFn(T1 + 2 * T2, T1 + 3 * T3)
     b = RatFn(T2 + T3, T1 - T3)
     got = product(a, b)
